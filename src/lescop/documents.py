@@ -62,9 +62,27 @@ def parse_rational(s, where="value"):
         )
     if not _RATIONAL_RE.fullmatch(s):
         raise DocumentValueError(f"{where}: malformed rational {s!r}")
-    if "/" in s and int(s.split("/")[1]) == 0:
-        raise DocumentValueError(f"{where}: zero denominator in {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise DocumentValueError(f"{where}: zero denominator in {s!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise DocumentValueError(f"{where}: rational of {len(s)} characters is too long") from None
+
+
+class _LongInteger:
+    """An integer literal with more digits than int() converts; the schema
+    rejects it where it reads an integer, naming the field."""
+
+    def __repr__(self):
+        return "<integer literal with more digits than int() converts>"
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger()
 
 
 def _no_float(text):
@@ -75,9 +93,12 @@ def _no_float(text):
 
 def _loads(text):
     try:
-        return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
+        return json.loads(text, parse_int=_parse_int, parse_float=_no_float,
+                          parse_constant=_no_float)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("arrays or objects are nested too deeply") from None
 
 
 def _require_keys(obj, required, optional, where):
@@ -92,6 +113,8 @@ def _require_keys(obj, required, optional, where):
 
 
 def _strict_int(x, where):
+    if isinstance(x, _LongInteger):
+        raise DocumentValueError(f"{where}: {x!r}")
     if type(x) is not int:
         raise DocumentSchemaError(f"{where}: expected an integer, got {x!r}")
     return x
@@ -105,33 +128,32 @@ class PresentationDocument:
     format_version: int = FORMAT_VERSION
 
 
+def _parse_seifert(seifert, where, owner):
+    """Rows of an even-sized square Seifert matrix; owner names it in errors."""
+    if not isinstance(seifert, list):
+        raise DocumentSchemaError(f"{where}: expected a list of rows")
+    n = len(seifert)
+    if n % 2 != 0:
+        raise DocumentSchemaError(
+            f"{where}: {owner} has odd size {n}; Seifert matrices have even size"
+        )
+    rows = []
+    for r, row in enumerate(seifert):
+        if not isinstance(row, list) or len(row) != n:
+            raise DocumentSchemaError(f"{where}: {owner} matrix is not square")
+        rows.append(
+            tuple(parse_rational(x, f"{where}[{r}][{c}]") for c, x in enumerate(row))
+        )
+    return tuple(rows)
+
+
 def _parse_component(obj, i):
     where = f"components[{i}]"
     _require_keys(obj, ("name", "seifert", "linking"), (), where)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise DocumentSchemaError(f"{where}.name: expected a non-empty string")
-    seifert = obj["seifert"]
-    if not isinstance(seifert, list):
-        raise DocumentSchemaError(f"{where}.seifert: expected a list of rows")
-    n = len(seifert)
-    if n % 2 != 0:
-        raise DocumentSchemaError(
-            f"{where}.seifert: component {name!r} has odd size {n}; "
-            "Seifert matrices have even size"
-        )
-    rows = []
-    for r, row in enumerate(seifert):
-        if not isinstance(row, list) or len(row) != n:
-            raise DocumentSchemaError(
-                f"{where}.seifert: component {name!r} matrix is not square"
-            )
-        rows.append(
-            tuple(
-                parse_rational(x, f"{where}.seifert[{r}][{c}]")
-                for c, x in enumerate(row)
-            )
-        )
+    rows = _parse_seifert(obj["seifert"], f"{where}.seifert", f"component {name!r}")
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):
         raise DocumentSchemaError(f"{where}.linking: expected an object")
@@ -143,7 +165,7 @@ def _parse_component(obj, i):
             parse_rational(x, f"{where}.linking[{other!r}][{k}]")
             for k, x in enumerate(vec)
         )
-    return Component(name=name, seifert=tuple(rows), linking=linking)
+    return Component(name=name, seifert=rows, linking=linking)
 
 
 def parse(text):
@@ -234,19 +256,7 @@ def parse_chain(text):
         sign = obj["sign"]
         if type(sign) is not int or sign not in (-1, 1):
             raise DocumentSchemaError(f"{where}.sign: expected -1 or 1, got {sign!r}")
-        seifert = obj["seifert"]
-        if not isinstance(seifert, list) or any(
-            not isinstance(row, list) or len(row) != len(seifert) for row in seifert
-        ):
-            raise DocumentSchemaError(f"{where}.seifert: expected a square matrix")
-        rows = tuple(
-            tuple(
-                parse_rational(x, f"{where}.seifert[{r}][{c}]")
-                for c, x in enumerate(row)
-            )
-            for r, row in enumerate(seifert)
-        )
-        steps.append((rows, sign))
+        steps.append((_parse_seifert(obj["seifert"], f"{where}.seifert", f"step {i}"), sign))
     return SurgeryChain(steps=tuple(steps))
 
 

@@ -12,16 +12,18 @@ the surgery exact triangle
 
     chi(p) = chi(blow_down(p, last, -1)) - chi(drop_component(p, last))
 
-down to the one-component base case.  The two routes agreeing on every
-input is the principal cross-check of this package.
+down to the one-component base case.  It carries only what the leaves
+read, the first component's Seifert matrix and its linking vectors E:
+blowing down adds E E^T, dropping changes nothing.  The two routes
+agreeing on every input is the principal cross-check of this package.
 
-chi does not depend on which admissible bundle is chosen; the bundle
-argument is checked for admissibility and echoed into the report together
-with an ambiguity flag.  The choice of bundle is pinned down exactly when
-the torsion order is odd (no 2-torsion in homology); with even torsion the
-choice is genuinely ambiguous, the value computed here is the one
-conjectured to be shared by all admissible bundles, and the report says so
-via ambiguity = "ext_ambiguous".
+chi does not depend on which admissible bundle is chosen; neither route
+reads w2 beyond the admissibility check, and the bundle is echoed into
+the report with an ambiguity flag.  The choice of bundle is pinned down
+exactly when the torsion order is odd (no 2-torsion in homology); with
+even torsion the choice is genuinely ambiguous, the value computed here
+is the one conjectured to be shared by all admissible bundles, and the
+report says so via ambiguity = "ext_ambiguous".
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from fractions import Fraction
 from .invariants import (
     DERIVED,
     WrongComponentCountError,
+    _delta2,
+    _mu_squared,
     _require_valid,
+    _sato_levine,
     casson,
     knot_alexander,
-    milnor_mu_squared,
-    sato_levine,
 )
-from .presentation import blow_down, drop_component
+from .presentation import rank_one_update
 
 
 class FloerError(Exception):
@@ -70,14 +73,9 @@ class BundleSpec:
     one bit per component.  Admissible means at least one bit is 1."""
 
     w2: tuple
-    trivial_on_exterior: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "w2", tuple(self.w2))
-
-    @classmethod
-    def all_ones(cls, n):
-        return cls(w2=(1,) * n)
 
     def is_admissible(self):
         return all(b in (0, 1) for b in self.w2) and any(self.w2)
@@ -105,7 +103,7 @@ def bundle_ambiguity(h):
 def _check_bundle(p, bundle):
     n = len(p.components)
     if bundle is None:
-        bundle = BundleSpec.all_ones(n)
+        bundle = BundleSpec(w2=(1,) * n)
     if len(bundle.w2) != n:
         raise InadmissibleBundleError(
             f"w2 has length {len(bundle.w2)}, expected {n}"
@@ -115,11 +113,30 @@ def _check_bundle(p, bundle):
     return bundle
 
 
+def _check(p, bundle):
+    """Validate p once for either route; returns the checked bundle."""
+    _require_valid(p)
+    if not p.components:
+        raise WrongComponentCountError(
+            "chi needs at least one component; use taubes_chi for chains"
+        )
+    return _check_bundle(p, bundle)
+
+
 def _as_integer(x, route):
     x = Fraction(x)
     if x.denominator != 1:
         raise NonIntegralChiError(f"{route} produced non-integral chi = {x}")
     return int(x)
+
+
+def _report(p, value, route, bundle):
+    return ChiReport(
+        chi=_as_integer(value, route),
+        route=route,
+        bundle=bundle,
+        ambiguity=bundle_ambiguity(p.base_order),
+    )
 
 
 def chi_closed_form(p, bundle=None):
@@ -131,38 +148,30 @@ def chi_closed_form(p, bundle=None):
     order, and the familiar -2 s / -2 mu^2 when h = 1.  The w2 vector is
     not read beyond the admissibility check: chi is bundle independent.
     """
-    _require_valid(p)
+    return _chi_closed_form(p, _check(p, bundle))
+
+
+def _chi_closed_form(p, bundle):
     n = len(p.components)
-    if n == 0:
-        raise WrongComponentCountError(
-            "chi needs at least one component; use taubes_chi for chains"
-        )
-    bundle = _check_bundle(p, bundle)
     h = p.base_order
     if n == 1:
-        value = -knot_alexander(p.components[0].seifert, h).second_derivative_at_one()
+        value = -_delta2(p.components[0].seifert, h)
     elif n == 2:
-        value = -2 * h * sato_levine(p, DERIVED)
+        value = -2 * h * _sato_levine(p)[DERIVED]
     elif n == 3:
-        value = -2 * h * milnor_mu_squared(p, DERIVED)
+        value = -2 * h * _mu_squared(p)[DERIVED]
     else:
         value = Fraction(0)
-    return ChiReport(
-        chi=_as_integer(value, CLOSED_FORM),
-        route=CLOSED_FORM,
-        bundle=bundle,
-        ambiguity=bundle_ambiguity(h),
-    )
+    return _report(p, value, CLOSED_FORM, bundle)
 
 
-def _chi_triangle(p):
-    n = len(p.components)
-    if n == 1:
-        return -knot_alexander(
-            p.components[0].seifert, p.base_order
-        ).second_derivative_at_one()
-    last = p.components[-1].name
-    return _chi_triangle(blow_down(p, last, -1)) - _chi_triangle(drop_component(p, last))
+def _chi_triangle(seifert, vectors, h):
+    """chi by one exact triangle per linking vector, the last one first."""
+    if not vectors:
+        return -knot_alexander(seifert, h).second_derivative_at_one()
+    *rest, e = vectors
+    blown_down = rank_one_update(seifert, e, -1)
+    return _chi_triangle(blown_down, rest, h) - _chi_triangle(seifert, rest, h)
 
 
 def chi_via_triangle(p, bundle=None):
@@ -172,18 +181,13 @@ def chi_via_triangle(p, bundle=None):
     independent of the order, which the test suite checks rather than
     assumes.  Both branches are pure, so evaluation order cannot matter.
     """
-    _require_valid(p)
-    if len(p.components) == 0:
-        raise WrongComponentCountError(
-            "chi needs at least one component; use taubes_chi for chains"
-        )
-    bundle = _check_bundle(p, bundle)
-    return ChiReport(
-        chi=_as_integer(_chi_triangle(p), TRIANGLE),
-        route=TRIANGLE,
-        bundle=bundle,
-        ambiguity=bundle_ambiguity(p.base_order),
-    )
+    return _chi_via_triangle(p, _check(p, bundle))
+
+
+def _chi_via_triangle(p, bundle):
+    first, *others = p.components
+    vectors = [first.linking[c.name] for c in others]
+    return _report(p, _chi_triangle(first.seifert, vectors, p.base_order), TRIANGLE, bundle)
 
 
 def taubes_chi(chain):

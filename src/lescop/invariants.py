@@ -9,6 +9,10 @@ for a Seifert matrix V; it is symmetric under t -> t^(-1) and evaluates to
 h at t = 1.  Everything else here is built from it: the second derivative
 at 1 drives the Casson surgery ledger, and blow-down differences of it
 give the Sato-Levine and Milnor-type invariants and the Lescop invariant.
+
+Each public function validates its presentation once, then calls private
+helpers that check nothing: surgery keeps the data valid, since adding the
+symmetric E E^T to a Seifert matrix V leaves V - V^T unchanged.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from fractions import Fraction
 
 from .presentation import (
     InvalidSpecError,
-    blow_down,
-    drop_component,
     fraction_matrix,
+    rank_one_update,
     skew_form_violation,
     validate,
 )
@@ -46,26 +49,6 @@ class WrongComponentCountError(InvariantError):
 DERIVED = "derived"
 PAPER_LITERAL = "paper-literal"
 NORMALIZATION_MODES = (DERIVED, PAPER_LITERAL)
-
-REPORT_NAMES = ("alexander", "delta2", "casson", "sato_levine", "mu_squared", "lescop")
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """A named exact invariant value plus the route that produced it."""
-
-    name: str
-    value: object  # Fraction for numeric invariants, HalfLaurent for alexander
-    route: str
-
-    def __post_init__(self):
-        if self.name not in REPORT_NAMES:
-            raise ValueError(f"unknown invariant name {self.name!r}")
-        if self.name == "alexander":
-            if not isinstance(self.value, HalfLaurent):
-                raise TypeError("alexander reports carry a HalfLaurent value")
-        elif not isinstance(self.value, (int, Fraction)):
-            raise TypeError(f"{self.name} reports carry a rational value")
 
 
 @dataclass(frozen=True)
@@ -99,6 +82,14 @@ def _require_valid(p):
         raise InvalidPresentationError(violations)
 
 
+def _require_exactly(p, count, name):
+    _require_valid(p)
+    if len(p.components) != count:
+        raise WrongComponentCountError(
+            f"{name} needs exactly {count} components, got {len(p.components)}"
+        )
+
+
 def knot_alexander(seifert, base_order=1):
     """h * det(t^(1/2) V - t^(-1/2) V^T) for a bare Seifert matrix."""
     seifert = fraction_matrix(seifert)
@@ -112,6 +103,10 @@ def knot_alexander(seifert, base_order=1):
     return determinant(RingMatrix(entries)) * base_order
 
 
+def _delta2(seifert, h):
+    return knot_alexander(seifert, h).second_derivative_at_one()
+
+
 def alexander(p, comp):
     """Alexander polynomial of the named component inside the base manifold.
 
@@ -119,8 +114,7 @@ def alexander(p, comp):
     the other components are 0-framed and do not affect it.
     """
     _require_valid(p)
-    c = p.component(comp)
-    return knot_alexander(c.seifert, p.base_order)
+    return knot_alexander(p.component(comp).seifert, p.base_order)
 
 
 def delta2(p, comp):
@@ -129,7 +123,8 @@ def delta2(p, comp):
     Half of this value is the knot's surgery weight in the Casson ledger
     (the framing-change term of the Lescop surgery formula).
     """
-    return alexander(p, comp).second_derivative_at_one()
+    _require_valid(p)
+    return _delta2(p.component(comp).seifert, p.base_order)
 
 
 def casson(chain):
@@ -158,18 +153,30 @@ def casson(chain):
         msg = skew_form_violation(v)
         if msg is not None:
             raise InvalidSpecError(f"step {i}: {msg}")
-        total += sign * knot_alexander(v).second_derivative_at_one() / 2
+        total += sign * _delta2(v, 1) / 2
     return total
 
 
-def _delta2_pair(p):
-    """(Delta''(1) before, Delta''(1) after) blow-down of the second component."""
+def _jump(seifert, e, h):
+    """Jump of Delta''(1) under (-1)-surgery on a curve linked by e: 2 s Delta(1)."""
+    return _delta2(rank_one_update(seifert, e, -1), h) - _delta2(seifert, h)
+
+
+def _normalized(jump, h):
+    """A Delta''(1) jump read in each normalization mode (see sato_levine)."""
+    return {DERIVED: jump / (2 * h), PAPER_LITERAL: jump / 2}
+
+
+def _sato_levine(p):
     c1, c2 = p.components
+    return _normalized(_jump(c1.seifert, c1.linking[c2.name], p.base_order), p.base_order)
+
+
+def _mu_squared(p):
+    c1, c2, c3 = p.components
+    v, e2, e3 = c1.seifert, c1.linking[c2.name], c1.linking[c3.name]
     h = p.base_order
-    before = knot_alexander(c1.seifert, h).second_derivative_at_one()
-    q = blow_down(p, c2.name, -1)
-    after = knot_alexander(q.components[0].seifert, h).second_derivative_at_one()
-    return before, after
+    return _normalized(_jump(rank_one_update(v, e3, -1), e2, h) - _jump(v, e2, h), h)
 
 
 def sato_levine(p, mode=DERIVED):
@@ -179,23 +186,18 @@ def sato_levine(p, mode=DERIVED):
     (-1)-surgery on the second: the jump equals 2 s Delta(1).  In the
     default 'derived' mode the jump is divided by 2 Delta(1) = 2h; in
     'paper-literal' mode by 2, which reads the case formulas with the
-    Alexander normalization dropped.  The modes coincide when h = 1; use
-    modes_disagree() to detect the other case.
+    Alexander normalization dropped.  The modes coincide when h = 1;
+    sato_levine_modes() gives both values.
     """
     _check_mode(mode)
-    _require_valid(p)
-    if len(p.components) != 2:
-        raise WrongComponentCountError(
-            f"sato_levine needs exactly 2 components, got {len(p.components)}"
-        )
-    before, after = _delta2_pair(p)
-    d = p.base_order if mode == DERIVED else 1
-    return (after - before) / (2 * d)
+    _require_exactly(p, 2, "sato_levine")
+    return _sato_levine(p)[mode]
 
 
-def modes_disagree(p):
-    """True when the two sato_levine normalization modes differ on p."""
-    return sato_levine(p, DERIVED) != sato_levine(p, PAPER_LITERAL)
+def sato_levine_modes(p):
+    """mode -> sato_levine(p, mode) for every mode, from one Delta''(1) jump."""
+    _require_exactly(p, 2, "sato_levine")
+    return _sato_levine(p)
 
 
 def milnor_mu_squared(p, mode=DERIVED):
@@ -207,15 +209,8 @@ def milnor_mu_squared(p, mode=DERIVED):
     the result is a perfect square, which is reported, not enforced.
     """
     _check_mode(mode)
-    _require_valid(p)
-    if len(p.components) != 3:
-        raise WrongComponentCountError(
-            f"milnor_mu_squared needs exactly 3 components, got {len(p.components)}"
-        )
-    last = p.components[2].name
-    return sato_levine(blow_down(p, last, -1), mode) - sato_levine(
-        drop_component(p, last), mode
-    )
+    _require_exactly(p, 3, "milnor_mu_squared")
+    return _mu_squared(p)[mode]
 
 
 def lescop(p):
@@ -227,17 +222,21 @@ def lescop(p):
     integral homology spheres.
     """
     _require_valid(p)
-    n = len(p.components)
-    h = p.base_order
-    if n == 0:
+    if not p.components:
         raise WrongComponentCountError(
             "lescop needs at least one component; for integral homology "
             "spheres use casson()"
         )
+    return _lescop(p)
+
+
+def _lescop(p):
+    n = len(p.components)
+    h = p.base_order
     if n == 1:
-        return delta2(p, p.components[0].name) / 2 - Fraction(h, 12)
+        return _delta2(p.components[0].seifert, h) / 2 - Fraction(h, 12)
     if n == 2:
-        return -h * sato_levine(p, DERIVED)
+        return -h * _sato_levine(p)[DERIVED]
     if n == 3:
-        return h * milnor_mu_squared(p, DERIVED)
+        return h * _mu_squared(p)[DERIVED]
     return Fraction(0)

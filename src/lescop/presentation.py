@@ -206,6 +206,16 @@ def validate(p):
     return out
 
 
+def rank_one_update(seifert, e, sign=-1):
+    """V - sign * E E^T: the Seifert matrix after (sign)-surgery on a curve linked by e."""
+    v = [list(row) for row in seifert]
+    for i in range(len(e)):
+        if e[i]:
+            for j in range(len(e)):
+                v[i][j] -= sign * e[i] * e[j]
+    return tuple(tuple(r) for r in v)
+
+
 def blow_down(p, target, sign=-1):
     """Remove a component by (sign)-framed surgery on it.
 
@@ -220,23 +230,15 @@ def blow_down(p, target, sign=-1):
     if sign not in (-1, 1):
         raise InvalidSpecError(f"surgery sign must be +1 or -1, got {sign}")
     p.component(target)  # raises UnknownComponentError
-    new = []
-    for c in p.components:
-        if c.name == target:
-            continue
-        e = c.linking.get(target, ())
-        v = [list(row) for row in c.seifert]
-        for i in range(len(e)):
-            if e[i]:
-                for j in range(len(e)):
-                    v[i][j] -= sign * e[i] * e[j]
-        new.append(
-            Component(
-                name=c.name,
-                seifert=tuple(tuple(r) for r in v),
-                linking={k: vec for k, vec in c.linking.items() if k != target},
-            )
+    new = [
+        Component(
+            name=c.name,
+            seifert=rank_one_update(c.seifert, c.linking.get(target, ()), sign),
+            linking={k: vec for k, vec in c.linking.items() if k != target},
         )
+        for c in p.components
+        if c.name != target
+    ]
     return SurgeryPresentation(base_order=p.base_order, components=tuple(new))
 
 

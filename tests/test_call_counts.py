@@ -1,0 +1,56 @@
+"""Work the program must not repeat, counted on the built-in corpus.
+
+Each counter wraps one function and rebinds every name in the lescop
+modules that refers to it, so calls made through `from ... import` names
+are counted too.
+"""
+
+import sys
+
+from lescop import floer, invariants, presentation, ring
+from lescop.cli import run
+from lescop.corpus import corpus
+
+
+class Counter:
+    def __init__(self, monkeypatch, fn):
+        self.calls = 0
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "lescop" or name.startswith("lescop."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+
+
+def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
+    validate = Counter(monkeypatch, presentation.validate)
+    determinant = Counter(monkeypatch, ring.determinant)
+    files = sorted(str(f) for f in corpus_dir.glob("*.json"))
+    assert len(files) == 19
+    assert run(["verify", *files]) == 0
+    capsys.readouterr()
+    assert validate.calls == len(files)
+    assert determinant.calls <= 200
+
+
+def test_mu_squared_validates_once(monkeypatch):
+    validate = Counter(monkeypatch, presentation.validate)
+    assert invariants.milnor_mu_squared(corpus()["km-trefoil"].presentation) == 1
+    assert validate.calls == 1
+
+
+def test_triangle_builds_no_presentations(monkeypatch):
+    blow_down = Counter(monkeypatch, presentation.blow_down)
+    drop = Counter(monkeypatch, presentation.drop_component)
+    leaves = Counter(monkeypatch, invariants.knot_alexander)
+    for name, doc in corpus().items():
+        p = doc.presentation
+        before = leaves.calls
+        floer.chi_via_triangle(p)
+        assert leaves.calls - before == 2 ** (len(p.components) - 1), name
+    assert blow_down.calls == drop.calls == 0

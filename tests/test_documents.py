@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import (
     DocumentError,
@@ -170,6 +171,34 @@ class TestParseErrors:
         with pytest.raises(DocumentSchemaError):
             parse(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "text, exc",
+        [
+            (MINIMAL.replace('"base_order": 1', '"base_order": ' + "9" * 5000),
+             DocumentValueError),
+            (MINIMAL.replace('"seifert": []',
+                             '"seifert": [["1/' + "9" * 5000 + '", "1"], ["0", "0"]]'),
+             DocumentValueError),
+            ("[" * 100000 + "]" * 100000, DocumentSyntaxError),
+        ],
+        ids=["huge-base-order", "huge-rational", "deep-nesting"],
+    )
+    def test_hostile_input_exits_2(self, text, exc, tmp_path, capsys):
+        """Inputs that crashed the parser end in exit 2 and one error line."""
+        with pytest.raises(exc):
+            parse(text)
+        f = tmp_path / "hostile.json"
+        f.write_text(text)
+        assert run(["verify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_huge_integer_names_its_field(self):
+        with pytest.raises(DocumentValueError) as e:
+            parse(MINIMAL.replace('"format_version": 1', '"format_version": ' + "9" * 5000))
+        assert str(e.value).startswith("format_version:")
+
     def test_error_hierarchy(self):
         for exc in (DocumentSyntaxError, DocumentSchemaError, DocumentValueError):
             assert issubclass(exc, DocumentError)
@@ -200,6 +229,16 @@ class TestChains:
     def test_non_square(self):
         with pytest.raises(DocumentSchemaError):
             parse_chain('[{"seifert": [["1", "0"]], "sign": 1}]')
+
+    def test_odd_size(self, tmp_path, capsys):
+        text = '[{"seifert": [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]], "sign": 1}]'
+        with pytest.raises(DocumentSchemaError) as e:
+            parse_chain(text)
+        assert "step 0 has odd size 3" in str(e.value)
+        f = tmp_path / "odd.json"
+        f.write_text(text)
+        assert run(["casson", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: steps[0].seifert: step 0 has odd size 3")
 
     def test_unknown_step_field(self):
         with pytest.raises(DocumentSchemaError):

@@ -6,7 +6,6 @@ from lescop.invariants import (
     DERIVED,
     PAPER_LITERAL,
     InvalidPresentationError,
-    InvariantReport,
     SurgeryChain,
     WrongComponentCountError,
     alexander,
@@ -15,8 +14,8 @@ from lescop.invariants import (
     knot_alexander,
     lescop,
     milnor_mu_squared,
-    modes_disagree,
     sato_levine,
+    sato_levine_modes,
 )
 from lescop.presentation import (
     FIGURE_EIGHT,
@@ -144,13 +143,13 @@ class TestSatoLevine:
     def test_modes_coincide_without_torsion(self):
         p = build_ribbon_pair(RibbonPairSpec(s=3))
         assert sato_levine(p, DERIVED) == sato_levine(p, PAPER_LITERAL) == 3
-        assert not modes_disagree(p)
+        assert sato_levine_modes(p) == {DERIVED: 3, PAPER_LITERAL: 3}
 
     def test_modes_differ_with_torsion(self):
         p = build_ribbon_pair(RibbonPairSpec(s=1, base_order=3))
         assert sato_levine(p, DERIVED) == 1
         assert sato_levine(p, PAPER_LITERAL) == 3
-        assert modes_disagree(p)
+        assert sato_levine_modes(p) == {DERIVED: 1, PAPER_LITERAL: 3}
 
     def test_wrong_component_count(self):
         with pytest.raises(WrongComponentCountError):
@@ -219,21 +218,3 @@ class TestLescop:
         with pytest.raises(WrongComponentCountError):
             lescop(SurgeryPresentation(1, ()))
 
-
-class TestInvariantReport:
-    def test_alexander_report(self):
-        r = InvariantReport("alexander", TREFOIL_POLY, "determinant")
-        assert r.value == TREFOIL_POLY
-
-    def test_numeric_report(self):
-        InvariantReport("lescop", Fraction(-1, 12), "surgery formula")
-
-    def test_bad_name(self):
-        with pytest.raises(ValueError):
-            InvariantReport("volume", Fraction(1), "x")
-
-    def test_type_mismatch(self):
-        with pytest.raises(TypeError):
-            InvariantReport("alexander", Fraction(1), "x")
-        with pytest.raises(TypeError):
-            InvariantReport("casson", TREFOIL_POLY, "x")
