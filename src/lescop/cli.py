@@ -174,12 +174,12 @@ def cmd_mu2(args):
 def cmd_chi(args):
     doc = _load_document(args.file)
     p = doc.presentation
-    bundle = _bundle(doc)
+    bundle = floer._check(p, _bundle(doc))
     reports = {}
     if args.route in ("closed", "both"):
-        reports[floer.CLOSED_FORM] = floer.chi_closed_form(p, bundle)
+        reports[floer.CLOSED_FORM] = floer._chi_closed_form(p, bundle)
     if args.route in ("triangle", "both"):
-        reports[floer.TRIANGLE] = floer.chi_via_triangle(p, bundle)
+        reports[floer.TRIANGLE] = floer._chi_via_triangle(p, bundle)
     any_report = next(iter(reports.values()))
     lines = [f"chi[{route}] = {r.chi}" for route, r in reports.items()]
     lines.append(f"ambiguity = {any_report.ambiguity}")
@@ -208,7 +208,7 @@ def cmd_casson(args):
         raise CliInputError(f"cannot read {args.chainfile}: {e}") from None
     chain = documents.parse_chain(text)
     value = invariants.casson(chain)
-    chi = floer.taubes_chi(chain)
+    chi = 2 * value  # floer.taubes_chi, without computing the ledger again
     _emit(
         args,
         [f"casson = {value}", f"taubes_chi = {chi}"],
@@ -443,6 +443,14 @@ def run(argv):
     ) as e:
         _err(str(e))
         return EXIT_INVARIANT
+    except ValueError as e:
+        # Python refuses to convert an int of more than
+        # sys.get_int_max_str_digits() digits to text; documents.parse already
+        # rejects such input, so here it is a result.
+        if "integer string conversion" not in str(e):
+            raise
+        _err("a result is too large to print")
+        return EXIT_INPUT
 
 
 def main():

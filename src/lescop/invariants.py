@@ -27,7 +27,7 @@ from .presentation import (
     skew_form_violation,
     validate,
 )
-from .ring import HalfLaurent, RingMatrix, determinant
+from .ring import HalfLaurent, determinant
 
 
 class InvariantError(Exception):
@@ -94,13 +94,12 @@ def knot_alexander(seifert, base_order=1):
     """h * det(t^(1/2) V - t^(-1/2) V^T) for a bare Seifert matrix."""
     seifert = fraction_matrix(seifert)
     n = len(seifert)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(HalfLaurent({1: seifert[i][j], -1: -seifert[j][i]}))
-        entries.append(row)
-    return determinant(RingMatrix(entries)) * base_order
+    det = determinant(
+        [[HalfLaurent({1: seifert[i][j], -1: -seifert[j][i]}) for j in range(n)] for i in range(n)]
+    )
+    if type(det) is int:  # the 0x0 matrix has no entries to take the type of
+        det = HalfLaurent({0: det})
+    return det * base_order
 
 
 def _delta2(seifert, h):

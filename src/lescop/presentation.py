@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ring import determinant
+
 
 class PresentationError(Exception):
     pass
@@ -39,27 +41,6 @@ def fraction_matrix(rows):
     return rows
 
 
-def _det_fraction(rows):
-    """Exact determinant of a square Fraction matrix (Gaussian elimination)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor:
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return det
-
-
 def skew_form_violation(seifert):
     """Check the Seifert-form invariant; returns a message or None.
 
@@ -75,7 +56,7 @@ def skew_form_violation(seifert):
     skew = [[seifert[i][j] - seifert[j][i] for j in range(n)] for i in range(n)]
     if any(x.denominator != 1 for r in skew for x in r):
         return "V - V^T has non-integer entries"
-    d = _det_fraction(skew)
+    d = determinant([[x.numerator for x in r] for r in skew])
     if d != 1:
         return f"det(V - V^T) = {d}, expected 1"
     return None

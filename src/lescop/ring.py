@@ -3,9 +3,12 @@
 Everything here is exact: coefficients are rational numbers
 (``fractions.Fraction``, aliased ``Rational``), exponents are half-integers
 stored by their numerator over the fixed denominator 2, and no floating
-point is allowed anywhere.  The ring houses the symmetrized Seifert
-determinant ``det(t^(1/2) V - t^(-1/2) V^T)``, the element
+point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
+
+``determinant`` is the package's one exact elimination.  Over int rows it
+gives the skew-form check ``det(V - V^T)``; over HalfLaurent rows, the
+symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)``.
 
 >>> print(Z * Z)
 t - 2 + t^-1
@@ -158,6 +161,21 @@ class HalfLaurent:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
+    def __floordiv__(self, other):
+        """The exact quotient q with q * other == self; an int divisor is a constant.
+
+        >>> (Z * T) // Z == T
+        True
+        """
+        if type(other) is int:
+            other = HalfLaurent({0: other})
+        if not isinstance(other, HalfLaurent):
+            return NotImplemented
+        q = _laurent_div_exact(self, other)
+        if q is None:
+            raise ArithmeticError("inexact division in the half-Laurent ring")
+        return q
+
     def __pow__(self, n):
         if type(n) is not int or n < 0:
             raise ValueError("only non-negative integer powers are defined")
@@ -303,115 +321,46 @@ def divides_z_power(p, k):
     return z_power_quotient(p, k) is not None
 
 
-def _as_poly(x):
-    if isinstance(x, HalfLaurent):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return HalfLaurent({0: x})
-    raise TypeError(f"matrix entries must be exact, got {type(x).__name__}")
+def determinant(rows):
+    """Exact determinant of a square matrix by fraction-free (Bareiss) elimination.
 
+    rows is a sequence of equal-length rows whose entries are int or
+    HalfLaurent; int rows give an int, HalfLaurent rows a HalfLaurent.
+    This is the only elimination in the package.  Every division is
+    exact: on ints by Sylvester's identity, in the half-Laurent ring by
+    HalfLaurent.__floordiv__, which raises ArithmeticError otherwise.
+    This keeps coefficient growth polynomial instead of exponential.  The
+    0x0 matrix has determinant 1 by the empty-product convention.
 
-class RingMatrix:
-    """Dense matrix over the half-Laurent ring."""
-
-    __slots__ = ("_rows", "_cols", "_entries")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("all rows must have the same length")
-            entries.extend(_as_poly(x) for x in r)
-        self._rows = nrows
-        self._cols = ncols
-        self._entries = tuple(entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @property
-    def rows(self):
-        return self._rows
-
-    @property
-    def cols(self):
-        return self._cols
-
-    def entry(self, i, j):
-        return self._entries[i * self._cols + j]
-
-    def __eq__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        return (self._rows, self._cols, self._entries) == (
-            other._rows,
-            other._cols,
-            other._entries,
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        if self._cols != other._rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for i in range(self._rows):
-            row = []
-            for j in range(other._cols):
-                acc = ZERO
-                for k in range(self._cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(out)
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(self.entry(i, j)) for j in range(self._cols))
-            for i in range(self._rows)
-        )
-        return f"RingMatrix[{self._rows}x{self._cols}]({body})"
-
-
-def determinant(m):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    The 0x0 matrix has determinant 1 by the empty-product convention.
-    Intermediate divisions are exact in the half-Laurent ring, which keeps
-    coefficient growth polynomial instead of exponential.
-
-    >>> print(determinant(RingMatrix.identity(3)))
-    1
-    >>> print(determinant(RingMatrix([])))
+    >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
+    -3
+    >>> print(determinant([[Z, T], [ONE, Z]]))
+    -2 + t^-1
+    >>> determinant([])
     1
     """
-    if m.rows != m.cols:
-        raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
-    n = m.rows
+    a = [list(r) for r in rows]
+    n = len(a)
+    for r in a:
+        if len(r) != n:
+            raise NonSquareError(f"matrix has {n} rows and a row of length {len(r)}")
+        for x in r:
+            if type(x) is not int and type(x) is not HalfLaurent:
+                raise TypeError(f"entries must be int or HalfLaurent, got {type(x).__name__}")
     if n == 0:
-        return ONE
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+        return 1
     sign = 1
-    prev = ONE
+    prev = 1
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                return ZERO
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:  # a zero column: the determinant is this zero entry
+                return a[k][k]
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                q = _laurent_div_exact(num, prev)
-                if q is None:
-                    raise ArithmeticError("inexact division in Bareiss elimination")
-                a[i][j] = q
-            a[i][k] = ZERO
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det

@@ -10,6 +10,9 @@ import sys
 from lescop import floer, invariants, presentation, ring
 from lescop.cli import run
 from lescop.corpus import corpus
+from lescop.documents import serialize_chain
+from lescop.invariants import SurgeryChain
+from lescop.presentation import TREFOIL
 
 
 class Counter:
@@ -28,14 +31,35 @@ class Counter:
 
 
 def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
+    components = sum(len(doc.presentation.components) for doc in corpus().values())
+    assert components == 40
     validate = Counter(monkeypatch, presentation.validate)
+    alexander = Counter(monkeypatch, invariants.knot_alexander)
     determinant = Counter(monkeypatch, ring.determinant)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     assert len(files) == 19
     assert run(["verify", *files]) == 0
     capsys.readouterr()
     assert validate.calls == len(files)
-    assert determinant.calls <= 200
+    assert alexander.calls <= 200
+    # one skew-form determinant per component, the rest are Alexander polynomials
+    assert determinant.calls == alexander.calls + components
+
+
+def test_chi_validates_once(corpus_dir, monkeypatch, capsys):
+    validate = Counter(monkeypatch, presentation.validate)
+    assert run(["chi", str(corpus_dir / "km-trefoil.json")]) == 0
+    capsys.readouterr()
+    assert validate.calls == 1
+
+
+def test_casson_computes_the_ledger_once(tmp_path, monkeypatch, capsys):
+    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
+    assert run(["casson", str(chain)]) == 0
+    assert capsys.readouterr().out == "casson = -3\ntaubes_chi = -6\n"
+    assert alexander.calls == 3
 
 
 def test_mu_squared_validates_once(monkeypatch):

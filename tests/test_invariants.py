@@ -53,6 +53,13 @@ class TestAlexander:
     def test_unknot_with_torsion(self):
         assert alexander(knot_surgery((), h=5), "l1") == HalfLaurent({0: 5})
 
+    def test_bare_matrix_gives_a_polynomial(self):
+        for h in (1, 5):
+            empty = knot_alexander((), h)
+            assert isinstance(empty, HalfLaurent) and empty == h
+        singular = knot_alexander([[0, 0], [0, 0]])
+        assert isinstance(singular, HalfLaurent) and singular.is_zero()
+
     def test_unknown_component(self):
         with pytest.raises(UnknownComponentError):
             alexander(knot_surgery(TREFOIL), "l2")

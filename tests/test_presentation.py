@@ -65,8 +65,9 @@ class TestValidate:
         assert any("duplicate" in m for m in msgs)
 
     def test_skew_determinant(self):
-        msgs = validate(SurgeryPresentation(1, (Component("l1", [[0, 0], [0, 0]], {}),)))
-        assert any("det(V - V^T)" in m for m in msgs)
+        for v, det in (([[0, 0], [0, 0]], 0), ([[0, 2], [0, 0]], 4)):
+            msgs = validate(SurgeryPresentation(1, (Component("l1", v, {}),)))
+            assert msgs == [f"component 'l1': det(V - V^T) = {det}, expected 1"]
 
     def test_non_integer_skew(self):
         v = [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
