@@ -272,7 +272,7 @@ def _verify_checks(doc):
         blown_down = presentation.rank_one_update(c1.seifert, c1.linking[c2.name], -1)
         after = invariants.knot_alexander(blown_down, h)
         jump = after.second_derivative_at_one() - before.second_derivative_at_one()
-        s = invariants._normalized(jump, h)[invariants.DERIVED]
+        s = jump / (2 * h)
         residue = after - (ring.ONE + s * ring.Z * ring.Z) * before
         ok = ring.divides_z_power(residue, 3)
         yield "z3-structure", "pass" if ok else "fail", f"s = {s}"

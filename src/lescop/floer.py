@@ -7,14 +7,18 @@ The closed-form route applies the case formulas by first Betti number:
     b1 = 3:  chi = -2 h mu^2
     b1 >= 4: chi = 0
 
+with Delta''(1) from the jet formula and s = x^T V x, mu = E3^T x for
+x = S^-1 E2, the bilinear forms of invariants.
+
 The triangle route never looks at those formulas: it recursively applies
 the surgery exact triangle
 
     chi(p) = chi(blow_down(p, last, -1)) - chi(drop_component(p, last))
 
-down to the one-component base case.  It carries only what the leaves
-read, the first component's Seifert matrix and its linking vectors E:
-blowing down adds E E^T, dropping changes nothing.  The two routes
+down to the one-component base case, where it sums the leaves'
+Delta''(1) by the jet formula.  It carries only what the leaves read,
+the first component's Seifert matrix and its linking vectors E: blowing
+down adds E E^T, dropping changes nothing.  The two routes
 agreeing on every input is the principal cross-check of this package.
 
 chi does not depend on which admissible bundle is chosen; neither route
@@ -35,11 +39,12 @@ from .invariants import (
     DERIVED,
     WrongComponentCountError,
     _delta2,
+    _delta2_jet,
     _mu_squared,
     _require_valid,
     _sato_levine,
+    _skew_inverse,
     casson,
-    knot_alexander,
 )
 from .presentation import rank_one_update
 
@@ -165,13 +170,17 @@ def _chi_closed_form(p, bundle):
     return _report(p, value, CLOSED_FORM, bundle)
 
 
-def _chi_triangle(seifert, vectors, h):
-    """chi by one exact triangle per linking vector, the last one first."""
+def _chi_triangle(seifert, s_inv, vectors, h):
+    """chi by one exact triangle per linking vector, the last one first.
+
+    Blowing down adds the symmetric E E^T, so S = V - V^T and the S^-1
+    that every leaf's Delta''(1) needs are the same at every node.
+    """
     if not vectors:
-        return -knot_alexander(seifert, h).second_derivative_at_one()
+        return -_delta2_jet(seifert, s_inv, h)
     *rest, e = vectors
     blown_down = rank_one_update(seifert, e, -1)
-    return _chi_triangle(blown_down, rest, h) - _chi_triangle(seifert, rest, h)
+    return _chi_triangle(blown_down, s_inv, rest, h) - _chi_triangle(seifert, s_inv, rest, h)
 
 
 def chi_via_triangle(p, bundle=None):
@@ -187,7 +196,8 @@ def chi_via_triangle(p, bundle=None):
 def _chi_via_triangle(p, bundle):
     first, *others = p.components
     vectors = [first.linking[c.name] for c in others]
-    return _report(p, _chi_triangle(first.seifert, vectors, p.base_order), TRIANGLE, bundle)
+    value = _chi_triangle(first.seifert, _skew_inverse(first.seifert), vectors, p.base_order)
+    return _report(p, value, TRIANGLE, bundle)
 
 
 def taubes_chi(chain):

@@ -6,9 +6,20 @@ sphere of order h is
     h * det(t^(1/2) V - t^(-1/2) V^T)
 
 for a Seifert matrix V; it is symmetric under t -> t^(-1) and evaluates to
-h at t = 1.  Everything else here is built from it: the second derivative
-at 1 drives the Casson surgery ledger, and blow-down differences of it
-give the Sato-Levine and Milnor-type invariants and the Lescop invariant.
+h at t = 1.  knot_alexander computes it by a determinant over the
+half-Laurent ring.  The other invariants need only its second derivative
+at 1 and how that jumps under blow-down, and read them off the jet of the
+determinant at t = 1 instead.  With S = V - V^T (integral, det S = 1, so
+S^-1 is an integer matrix) and B = V + V^T, expanding log det to second
+order in u = log t^(1/2) gives
+
+    Delta''(1) = h * (2g - tr((S^-1 B)^2)) / 4,
+
+which drives the Casson surgery ledger and the b1 = 1 Lescop invariant.
+Blowing down a curve linked by E adds E E^T to V and leaves S alone, so
+with x = S^-1 E the jump of Delta''(1) is 2 h x^T V x: the Sato-Levine
+number is s = x^T V x, and a third component linked by E3 gives
+mu = E3^T x.
 
 Each public function validates its presentation once, then calls private
 helpers that check nothing: surgery keeps the data valid, since adding the
@@ -17,17 +28,18 @@ symmetric E E^T to a Seifert matrix V leaves V - V^T unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .presentation import (
     InvalidSpecError,
     fraction_matrix,
-    rank_one_update,
     skew_form_violation,
     validate,
 )
-from .ring import HalfLaurent, determinant
+from .ring import HalfLaurent, determinant, inverse
 
 
 class InvariantError(Exception):
@@ -102,8 +114,40 @@ def knot_alexander(seifert, base_order=1):
     return det * base_order
 
 
+def _skew_inverse(seifert):
+    """S^-1 for S = V - V^T, an integer matrix because det S = 1 is validated."""
+    n = len(seifert)
+    skew = [[(seifert[i][j] - seifert[j][i]).numerator for j in range(n)] for i in range(n)]
+    return inverse(skew)
+
+
+def _delta2_jet(seifert, s_inv, h):
+    """Delta''(1) = h (2g - tr((S^-1 B)^2)) / 4, given S^-1 = _skew_inverse(seifert).
+
+    B is scaled by the common denominator d of V, so the O(g^3) product
+    runs on ints; d^2 is divided out once at the end.
+    """
+    n = len(seifert)
+    d = math.lcm(*(x.denominator for row in seifert for x in row))
+    dv = [[x.numerator * (d // x.denominator) for x in row] for row in seifert]
+    db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
+    # db is symmetric, so its rows are its columns
+    a = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
+    trace = sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*a)))
+    return Fraction(h * (n * d * d - trace), 4 * d * d)
+
+
 def _delta2(seifert, h):
-    return knot_alexander(seifert, h).second_derivative_at_one()
+    return _delta2_jet(seifert, _skew_inverse(seifert), h)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v), Fraction(0))
+
+
+def _dual(seifert, e):
+    """x = S^-1 E, the curve on the surface dual to the linking vector E."""
+    return [_dot(row, e) for row in _skew_inverse(seifert)]
 
 
 def alexander(p, comp):
@@ -117,7 +161,7 @@ def alexander(p, comp):
 
 
 def delta2(p, comp):
-    """Second derivative of the Alexander polynomial at t = 1.
+    """Second derivative of the Alexander polynomial at t = 1, by the jet formula.
 
     Half of this value is the knot's surgery weight in the Casson ledger
     (the framing-change term of the Lescop surgery formula).
@@ -156,36 +200,32 @@ def casson(chain):
     return total
 
 
-def _jump(seifert, e, h):
-    """Jump of Delta''(1) under (-1)-surgery on a curve linked by e: 2 s Delta(1)."""
-    return _delta2(rank_one_update(seifert, e, -1), h) - _delta2(seifert, h)
-
-
-def _normalized(jump, h):
-    """A Delta''(1) jump read in each normalization mode (see sato_levine)."""
-    return {DERIVED: jump / (2 * h), PAPER_LITERAL: jump / 2}
+def _normalized(s, h):
+    """A Sato-Levine-type number s read in each normalization mode (see sato_levine)."""
+    return {DERIVED: s, PAPER_LITERAL: h * s}
 
 
 def _sato_levine(p):
     c1, c2 = p.components
-    return _normalized(_jump(c1.seifert, c1.linking[c2.name], p.base_order), p.base_order)
+    x = _dual(c1.seifert, c1.linking[c2.name])
+    return _normalized(_dot(x, [_dot(row, x) for row in c1.seifert]), p.base_order)
 
 
 def _mu_squared(p):
     c1, c2, c3 = p.components
-    v, e2, e3 = c1.seifert, c1.linking[c2.name], c1.linking[c3.name]
-    h = p.base_order
-    return _normalized(_jump(rank_one_update(v, e3, -1), e2, h) - _jump(v, e2, h), h)
+    mu = _dot(c1.linking[c3.name], _dual(c1.seifert, c1.linking[c2.name]))
+    return _normalized(mu * mu, p.base_order)
 
 
 def sato_levine(p, mode=DERIVED):
     """Sato-Levine invariant of a two-component presentation.
 
-    Computed from the jump of Delta''(1) of the first component under
-    (-1)-surgery on the second: the jump equals 2 s Delta(1).  In the
-    default 'derived' mode the jump is divided by 2 Delta(1) = 2h; in
-    'paper-literal' mode by 2, which reads the case formulas with the
-    Alexander normalization dropped.  The modes coincide when h = 1;
+    Computed as s = x^T V x with x = S^-1 E (see the module docstring).
+    The jump of Delta''(1) of the first component under (-1)-surgery on
+    the second is 2 s Delta(1) = 2 s h.  The default 'derived' mode gives
+    s, that jump divided by 2h; 'paper-literal' mode gives h s, the jump
+    divided by 2, which reads the case formulas with the Alexander
+    normalization dropped.  The modes coincide when h = 1;
     sato_levine_modes() gives both values.
     """
     _check_mode(mode)
@@ -194,7 +234,7 @@ def sato_levine(p, mode=DERIVED):
 
 
 def sato_levine_modes(p):
-    """mode -> sato_levine(p, mode) for every mode, from one Delta''(1) jump."""
+    """mode -> sato_levine(p, mode) for every mode, from one computation of s."""
     _require_exactly(p, 2, "sato_levine")
     return _sato_levine(p)
 
@@ -203,9 +243,12 @@ def milnor_mu_squared(p, mode=DERIVED):
     """Square of the triple linking number of a three-component presentation.
 
     Equal to the jump of the Sato-Levine invariant of the first two
-    components under (-1)-surgery on the third.  Only the square is
-    recoverable from this data; the sign of mu is not.  For geometric data
-    the result is a perfect square, which is reported, not enforced.
+    components under (-1)-surgery on the third, which is mu^2 for
+    mu = E3^T S^-1 E2 (see the module docstring).  That bilinear form
+    carries the sign of mu, but only mu^2 is reported until the
+    orientation convention that fixes the sign is pinned down.  mu is an
+    integer when the linking vectors are.  'paper-literal' mode gives
+    h mu^2, as in sato_levine.
     """
     _check_mode(mode)
     _require_exactly(p, 3, "milnor_mu_squared")

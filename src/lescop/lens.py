@@ -31,9 +31,12 @@ class LensBreakdown:
 def rep_classes(p):
     """Conjugacy classes of representations Z/p -> SU(2), by type.
 
-    Enumerates the roots of unity exp(2 pi i n / p) for 0 <= n <= p-1 and
-    deduplicates by trace, i.e. by the identification n ~ p - n.  A class
-    is central exactly when its image is +-1, i.e. when 2n = 0 mod p.
+    The classes are the roots of unity exp(2 pi i n / p), 0 <= n <= p-1,
+    up to the trace identification n ~ p - n.  A class is central exactly
+    when its image is +-1, i.e. when 2n = 0 mod p: n = 0, and n = p/2 when
+    p is even.  Every other n pairs with a distinct partner, so the sphere
+    classes are the remaining (p - central) / 2 pairs.  The counts are
+    read off p directly, so the work does not grow with p.
 
     >>> rep_classes(5)
     LensBreakdown(p=5, central_classes=1, sphere_classes=2, euler_factor=5)
@@ -42,14 +45,8 @@ def rep_classes(p):
     """
     if type(p) is not int or p < 1:
         raise InvalidPError(f"p must be a positive integer, got {p!r}")
-    central = 0
-    spheres = 0
-    for n in range(p):
-        partner = (p - n) % p
-        if n == partner:
-            central += 1
-        elif n < partner:
-            spheres += 1
+    central = 2 if p % 2 == 0 else 1
+    spheres = (p - central) // 2
     return LensBreakdown(
         p=p,
         central_classes=central,
@@ -63,8 +60,9 @@ def connect_sum_chi(chi_y, p):
 
     Each irreducible class of the other summand is multiplied by the
     representation count of Z/p, so chi picks up the factor p.  Computed
-    through the class breakdown so the counting argument is what actually
-    runs; connect_sum_chi(c, p) == p * c.
+    through the class breakdown, one point per central class and chi(S^2)
+    = 2 per sphere class, so the counting argument is what actually runs;
+    connect_sum_chi(c, p) == p * c.
     """
     return rep_classes(p).euler_factor * chi_y
 

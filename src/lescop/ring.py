@@ -6,9 +6,11 @@ stored by their numerator over the fixed denominator 2, and no floating
 point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
 
-``determinant`` is the package's one exact elimination.  Over int rows it
+``determinant`` and ``inverse`` share the package's one exact
+elimination, a fraction-free Bareiss step.  Over int rows ``determinant``
 gives the skew-form check ``det(V - V^T)``; over HalfLaurent rows, the
 symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)``.
+``inverse`` gives the integer ``(V - V^T)^-1`` of the jet formulas.
 
 >>> print(Z * Z)
 t - 2 + t^-1
@@ -321,16 +323,59 @@ def divides_z_power(p, k):
     return z_power_quotient(p, k) is not None
 
 
+def _square(rows, types):
+    """rows as a list of lists, after checking it is square with entries of the given types."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    for r in a:
+        if len(r) != n:
+            raise NonSquareError(f"matrix has {n} rows and a row of length {len(r)}")
+        for x in r:
+            if type(x) not in types:
+                names = " or ".join(t.__name__ for t in types)
+                raise TypeError(f"entries must be {names}, got {type(x).__name__}")
+    return a
+
+
+def _bareiss(a, n, jordan):
+    """Fraction-free elimination of the first n columns of the rows a, in place.
+
+    Step k clears column k below the pivot, or in every other row when
+    jordan is true, and updates only the columns after k; columns before
+    it are left stale.  Each update divides the previous pivot out
+    exactly: on ints by Sylvester's identity, in the half-Laurent ring by
+    HalfLaurent.__floordiv__, which raises ArithmeticError otherwise.  This
+    keeps coefficient growth polynomial instead of exponential.  Returns
+    the sign of the row permutation, or 0 when a column has no pivot, that
+    is when the matrix is singular; a[k][k] is then that column's zero.
+    """
+    sign = 1
+    prev = 1
+    for k in range(n if jordan else n - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        pk = a[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                ai = a[i]
+                for j in range(k + 1, len(pk)):
+                    ai[j] = (pk[k] * ai[j] - ai[k] * pk[j]) // prev
+        prev = pk[k]
+    return sign
+
+
 def determinant(rows):
     """Exact determinant of a square matrix by fraction-free (Bareiss) elimination.
 
     rows is a sequence of equal-length rows whose entries are int or
     HalfLaurent; int rows give an int, HalfLaurent rows a HalfLaurent.
-    This is the only elimination in the package.  Every division is
-    exact: on ints by Sylvester's identity, in the half-Laurent ring by
-    HalfLaurent.__floordiv__, which raises ArithmeticError otherwise.
-    This keeps coefficient growth polynomial instead of exponential.  The
-    0x0 matrix has determinant 1 by the empty-product convention.
+    With inverse, this is the only elimination in the package; both run
+    _bareiss.  The 0x0 matrix has determinant 1 by the empty-product
+    convention.
 
     >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
     -3
@@ -339,28 +384,38 @@ def determinant(rows):
     >>> determinant([])
     1
     """
-    a = [list(r) for r in rows]
+    a = _square(rows, (int, HalfLaurent))
     n = len(a)
-    for r in a:
-        if len(r) != n:
-            raise NonSquareError(f"matrix has {n} rows and a row of length {len(r)}")
-        for x in r:
-            if type(x) is not int and type(x) is not HalfLaurent:
-                raise TypeError(f"entries must be int or HalfLaurent, got {type(x).__name__}")
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:  # a zero column: the determinant is this zero entry
-                return a[k][k]
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+    sign = _bareiss(a, n, jordan=False)
+    if not sign:  # the first zero on the diagonal is the pivotless column's zero
+        return next(a[k][k] for k in range(n) if not a[k][k])
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def inverse(rows):
+    """The inverse of a square int matrix of determinant +-1, as int rows.
+
+    One fraction-free Gauss-Jordan elimination of [M | I]: it leaves
+    d * I on the left and d * M^-1 on the right, where d = +-det M is the
+    last pivot, so the right half is exact in integers exactly when d is
+    a unit.  Any other matrix raises ArithmeticError.
+
+    >>> inverse([[0, 1], [-1, 0]])
+    [[0, -1], [1, 0]]
+    >>> inverse([[2, 1], [1, 1]])
+    [[1, -1], [-1, 2]]
+    """
+    a = _square(rows, (int,))
+    n = len(a)
+    if n == 0:
+        return []
+    for i, r in enumerate(a):
+        r.extend(int(i == j) for j in range(n))
+    if not _bareiss(a, n, jordan=True) or a[n - 1][n - 1] not in (1, -1):
+        raise ArithmeticError("matrix is not invertible over the integers")
+    if a[n - 1][n - 1] == 1:
+        return [r[n:] for r in a]
+    return [[-x for x in r[n:]] for r in a]

@@ -34,6 +34,19 @@ def random_seifert(rng, g, bound=3):
     return tuple(tuple(Fraction(x) for x in row) for row in v)
 
 
+def unimodular(rng, n, steps):
+    """A random n x n integer matrix of determinant +-1: steps row operations and swaps on I."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.3:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
 def random_presentation(rng, n_components, h=1, gmax=3, bound=3):
     names = [f"l{i + 1}" for i in range(n_components)]
     comps = []

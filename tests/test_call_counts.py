@@ -12,7 +12,7 @@ from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import serialize_chain
 from lescop.invariants import SurgeryChain
-from lescop.presentation import TREFOIL
+from lescop.presentation import FIGURE_EIGHT, TREFOIL
 
 
 class Counter:
@@ -54,12 +54,35 @@ def test_chi_validates_once(corpus_dir, monkeypatch, capsys):
 
 
 def test_casson_computes_the_ledger_once(tmp_path, monkeypatch, capsys):
-    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    jet = Counter(monkeypatch, invariants._delta2_jet)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
     assert run(["casson", str(chain)]) == 0
     assert capsys.readouterr().out == "casson = -3\ntaubes_chi = -6\n"
-    assert alexander.calls == 3
+    assert jet.calls == 3
+
+
+def test_only_alexander_and_verify_take_laurent_determinants(
+    corpus_dir, tmp_path, monkeypatch, capsys
+):
+    """chi, casson, lescop, sato-levine and mu2 read Delta''(1) off the jet."""
+    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
+    assert run(["casson", str(chain)]) == 0
+    commands = {1: ["chi", "lescop"], 2: ["chi", "lescop", "sato-levine"],
+                3: ["chi", "lescop", "mu2"]}
+    ran = set()
+    for name, doc in corpus().items():
+        for command in commands[len(doc.presentation.components)]:
+            assert run([command, str(corpus_dir / f"{name}.json")]) == 0, (command, name)
+            ran.add(command)
+    capsys.readouterr()
+    assert ran == {"chi", "lescop", "sato-levine", "mu2"}
+    assert alexander.calls == 0
+    assert run(["verify", str(corpus_dir / "trefoil-0.json")]) == 0
+    assert run(["alexander", str(corpus_dir / "trefoil-0.json")]) == 0
+    assert alexander.calls == 2
 
 
 def test_mu_squared_validates_once(monkeypatch):
@@ -71,7 +94,7 @@ def test_mu_squared_validates_once(monkeypatch):
 def test_triangle_builds_no_presentations(monkeypatch):
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)
-    leaves = Counter(monkeypatch, invariants.knot_alexander)
+    leaves = Counter(monkeypatch, invariants._delta2_jet)
     for name, doc in corpus().items():
         p = doc.presentation
         before = leaves.calls

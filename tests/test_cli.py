@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lescop
 from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import parse
@@ -196,6 +201,18 @@ class TestLensCommand:
     def test_invalid_p(self, capsys):
         code, _, err = invoke(capsys, "lens", "--p", "0")
         assert code == 2
+
+    def test_huge_p_returns_at_once(self):
+        """A cold process, so that work growing with p fails by the timeout."""
+        p = 10**21
+        src = str(Path(lescop.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "lescop", "lens", "--p", str(p), "--json"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"central": 2, "spheres": p // 2 - 1, "factor": p}
 
 
 class TestVerify:

@@ -27,10 +27,11 @@ from lescop.presentation import (
     UnknownComponentError,
     build_ribbon_pair,
     build_triple,
+    rank_one_update,
 )
 from lescop.ring import ONE, Z, HalfLaurent, divides_z_power
 
-from conftest import random_presentation, random_ribbon_spec, seeded
+from conftest import random_presentation, random_ribbon_spec, random_seifert, seeded, unimodular
 
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})
 FIG8_POLY = HalfLaurent({2: -1, 0: 3, -2: -1})
@@ -180,6 +181,87 @@ class TestMilnor:
     def test_wrong_component_count(self):
         with pytest.raises(WrongComponentCountError):
             milnor_mu_squared(build_ribbon_pair(RibbonPairSpec(s=0)))
+
+
+def jet_test_seifert(rng, g, fractional):
+    """A random valid Seifert matrix in a random basis, with fractional symmetric
+    entries added if asked; V - V^T keeps determinant 1 and a zero diagonal."""
+    v = random_seifert(rng, g, bound=2)
+    n = 2 * g
+    u = unimodular(rng, n, n)
+    vu = [[sum(int(v[i][k]) * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    v = [[Fraction(sum(u[k][i] * vu[k][j] for k in range(n))) for j in range(n)] for i in range(n)]
+    if fractional:
+        for i in range(n):
+            for j in range(i, n):
+                x = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 4)))
+                v[i][j] += x
+                if j != i:
+                    v[j][i] += x
+    return tuple(tuple(row) for row in v)
+
+
+def bareiss_delta2(v, h):
+    return knot_alexander(v, h).second_derivative_at_one()
+
+
+def random_dual_presentation(rng, n_components, h):
+    """Component l1 of a random genus 1-2 knot, fractional when h > 1, linked to
+    unknotted components l2 (and l3) by random vectors."""
+    g = rng.randint(1, 2)
+    v = jet_test_seifert(rng, g, h > 1)
+    denominators = (1, 2, 3) if h > 1 else (1,)
+    names = [f"l{i + 1}" for i in range(n_components)]
+    linking = {
+        other: tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
+        for other in names[1:]
+    }
+    others = [Component(name, (), {o: () for o in names if o != name}) for name in names[1:]]
+    return SurgeryPresentation(h, (Component("l1", v, linking), *others))
+
+
+class TestJet:
+    """The jet route against the Bareiss determinant over the half-Laurent ring."""
+
+    def test_delta2_matches_bareiss(self):
+        """Fractional entries only up to genus 6, where the Laurent determinant
+        over Fractions stays fast."""
+        rng = seeded(41)
+        cases = [(g, (1, 3, 4)[g % 3]) for g in range(1, 11)] + [(12, 1)]
+        cases += [(g, h) for g in (0, 1, 2, 3) for h in (1, 3, 4) for _ in range(4)]
+        for g, h in cases:
+            v = jet_test_seifert(rng, g, h > 1 and g <= 6)
+            assert delta2(knot_surgery(v, h), "l1") == bareiss_delta2(v, h), (g, h, v)
+
+    def test_sato_levine_matches_bareiss_jump(self):
+        rng = seeded(42)
+        cases = []
+        for h in (1, 3, 4):
+            cases += [build_ribbon_pair(random_ribbon_spec(rng, gmax=2, h=h)) for _ in range(20)]
+            cases += [random_dual_presentation(rng, 2, h) for _ in range(30)]
+        for p in cases:
+            h = p.base_order
+            c1 = p.components[0]
+            v, e = c1.seifert, c1.linking["l2"]
+            jump = bareiss_delta2(rank_one_update(v, e, -1), h) - bareiss_delta2(v, h)
+            assert sato_levine_modes(p) == {DERIVED: jump / (2 * h), PAPER_LITERAL: jump / 2}, p
+
+    def test_mu_squared_matches_bareiss_jump(self):
+        rng = seeded(43)
+        cases = []
+        for h in (1, 3, 4):
+            cases += [build_triple(rng.randint(-3, 3), random_ribbon_spec(rng, gmax=2, h=h))
+                      for _ in range(15)]
+            cases += [random_dual_presentation(rng, 3, h) for _ in range(20)]
+        for p in cases:
+            h = p.base_order
+            c1 = p.components[0]
+            v, e2, e3 = c1.seifert, c1.linking["l2"], c1.linking["l3"]
+            after = rank_one_update(v, e3, -1)
+            jump = (bareiss_delta2(rank_one_update(after, e2, -1), h) - bareiss_delta2(after, h)
+                    - bareiss_delta2(rank_one_update(v, e2, -1), h) + bareiss_delta2(v, h))
+            for mode, expected in ((DERIVED, jump / (2 * h)), (PAPER_LITERAL, jump / 2)):
+                assert milnor_mu_squared(p, mode) == expected, p
 
 
 class TestHosteStructure:

@@ -13,11 +13,12 @@ from lescop.ring import (
     NonSquareError,
     determinant,
     divides_z_power,
+    inverse,
     z_power,
     z_power_quotient,
 )
 
-from conftest import seeded
+from conftest import random_seifert, seeded, unimodular
 
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})  # t - 1 + t^-1
 
@@ -40,9 +41,9 @@ def cofactor_det(rows):
     return total
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, zero=ZERO):
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
@@ -253,3 +254,52 @@ class TestDeterminant:
             a = random_ring_matrix(rng, n)
             b = random_ring_matrix(rng, n)
             assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def unimodular_cases(rng):
+    """Random matrices of determinant +-1, with the skew forms V - V^T among them."""
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        cases.append(unimodular(rng, n, rng.randint(0, 3 * n)))
+    for g in range(1, 6):
+        v = random_seifert(rng, g)
+        s = [[int(v[i][j] - v[j][i]) for j in range(2 * g)] for i in range(2 * g)]
+        u = unimodular(rng, 2 * g, 4 * g)
+        cases.append(mat_mul(mat_mul([list(r) for r in zip(*u)], s, 0), u, 0))
+    return cases
+
+
+class TestInverse:
+    def test_products_are_the_identity(self):
+        """Every skew form, and many others, has a zero leading entry, so the
+        elimination must swap rows."""
+        swaps = 0
+        for m in unimodular_cases(seeded(14)):
+            inv = inverse(m)
+            assert all(type(x) is int for r in inv for x in r)
+            assert mat_mul(m, inv, 0) == identity(len(m)) == mat_mul(inv, m, 0), m
+            swaps += m[0][0] == 0
+        assert swaps > 20
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m in unimodular_cases(seeded(15)):
+            assert inverse(m) == sympy.Matrix(m).inv().tolist(), m
+
+    def test_empty_matrix(self):
+        assert inverse([]) == []
+
+    def test_only_unimodular_int_matrices(self):
+        for m in ([[2, 1], [1, 2]], [[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3]]):
+            with pytest.raises(ArithmeticError):
+                inverse(m)
+        with pytest.raises(NonSquareError):
+            inverse([[1, 0]])
+        for entry in (Fraction(1), ONE, 1.0, True):
+            with pytest.raises(TypeError):
+                inverse([[entry]])
