@@ -6,7 +6,9 @@ sphere of order h is
     h * det(t^(1/2) V - t^(-1/2) V^T)
 
 for a Seifert matrix V; it is symmetric under t -> t^(-1) and evaluates to
-h at t = 1.  knot_alexander computes it by a determinant over the
+h at t = 1.  knot_alexander computes it from n + 1 integer determinants,
+its values at the integers t = -floor(n/2) .. ceil(n/2) for a Seifert
+matrix of size n, by exact interpolation; no elimination runs over the
 half-Laurent ring.  The other invariants need only its second derivative
 at 1 and how that jumps under blow-down, and read them off the jet of the
 determinant at t = 1 instead.  With S = V - V^T (integral, det S = 1, so
@@ -102,16 +104,45 @@ def _require_exactly(p, count, name):
         )
 
 
+def _scaled(seifert):
+    """(d, dV) for the common denominator d of V, so that dV is an int matrix."""
+    d = math.lcm(*(x.denominator for row in seifert for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in seifert]
+
+
 def knot_alexander(seifert, base_order=1):
-    """h * det(t^(1/2) V - t^(-1/2) V^T) for a bare Seifert matrix."""
+    """h * det(t^(1/2) V - t^(-1/2) V^T) for a bare Seifert matrix.
+
+    Any square matrix is accepted, of odd size, singular or fractional.
+    With d the common denominator of V and n its size,
+    P(t) = det(t dV - dV^T) = d^n t^(n/2) det(t^(1/2) V - t^(-1/2) V^T)
+    is an integer polynomial of degree <= n.  It is evaluated by integer
+    determinants at the n + 1 consecutive integers around 0 and
+    interpolated in Newton form: at consecutive integer nodes the divided
+    differences of an integer polynomial are integers, so each division
+    is exact.  The coefficient of t^i becomes the term t^((2i - n)/2).
+
+    >>> print(knot_alexander([[-1, 1], [0, -1]]))
+    t - 1 + t^-1
+    """
     seifert = fraction_matrix(seifert)
     n = len(seifert)
-    det = determinant(
-        [[HalfLaurent({1: seifert[i][j], -1: -seifert[j][i]}) for j in range(n)] for i in range(n)]
-    )
-    if type(det) is int:  # the 0x0 matrix has no entries to take the type of
-        det = HalfLaurent({0: det})
-    return det * base_order
+    d, dv = _scaled(seifert)
+    nodes = range(-(n // 2), n - n // 2 + 1)
+    coeffs = [
+        determinant([[t * dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)])
+        for t in nodes
+    ]
+    for k in range(1, n + 1):  # coeffs[i] becomes the divided difference on nodes i-k..i
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    # Horner on P = c0 + (t - x0)(c1 + (t - x1)(c2 + ...)), coefficients low degree first
+    poly = [coeffs[n]]
+    for c, x in zip(reversed(coeffs[:n]), reversed(nodes[:n])):
+        poly = [a - x * b for a, b in zip([0, *poly], [*poly, 0])]
+        poly[0] += c
+    scale = d**n
+    return HalfLaurent({2 * i - n: Fraction(c * base_order, scale) for i, c in enumerate(poly)})
 
 
 def _skew_inverse(seifert):
@@ -128,8 +159,7 @@ def _delta2_jet(seifert, s_inv, h):
     runs on ints; d^2 is divided out once at the end.
     """
     n = len(seifert)
-    d = math.lcm(*(x.denominator for row in seifert for x in row))
-    dv = [[x.numerator * (d // x.denominator) for x in row] for row in seifert]
+    d, dv = _scaled(seifert)
     db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
     # db is symmetric, so its rows are its columns
     a = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
@@ -175,7 +205,9 @@ def casson(chain):
 
     lambda(S^3) = 0, and surgery with sign sigma on a knot with Seifert
     matrix V adds sigma * Delta''(1) / 2, so (-1)-surgery subtracts half
-    the second derivative.
+    the second derivative.  Every manifold of the chain is an integral
+    homology sphere, so each V must be an integer matrix with
+    det(V - V^T) = 1; any other step raises InvalidSpecError.
 
     Matrices are taken at face value; no attempt is made to re-derive them
     after earlier steps.  When a later surgery curve links an earlier one,
@@ -196,6 +228,11 @@ def casson(chain):
         msg = skew_form_violation(v)
         if msg is not None:
             raise InvalidSpecError(f"step {i}: {msg}")
+        if any(x.denominator != 1 for row in v for x in row):
+            raise InvalidSpecError(
+                f"step {i}: non-integer entries require base_order > 1, "
+                "and a chain starts from S^3"
+            )
         total += sign * _delta2(v, 1) / 2
     return total
 

@@ -7,10 +7,12 @@ point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
 
 ``determinant`` and ``inverse`` share the package's one exact
-elimination, a fraction-free Bareiss step.  Over int rows ``determinant``
-gives the skew-form check ``det(V - V^T)``; over HalfLaurent rows, the
-symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)``.
-``inverse`` gives the integer ``(V - V^T)^-1`` of the jet formulas.
+elimination, a fraction-free Bareiss step over int rows.  ``determinant``
+gives the skew-form check ``det(V - V^T)`` and the n + 1 integer values
+from which ``invariants.knot_alexander`` interpolates the symmetrized
+Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)``; no elimination runs
+over the ring itself.  ``inverse`` gives the integer ``(V - V^T)^-1`` of
+the jet formulas.
 
 >>> print(Z * Z)
 t - 2 + t^-1
@@ -163,21 +165,6 @@ class HalfLaurent:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def __floordiv__(self, other):
-        """The exact quotient q with q * other == self; an int divisor is a constant.
-
-        >>> (Z * T) // Z == T
-        True
-        """
-        if type(other) is int:
-            other = HalfLaurent({0: other})
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        q = _laurent_div_exact(self, other)
-        if q is None:
-            raise ArithmeticError("inexact division in the half-Laurent ring")
-        return q
-
     def __pow__(self, n):
         if type(n) is not int or n < 0:
             raise ValueError("only non-negative integer powers are defined")
@@ -323,31 +310,29 @@ def divides_z_power(p, k):
     return z_power_quotient(p, k) is not None
 
 
-def _square(rows, types):
-    """rows as a list of lists, after checking it is square with entries of the given types."""
+def _square(rows):
+    """rows as a list of lists, after checking it is square with int entries."""
     a = [list(r) for r in rows]
     n = len(a)
     for r in a:
         if len(r) != n:
             raise NonSquareError(f"matrix has {n} rows and a row of length {len(r)}")
         for x in r:
-            if type(x) not in types:
-                names = " or ".join(t.__name__ for t in types)
-                raise TypeError(f"entries must be {names}, got {type(x).__name__}")
+            if type(x) is not int:
+                raise TypeError(f"entries must be int, got {type(x).__name__}")
     return a
 
 
 def _bareiss(a, n, jordan):
     """Fraction-free elimination of the first n columns of the rows a, in place.
 
-    Step k clears column k below the pivot, or in every other row when
-    jordan is true, and updates only the columns after k; columns before
-    it are left stale.  Each update divides the previous pivot out
-    exactly: on ints by Sylvester's identity, in the half-Laurent ring by
-    HalfLaurent.__floordiv__, which raises ArithmeticError otherwise.  This
-    keeps coefficient growth polynomial instead of exponential.  Returns
+    a holds int rows.  Step k clears column k below the pivot, or in every
+    other row when jordan is true, and updates only the columns after k;
+    columns before it are left stale.  Each update divides the previous
+    pivot out with //, exact by Sylvester's identity.  This keeps
+    coefficient growth polynomial instead of exponential.  Returns
     the sign of the row permutation, or 0 when a column has no pivot, that
-    is when the matrix is singular; a[k][k] is then that column's zero.
+    is when the matrix is singular.
     """
     sign = 1
     prev = 1
@@ -371,26 +356,26 @@ def _bareiss(a, n, jordan):
 def determinant(rows):
     """Exact determinant of a square matrix by fraction-free (Bareiss) elimination.
 
-    rows is a sequence of equal-length rows whose entries are int or
-    HalfLaurent; int rows give an int, HalfLaurent rows a HalfLaurent.
-    With inverse, this is the only elimination in the package; both run
-    _bareiss.  The 0x0 matrix has determinant 1 by the empty-product
-    convention.
+    rows is a sequence of equal-length rows of int entries; any other
+    entry, a Fraction or a HalfLaurent included, raises TypeError.  With
+    inverse, this is the only elimination in the package; both run
+    _bareiss.  A polynomial determinant such as the Alexander polynomial
+    is interpolated from its values at integers (see
+    invariants.knot_alexander), never eliminated over the ring.  The 0x0
+    matrix has determinant 1 by the empty-product convention.
 
     >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
     -3
-    >>> print(determinant([[Z, T], [ONE, Z]]))
-    -2 + t^-1
     >>> determinant([])
     1
     """
-    a = _square(rows, (int, HalfLaurent))
+    a = _square(rows)
     n = len(a)
     if n == 0:
         return 1
     sign = _bareiss(a, n, jordan=False)
-    if not sign:  # the first zero on the diagonal is the pivotless column's zero
-        return next(a[k][k] for k in range(n) if not a[k][k])
+    if not sign:
+        return 0
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
 
@@ -408,7 +393,7 @@ def inverse(rows):
     >>> inverse([[2, 1], [1, 1]])
     [[1, -1], [-1, 2]]
     """
-    a = _square(rows, (int,))
+    a = _square(rows)
     n = len(a)
     if n == 0:
         return []

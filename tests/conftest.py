@@ -12,7 +12,7 @@ import random
 import pytest
 
 from lescop.corpus import corpus
-from lescop.documents import serialize
+from lescop.documents import PresentationDocument, serialize
 from lescop.presentation import Component, RibbonPairSpec, SurgeryPresentation
 
 
@@ -75,6 +75,15 @@ def random_ribbon_spec(rng, s=None, gmax=3, bound=3, h=1):
     )
 
 
+def dense_knot_document(g, seed=24):
+    """Document text of one 0-framed knot with a random genus-g Seifert matrix.
+
+    Run as `python tests/conftest.py G` it prints that document for genus G.
+    """
+    p = SurgeryPresentation(1, (Component("l1", random_seifert(seeded(seed), g), {}),))
+    return serialize(PresentationDocument(p))
+
+
 def seeded(seed=20240815):
     return random.Random(seed)
 
@@ -86,3 +95,9 @@ def corpus_dir(tmp_path_factory):
     for name, doc in corpus().items():
         (d / f"{name}.json").write_text(serialize(doc), encoding="utf-8")
     return d
+
+
+if __name__ == "__main__":
+    import sys
+
+    print(dense_knot_document(int(sys.argv[1])), end="")

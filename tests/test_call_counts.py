@@ -13,14 +13,17 @@ from lescop.corpus import corpus
 from lescop.documents import serialize_chain
 from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
+from lescop.ring import HalfLaurent
 
 
 class Counter:
     def __init__(self, monkeypatch, fn):
         self.calls = 0
+        self.first_args = []
 
         def counted(*args, **kwargs):
             self.calls += 1
+            self.first_args.append(args[0] if args else None)
             return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -41,9 +44,13 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     assert run(["verify", *files]) == 0
     capsys.readouterr()
     assert validate.calls == len(files)
-    assert alexander.calls <= 200
-    # one skew-form determinant per component, the rest are Alexander polynomials
-    assert determinant.calls == alexander.calls + components
+    assert alexander.calls == 49
+    assert not any(isinstance(x, HalfLaurent) for rows in determinant.first_args
+                   for row in rows for x in row)
+    # one skew-form determinant per component, and n + 1 for each Alexander
+    # polynomial of a size-n matrix
+    interpolation = sum(len(v) + 1 for v in alexander.first_args)
+    assert determinant.calls == interpolation + components == 145
 
 
 def test_chi_validates_once(corpus_dir, monkeypatch, capsys):
@@ -62,7 +69,7 @@ def test_casson_computes_the_ledger_once(tmp_path, monkeypatch, capsys):
     assert jet.calls == 3
 
 
-def test_only_alexander_and_verify_take_laurent_determinants(
+def test_only_alexander_and_verify_compute_the_polynomial(
     corpus_dir, tmp_path, monkeypatch, capsys
 ):
     """chi, casson, lescop, sato-levine and mu2 read Delta''(1) off the jet."""

@@ -12,6 +12,8 @@ from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import parse
 
+from conftest import dense_knot_document
+
 FLOAT_LITERAL = re.compile(r"\d\.\d|[eE][+-]\d")
 
 
@@ -144,6 +146,29 @@ class TestInvariantCommands:
         f.write_text(json.dumps([{"seifert": [["0", "0"], ["0", "0"]], "sign": -1}]))
         code, _, err = invoke(capsys, "casson", str(f))
         assert code == 1
+
+    def test_casson_fractional_matrix(self, tmp_path, capsys):
+        """A chain starts from S^3, so a fractional matrix is invalid, not chi = -1/2."""
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps([{"seifert": [["1/2", "1"], ["0", "1/2"]], "sign": -1}]))
+        code, out, err = invoke(capsys, "casson", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: step 0: non-integer entries require base_order > 1, " \
+                      "and a chain starts from S^3\n"
+
+    def test_genus_24_returns_at_once(self, tmp_path):
+        """Cold processes, so that work growing too fast with the genus fails by the timeout."""
+        f = tmp_path / "g24.json"
+        f.write_text(dense_knot_document(24))
+        src = str(Path(lescop.__file__).resolve().parents[1])
+        for command in ("alexander", "verify"):
+            done = subprocess.run(
+                [sys.executable, "-m", "lescop", command, str(f)],
+                capture_output=True, text=True, timeout=10,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert done.returncode == 0, (command, done.stderr)
+            assert "FAIL" not in done.stdout
 
 
 class TestChi:

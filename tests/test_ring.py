@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lescop.invariants import knot_alexander
 from lescop.ring import (
     ONE,
     T,
@@ -41,24 +42,17 @@ def cofactor_det(rows):
     return total
 
 
-def mat_mul(a, b, zero=ZERO):
+def mat_mul(a, b):
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
 
-def random_ring_matrix(rng, n, max_terms=2):
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            terms = {
-                rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(0, max_terms))
-            }
-            row.append(HalfLaurent(terms))
-        rows.append(row)
-    return rows
+def symmetrized(v):
+    """The HalfLaurent rows of t^(1/2) V - t^(-1/2) V^T."""
+    n = len(v)
+    return [[HalfLaurent({1: v[i][j], -1: -v[j][i]}) for j in range(n)] for i in range(n)]
 
 
 class TestArithmetic:
@@ -90,6 +84,8 @@ class TestArithmetic:
             determinant([[0.5]])
         with pytest.raises(TypeError):
             determinant([[Fraction(1, 2)]])
+        with pytest.raises(TypeError):
+            determinant([[Z, T], [ONE, Z]])
 
     def test_canonical_form_drops_zeros(self):
         assert HalfLaurent({3: 0, 0: 2}) == HalfLaurent({0: 2})
@@ -164,11 +160,12 @@ class TestZDivision:
     def test_k_zero(self):
         assert z_power_quotient(TREFOIL_POLY, 0) == TREFOIL_POLY
 
-    def test_floordiv_is_exact_or_raises(self):
-        assert (Z * T) // Z == T
-        assert Z // 1 == Z
-        with pytest.raises(ArithmeticError):
-            T // Z
+    def test_quotient_is_exact_or_none(self):
+        """z_power_quotient is the ring's only division; HalfLaurent has no //."""
+        assert z_power_quotient(Z * T, 1) == T
+        assert z_power_quotient(T, 1) is None
+        with pytest.raises(TypeError):
+            Z // Z
 
     @given(polys, st.integers(0, 4))
     @settings(max_examples=60)
@@ -187,47 +184,68 @@ class TestZDivision:
 
 
 class TestDeterminant:
+    """ring.determinant on int rows, and the polynomial determinant
+    det(t^(1/2) V - t^(-1/2) V^T) that knot_alexander interpolates from int
+    determinants, against the cofactor expansion over HalfLaurent rows."""
+
     def test_empty_matrix(self):
         assert determinant([]) == 1
 
     def test_identity(self):
         for n in range(1, 5):
             assert determinant([[int(i == j) for j in range(n)] for i in range(n)]) == 1
-            identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-            assert determinant(identity) == ONE
 
     def test_non_square(self):
         with pytest.raises(NonSquareError):
-            determinant([[ONE, ZERO]])
+            determinant([[1, 0]])
         with pytest.raises(NonSquareError):
             determinant([[1, 2], [3]])
 
     def test_two_by_two_oracle(self):
+        assert determinant([[2, 3], [5, 7]]) == 2 * 7 - 3 * 5
         # hand expansion: det = z*(-z) - t^(1/2)*(-t^(-1/2)) = 1 - z^2
+        v = [[1, 1], [0, -1]]
         m = [[Z, HalfLaurent({1: 1})], [HalfLaurent({-1: -1}), -Z]]
-        assert determinant(m) == ONE - Z * Z
-        assert determinant(m) == HalfLaurent({2: -1, 0: 3, -2: -1})
-        assert determinant(m) == cofactor_det(m)
+        assert symmetrized(v) == m
+        assert knot_alexander(v) == ONE - Z * Z == cofactor_det(m)
+        assert knot_alexander(v) == HalfLaurent({2: -1, 0: 3, -2: -1})
 
     def test_trefoil_symmetrized(self):
-        # t^(1/2) V - t^(-1/2) V^T for V = [[-1, 1], [0, -1]]
-        m = [[-Z, HalfLaurent({1: 1})], [HalfLaurent({-1: -1}), -Z]]
-        assert determinant(m) == TREFOIL_POLY
+        v = [[-1, 1], [0, -1]]
+        assert knot_alexander(v) == TREFOIL_POLY == cofactor_det(symmetrized(v))
 
     def test_zero_column(self):
-        assert determinant([[ZERO, ONE], [ZERO, T]]) == ZERO
-        assert isinstance(determinant([[ZERO, ONE], [ZERO, T]]), HalfLaurent)
+        assert determinant([[0, 1], [0, 7]]) == 0
+        assert type(determinant([[0, 1], [0, 7]])) is int
+        # a zero row and column of V give a zero row and column of the ring matrix
+        singular = knot_alexander([[0, 0], [0, 5]])
+        assert isinstance(singular, HalfLaurent) and singular == ZERO
 
     def test_needs_pivoting(self):
-        assert determinant([[ZERO, ONE], [ONE, ZERO]]) == -ONE
         assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        # every value det(t V - V^T) = det([[0, t], [-1, 0]]) has a zero leading entry
+        assert knot_alexander([[0, 1], [0, 0]]) == ONE == cofactor_det(symmetrized([[0, 1], [0, 0]]))
 
     def test_matches_cofactor_oracle(self):
+        """Bare matrices of sizes 0 to 6, odd ones included: integral, fractional,
+        singular and zero, each with h in (1, 3, 4)."""
         rng = seeded(11)
-        for _ in range(60):
-            n = rng.randint(0, 4)
-            m = random_ring_matrix(rng, n)
-            assert determinant(m) == cofactor_det(m)
+        kinds = ("integral", "fractional", "singular", "zero")
+        for n in range(7):
+            for kind in kinds:
+                for h in (1, 3, 4):
+                    denominators = (1, 2, 3, 4) if kind == "fractional" else (1,)
+                    v = [[Fraction(rng.randint(-4, 4), rng.choice(denominators))
+                          for _ in range(n)] for _ in range(n)]
+                    if kind == "singular" and n:
+                        v[-1] = [2 * x for x in v[0]]
+                    if kind == "zero":
+                        v = [[0] * n for _ in range(n)]
+                    got = knot_alexander(v, h)
+                    assert isinstance(got, HalfLaurent)
+                    assert got == h * cofactor_det(symmetrized(v)), (v, h)
+                    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
     def test_integer_matrices_match_cofactor_oracle(self):
         """Every matrix is also checked with a zero leading pivot and made singular."""
@@ -250,9 +268,8 @@ class TestDeterminant:
     def test_multiplicative(self):
         rng = seeded(12)
         for _ in range(40):
-            n = rng.randint(1, 3)
-            a = random_ring_matrix(rng, n)
-            b = random_ring_matrix(rng, n)
+            n = rng.randint(1, 5)
+            a, b = ([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)] for _ in range(2))
             assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
 
 
@@ -270,7 +287,7 @@ def unimodular_cases(rng):
         v = random_seifert(rng, g)
         s = [[int(v[i][j] - v[j][i]) for j in range(2 * g)] for i in range(2 * g)]
         u = unimodular(rng, 2 * g, 4 * g)
-        cases.append(mat_mul(mat_mul([list(r) for r in zip(*u)], s, 0), u, 0))
+        cases.append(mat_mul(mat_mul([list(r) for r in zip(*u)], s), u))
     return cases
 
 
@@ -282,7 +299,7 @@ class TestInverse:
         for m in unimodular_cases(seeded(14)):
             inv = inverse(m)
             assert all(type(x) is int for r in inv for x in r)
-            assert mat_mul(m, inv, 0) == identity(len(m)) == mat_mul(inv, m, 0), m
+            assert mat_mul(m, inv) == identity(len(m)) == mat_mul(inv, m), m
             swaps += m[0][0] == 0
         assert swaps > 20
 
