@@ -8,7 +8,7 @@ The closed-form route applies the case formulas by first Betti number:
     b1 >= 4: chi = 0
 
 with Delta''(1) from the jet formula and s = x^T V x, mu = E3^T x for
-x = S^-1 E2, the bilinear forms of invariants.
+x = S^-1 E2, the int bilinear forms of invariants.
 
 The triangle route never looks at those formulas: it recursively applies
 the surgery exact triangle
@@ -17,8 +17,9 @@ the surgery exact triangle
 
 down to the one-component base case, where it sums the leaves'
 Delta''(1) by the jet formula.  It carries only what the leaves read,
-the first component's Seifert matrix and its linking vectors E: blowing
-down adds E E^T, dropping changes nothing.  The two routes
+the first component's Seifert matrix and its linking vectors E, scaled to
+the ints dV and cE: blowing down adds (cE)(cE)^T, dropping changes
+nothing.  Every leaf reads the one S^-1 that validation computed.  The two routes
 agreeing on every input is the principal cross-check of this package.
 
 chi does not depend on which admissible bundle is chosen; neither route
@@ -40,13 +41,12 @@ from .invariants import (
     WrongComponentCountError,
     _delta2,
     _delta2_jet,
+    _integral,
     _mu_squared,
     _require_valid,
     _sato_levine,
-    _skew_inverse,
     casson,
 )
-from .presentation import rank_one_update
 
 
 class FloerError(Exception):
@@ -160,7 +160,8 @@ def _chi_closed_form(p, bundle):
     n = len(p.components)
     h = p.base_order
     if n == 1:
-        value = -_delta2(p.components[0].seifert, h)
+        c = p.components[0]
+        value = -_delta2(c.seifert, c.skew_form[0], h)
     elif n == 2:
         value = -2 * h * _sato_levine(p)[DERIVED]
     elif n == 3:
@@ -170,17 +171,18 @@ def _chi_closed_form(p, bundle):
     return _report(p, value, CLOSED_FORM, bundle)
 
 
-def _chi_triangle(seifert, s_inv, vectors, h):
-    """chi by one exact triangle per linking vector, the last one first.
+def _chi_triangle(d, dv, s_inv, vectors, h):
+    """chi by one exact triangle per scaled linking vector cE, the last one first.
 
     Blowing down adds the symmetric E E^T, so S = V - V^T and the S^-1
-    that every leaf's Delta''(1) needs are the same at every node.
+    that every leaf's Delta''(1) needs are the same at every node; on the
+    int matrix dV = c^2 V it adds the int (cE)(cE)^T.
     """
     if not vectors:
-        return -_delta2_jet(seifert, s_inv, h)
+        return -_delta2_jet(d, dv, s_inv, h)
     *rest, e = vectors
-    blown_down = rank_one_update(seifert, e, -1)
-    return _chi_triangle(blown_down, s_inv, rest, h) - _chi_triangle(seifert, s_inv, rest, h)
+    blown_down = [[x + ei * ej for x, ej in zip(row, e)] for row, ei in zip(dv, e)]
+    return _chi_triangle(d, blown_down, s_inv, rest, h) - _chi_triangle(d, dv, s_inv, rest, h)
 
 
 def chi_via_triangle(p, bundle=None):
@@ -195,8 +197,8 @@ def chi_via_triangle(p, bundle=None):
 
 def _chi_via_triangle(p, bundle):
     first, *others = p.components
-    vectors = [first.linking[c.name] for c in others]
-    value = _chi_triangle(first.seifert, _skew_inverse(first.seifert), vectors, p.base_order)
+    d, dv, vectors = _integral(first.seifert, [first.linking[c.name] for c in others])
+    value = _chi_triangle(d, dv, first.skew_form[0], vectors, p.base_order)
     return _report(p, value, TRIANGLE, bundle)
 
 

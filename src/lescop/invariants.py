@@ -23,6 +23,13 @@ with x = S^-1 E the jump of Delta''(1) is 2 h x^T V x: the Sato-Levine
 number is s = x^T V x, and a third component linked by E3 gives
 mu = E3^T x.
 
+All of this runs on ints.  S^-1 comes from presentation.skew_form, one
+integer Gauss-Jordan per component that validation already ran and each
+Component keeps.  _integral scales V and the linking vectors by their
+common denominator c, to dV = c^2 V and cE, so d (V + E E^T) =
+dV + (cE)(cE)^T stays integral under blow-down; the jet, s and mu are
+int products and bilinear forms, divided by a power of d once at the end.
+
 Each public function validates its presentation once, then calls private
 helpers that check nothing: surgery keeps the data valid, since adding the
 symmetric E E^T to a Seifert matrix V leaves V - V^T unchanged.
@@ -35,13 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .presentation import (
-    InvalidSpecError,
-    fraction_matrix,
-    skew_form_violation,
-    validate,
-)
-from .ring import HalfLaurent, determinant, inverse
+from .presentation import InvalidSpecError, fraction_matrix, skew_form, validate
+from .ring import HalfLaurent, determinant
 
 
 class InvariantError(Exception):
@@ -104,17 +106,27 @@ def _require_exactly(p, count, name):
         )
 
 
-def _scaled(seifert):
-    """(d, dV) for the common denominator d of V, so that dV is an int matrix."""
-    d = math.lcm(*(x.denominator for row in seifert for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in seifert]
+def _integral(seifert, vectors=()):
+    """(d, dV, [cE, ...]) in ints, for c the common denominator of V and the E.
+
+    d = c^2, so that d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays
+    integral.
+    """
+    c = math.lcm(*(x.denominator for row in seifert for x in row),
+                 *(x.denominator for e in vectors for x in e))
+    d = c * c
+    return (
+        d,
+        [[x.numerator * (d // x.denominator) for x in row] for row in seifert],
+        [[x.numerator * (c // x.denominator) for x in e] for e in vectors],
+    )
 
 
 def knot_alexander(seifert, base_order=1):
     """h * det(t^(1/2) V - t^(-1/2) V^T) for a bare Seifert matrix.
 
     Any square matrix is accepted, of odd size, singular or fractional.
-    With d the common denominator of V and n its size,
+    With dV the int matrix of _integral and n the size of V,
     P(t) = det(t dV - dV^T) = d^n t^(n/2) det(t^(1/2) V - t^(-1/2) V^T)
     is an integer polynomial of degree <= n.  It is evaluated by integer
     determinants at the n + 1 consecutive integers around 0 and
@@ -127,7 +139,7 @@ def knot_alexander(seifert, base_order=1):
     """
     seifert = fraction_matrix(seifert)
     n = len(seifert)
-    d, dv = _scaled(seifert)
+    d, dv, _ = _integral(seifert)
     nodes = range(-(n // 2), n - n // 2 + 1)
     coeffs = [
         determinant([[t * dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)])
@@ -145,21 +157,13 @@ def knot_alexander(seifert, base_order=1):
     return HalfLaurent({2 * i - n: Fraction(c * base_order, scale) for i, c in enumerate(poly)})
 
 
-def _skew_inverse(seifert):
-    """S^-1 for S = V - V^T, an integer matrix because det S = 1 is validated."""
-    n = len(seifert)
-    skew = [[(seifert[i][j] - seifert[j][i]).numerator for j in range(n)] for i in range(n)]
-    return inverse(skew)
+def _delta2_jet(d, dv, s_inv, h):
+    """Delta''(1) = h (2g - tr((S^-1 B)^2)) / 4 for the int matrices dV and S^-1.
 
-
-def _delta2_jet(seifert, s_inv, h):
-    """Delta''(1) = h (2g - tr((S^-1 B)^2)) / 4, given S^-1 = _skew_inverse(seifert).
-
-    B is scaled by the common denominator d of V, so the O(g^3) product
-    runs on ints; d^2 is divided out once at the end.
+    The O(g^3) product runs on ints, with dB = dV + dV^T in place of B;
+    d^2 is divided out once at the end.
     """
-    n = len(seifert)
-    d, dv = _scaled(seifert)
+    n = len(dv)
     db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
     # db is symmetric, so its rows are its columns
     a = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
@@ -167,17 +171,14 @@ def _delta2_jet(seifert, s_inv, h):
     return Fraction(h * (n * d * d - trace), 4 * d * d)
 
 
-def _delta2(seifert, h):
-    return _delta2_jet(seifert, _skew_inverse(seifert), h)
+def _delta2(seifert, s_inv, h):
+    d, dv, _ = _integral(seifert)
+    return _delta2_jet(d, dv, s_inv, h)
 
 
-def _dot(u, v):
-    return sum(map(mul, u, v), Fraction(0))
-
-
-def _dual(seifert, e):
-    """x = S^-1 E, the curve on the surface dual to the linking vector E."""
-    return [_dot(row, e) for row in _skew_inverse(seifert)]
+def _form(u, m, v):
+    """The int bilinear form u^T M v."""
+    return sum(map(mul, u, (sum(map(mul, row, v)) for row in m)))
 
 
 def alexander(p, comp):
@@ -197,7 +198,8 @@ def delta2(p, comp):
     (the framing-change term of the Lescop surgery formula).
     """
     _require_valid(p)
-    return _delta2(p.component(comp).seifert, p.base_order)
+    c = p.component(comp)
+    return _delta2(c.seifert, c.skew_form[0], p.base_order)
 
 
 def casson(chain):
@@ -225,7 +227,7 @@ def casson(chain):
     for i, (v, sign) in enumerate(chain.steps):
         if sign not in (-1, 1):
             raise InvalidSpecError(f"step {i}: surgery sign must be +1 or -1, got {sign}")
-        msg = skew_form_violation(v)
+        s_inv, msg = skew_form(v)
         if msg is not None:
             raise InvalidSpecError(f"step {i}: {msg}")
         if any(x.denominator != 1 for row in v for x in row):
@@ -233,7 +235,7 @@ def casson(chain):
                 f"step {i}: non-integer entries require base_order > 1, "
                 "and a chain starts from S^3"
             )
-        total += sign * _delta2(v, 1) / 2
+        total += sign * _delta2(v, s_inv, 1) / 2
     return total
 
 
@@ -244,13 +246,15 @@ def _normalized(s, h):
 
 def _sato_levine(p):
     c1, c2 = p.components
-    x = _dual(c1.seifert, c1.linking[c2.name])
-    return _normalized(_dot(x, [_dot(row, x) for row in c1.seifert]), p.base_order)
+    d, dv, (ce,) = _integral(c1.seifert, [c1.linking[c2.name]])
+    x = [sum(map(mul, row, ce)) for row in c1.skew_form[0]]  # c S^-1 E
+    return _normalized(Fraction(_form(x, dv, x), d * d), p.base_order)
 
 
 def _mu_squared(p):
     c1, c2, c3 = p.components
-    mu = _dot(c1.linking[c3.name], _dual(c1.seifert, c1.linking[c2.name]))
+    d, _, (ce2, ce3) = _integral(c1.seifert, [c1.linking[c2.name], c1.linking[c3.name]])
+    mu = Fraction(_form(ce3, c1.skew_form[0], ce2), d)
     return _normalized(mu * mu, p.base_order)
 
 
@@ -313,7 +317,8 @@ def _lescop(p):
     n = len(p.components)
     h = p.base_order
     if n == 1:
-        return _delta2(p.components[0].seifert, h) / 2 - Fraction(h, 12)
+        c = p.components[0]
+        return _delta2(c.seifert, c.skew_form[0], h) / 2 - Fraction(h, 12)
     if n == 2:
         return -h * _sato_levine(p)[DERIVED]
     if n == 3:

@@ -8,14 +8,19 @@ nonzero pairwise linking are unrepresentable rather than validated away,
 since every formula downstream assumes the splitting.
 
 All types are immutable values and all operations are pure functions.
+skew_form checks the Seifert-form invariant and yields S^-1 for
+S = V - V^T from the same integer elimination; a Component computes it
+on first use and keeps it, so validation and every invariant downstream
+share one elimination per component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .ring import determinant
+from .ring import determinant, inverse
 
 
 class PresentationError(Exception):
@@ -41,25 +46,29 @@ def fraction_matrix(rows):
     return rows
 
 
-def skew_form_violation(seifert):
-    """Check the Seifert-form invariant; returns a message or None.
+def skew_form(seifert):
+    """S^-1 for S = V - V^T, or why the Seifert form is invalid.
 
-    The matrix must be square of even size, V - V^T must be integer valued,
-    and det(V - V^T) must equal 1 (it is the intersection form of the
-    surface in a symplectic basis).
+    Returns (S^-1, None) or (None, message).  The matrix must be square of
+    even size, S must be integer valued, and det S must equal 1 (it is
+    the intersection form of the surface in a symplectic basis).  S is
+    skew, so det S = Pf(S)^2 >= 0, and one integer Gauss-Jordan
+    (ring.inverse) succeeds exactly when det S = 1; only when it fails is
+    det S computed, for the message.  S^-1 is returned as int rows.
     """
     n = len(seifert)
     if any(len(r) != n for r in seifert):
-        return "seifert matrix is not square"
+        return None, "seifert matrix is not square"
     if n % 2 != 0:
-        return f"seifert matrix has odd size {n}"
+        return None, f"seifert matrix has odd size {n}"
     skew = [[seifert[i][j] - seifert[j][i] for j in range(n)] for i in range(n)]
     if any(x.denominator != 1 for r in skew for x in r):
-        return "V - V^T has non-integer entries"
-    d = determinant([[x.numerator for x in r] for r in skew])
-    if d != 1:
-        return f"det(V - V^T) = {d}, expected 1"
-    return None
+        return None, "V - V^T has non-integer entries"
+    skew = [[x.numerator for x in r] for r in skew]
+    try:
+        return tuple(map(tuple, inverse(skew))), None
+    except ArithmeticError:
+        return None, f"det(V - V^T) = {determinant(skew)}, expected 1"
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,11 @@ class Component:
     @property
     def size(self):
         return len(self.seifert)
+
+    @cached_property
+    def skew_form(self):
+        """skew_form(self.seifert), computed on first use and then kept."""
+        return skew_form(self.seifert)
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ class RibbonPairSpec:
                 f"a has length {len(self.a)}, expected {len(self.w)}"
             )
         if self.w:
-            msg = skew_form_violation(self.w)
+            msg = skew_form(self.w)[1]
             if msg is not None:
                 raise InvalidSpecError(f"w: {msg}")
 
@@ -161,7 +175,7 @@ def validate(p):
             out.append(f"duplicate component name {n!r}")
         seen.add(n)
     for c in p.components:
-        msg = skew_form_violation(c.seifert)
+        msg = c.skew_form[1]
         if msg is not None:
             out.append(f"component {c.name!r}: {msg}")
         expected = set(names) - {c.name}
@@ -299,7 +313,7 @@ def connected_sum_knot(p, comp, v):
     """
     v = fraction_matrix(v)
     if v:
-        msg = skew_form_violation(v)
+        msg = skew_form(v)[1]
         if msg is not None:
             raise InvalidSpecError(f"summand matrix: {msg}")
     c = p.component(comp)

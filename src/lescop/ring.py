@@ -7,12 +7,14 @@ point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
 
 ``determinant`` and ``inverse`` share the package's one exact
-elimination, a fraction-free Bareiss step over int rows.  ``determinant``
-gives the skew-form check ``det(V - V^T)`` and the n + 1 integer values
-from which ``invariants.knot_alexander`` interpolates the symmetrized
-Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)``; no elimination runs
-over the ring itself.  ``inverse`` gives the integer ``(V - V^T)^-1`` of
-the jet formulas.
+elimination, a fraction-free Bareiss step over int rows.  ``inverse``
+gives the integer ``S^-1 = (V - V^T)^-1`` of the jet formulas, and its
+success is the skew-form check ``det S = 1`` (``presentation.skew_form``).
+``determinant`` gives the n + 1 integer values from which
+``invariants.knot_alexander`` interpolates the symmetrized Seifert
+determinant ``det(t^(1/2) V - t^(-1/2) V^T)``, and ``det S`` for the
+message when that check fails; no elimination runs over the ring
+itself.
 
 >>> print(Z * Z)
 t - 2 + t^-1
@@ -83,11 +85,6 @@ class HalfLaurent:
         # are deterministic
         self._terms = {k: clean[k] for k in sorted(clean, reverse=True)}
 
-    @classmethod
-    def monomial(cls, k, coeff=1):
-        """coeff * t^(k/2)."""
-        return cls({k: coeff})
-
     @property
     def terms(self):
         return dict(self._terms)
@@ -157,13 +154,6 @@ class HalfLaurent:
         return HalfLaurent(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of a polynomial by zero")
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:

@@ -39,6 +39,7 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     validate = Counter(monkeypatch, presentation.validate)
     alexander = Counter(monkeypatch, invariants.knot_alexander)
     determinant = Counter(monkeypatch, ring.determinant)
+    inverse = Counter(monkeypatch, ring.inverse)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     assert len(files) == 19
     assert run(["verify", *files]) == 0
@@ -47,10 +48,34 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     assert alexander.calls == 49
     assert not any(isinstance(x, HalfLaurent) for rows in determinant.first_args
                    for row in rows for x in row)
-    # one skew-form determinant per component, and n + 1 for each Alexander
-    # polynomial of a size-n matrix
+    # n + 1 determinants for each Alexander polynomial of a size-n matrix,
+    # and one elimination of V - V^T per component, which the routes reuse
     interpolation = sum(len(v) + 1 for v in alexander.first_args)
-    assert determinant.calls == interpolation + components == 145
+    assert determinant.calls == interpolation == 105
+    assert inverse.calls == components
+
+
+def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys):
+    """S = V - V^T is eliminated once per component or chain step, by
+    ring.inverse alone: validation and every route share that one result,
+    and a valid form takes no determinant."""
+    determinant = Counter(monkeypatch, ring.determinant)
+    inverse = Counter(monkeypatch, ring.inverse)
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
+    runs = [
+        (["chi", str(corpus_dir / "km-trefoil.json")], 3),
+        (["chi", str(corpus_dir / "trefoil-0.json")], 1),
+        (["casson", str(chain)], 3),
+        (["sato-levine", str(corpus_dir / "ribbon-s1.json")], 2),
+        (["lescop", str(corpus_dir / "km-trefoil.json")], 3),
+        (["mu2", str(corpus_dir / "km-trefoil.json")], 3),
+    ]
+    for argv, eliminations in runs:
+        before = determinant.calls, inverse.calls
+        assert run(argv) == 0, argv
+        assert (determinant.calls - before[0], inverse.calls - before[1]) == (0, eliminations), argv
+    capsys.readouterr()
 
 
 def test_chi_validates_once(corpus_dir, monkeypatch, capsys):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+import re
 
 import pytest
 
@@ -19,7 +21,15 @@ from lescop.floer import (
     reduced_knot_chi,
     taubes_chi,
 )
-from lescop.invariants import SurgeryChain, WrongComponentCountError, lescop
+from lescop.invariants import (
+    SurgeryChain,
+    WrongComponentCountError,
+    delta2,
+    knot_alexander,
+    lescop,
+    milnor_mu_squared,
+    sato_levine,
+)
 from lescop.presentation import (
     FIGURE_EIGHT,
     TREFOIL,
@@ -28,6 +38,7 @@ from lescop.presentation import (
     SurgeryPresentation,
     build_ribbon_pair,
     build_triple,
+    rank_one_update,
 )
 
 from conftest import random_presentation, random_ribbon_spec, random_seifert, seeded
@@ -153,6 +164,76 @@ class TestTriangle:
     def test_route_agreement_with_torsion(self):
         p = build_ribbon_pair(RibbonPairSpec(s=1, base_order=3))
         assert chi_closed_form(p).chi == chi_via_triangle(p).chi == -6
+
+
+def fractional_presentation(rng):
+    """1-5 components, the first of genus 0-2.  With h > 1 the first Seifert
+    matrix sometimes gains a fractional symmetric part, and the linking
+    vectors carry denominators 2, 3 and 7, so V may be integral while the
+    E are not."""
+    h = rng.choice((1, 2, 3, 4))
+    names = [f"l{i + 1}" for i in range(rng.randint(1, 5))]
+    denominators = (1, 2, 3, 7) if h > 1 else (1,)
+    comps = []
+    for k, name in enumerate(names):
+        g = rng.randint(0, 2) if k == 0 else rng.randint(0, 1)
+        v = [list(row) for row in random_seifert(rng, g, bound=2)]
+        if k == 0 and h > 1 and rng.random() < 0.5:
+            for i in range(2 * g):
+                for j in range(i, 2 * g):
+                    x = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 7)))
+                    v[i][j] += x
+                    if j != i:
+                        v[j][i] += x
+        linking = {
+            other: tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
+            for other in names if other != name
+        }
+        comps.append(Component(name, v, linking))
+    return SurgeryPresentation(h, tuple(comps))
+
+
+def polynomial_triangle(p):
+    """chi as the signed sum over the blown-down subsets J of the other
+    components of -Delta''_J(1), each read off the interpolated Alexander
+    polynomial of V + sum_J E E^T: no S^-1, no jet."""
+    first, *others = p.components
+    total = Fraction(0)
+    for mask in product((0, 1), repeat=len(others)):
+        w = first.seifert
+        for blown, c in zip(mask, others):
+            if blown:
+                w = rank_one_update(w, first.linking[c.name], -1)
+        dropped = len(others) - sum(mask)
+        total += (-1) ** dropped * -knot_alexander(w, p.base_order).second_derivative_at_one()
+    return total
+
+
+class TestTriangleOracle:
+    def test_matches_polynomial_leaves_on_fractional_data(self):
+        rng = seeded(46)
+        for _ in range(300):
+            p = fractional_presentation(rng)
+            expected = polynomial_triangle(p)
+            if expected.denominator == 1:
+                assert chi_via_triangle(p).chi == expected, p
+            else:
+                with pytest.raises(NonIntegralChiError, match=re.escape(f"= {expected}") + "$"):
+                    chi_via_triangle(p)
+
+    def test_invariants_are_exact(self):
+        rng = seeded(47)
+        for _ in range(60):
+            p = fractional_presentation(rng)
+            n = len(p.components)
+            values = [lescop(p)]
+            if n == 1:
+                values.append(delta2(p, "l1"))
+            elif n == 2:
+                values.append(sato_levine(p))
+            elif n == 3:
+                values.append(milnor_mu_squared(p))
+            assert all(type(x) is Fraction for x in values), (p, values)
 
 
 class TestTaubes:
