@@ -22,6 +22,11 @@ the ints dV and cE: blowing down adds (cE)(cE)^T, dropping changes
 nothing.  Every leaf reads the one S^-1 that validation computed.  The two routes
 agreeing on every input is the principal cross-check of this package.
 
+Each route is one public function that checks its presentation and
+bundle itself.  The presentation keeps its violations once validated, so
+computing chi both ways validates it once, and the closed form reads
+Delta''(1), s and mu^2 through the public functions of invariants.
+
 chi does not depend on which admissible bundle is chosen; neither route
 reads w2 beyond the admissibility check, and the bundle is echoed into
 the report with an ambiguity flag.  The choice of bundle is pinned down
@@ -37,15 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import (
-    DERIVED,
     WrongComponentCountError,
-    _delta2,
     _delta2_jet,
     _integral,
-    _mu_squared,
     _require_valid,
-    _sato_levine,
     casson,
+    delta2,
+    milnor_mu_squared,
+    sato_levine,
 )
 
 
@@ -105,8 +109,14 @@ def bundle_ambiguity(h):
     return UNIQUE if h % 2 == 1 else EXT_AMBIGUOUS
 
 
-def _check_bundle(p, bundle):
+def _check(p, bundle):
+    """Check p and the bundle for either route; returns the checked bundle."""
+    _require_valid(p)
     n = len(p.components)
+    if n == 0:
+        raise WrongComponentCountError(
+            "chi needs at least one component; use taubes_chi for chains"
+        )
     if bundle is None:
         bundle = BundleSpec(w2=(1,) * n)
     if len(bundle.w2) != n:
@@ -116,16 +126,6 @@ def _check_bundle(p, bundle):
     if not bundle.is_admissible():
         raise InadmissibleBundleError("w2 must contain at least one 1")
     return bundle
-
-
-def _check(p, bundle):
-    """Validate p once for either route; returns the checked bundle."""
-    _require_valid(p)
-    if not p.components:
-        raise WrongComponentCountError(
-            "chi needs at least one component; use taubes_chi for chains"
-        )
-    return _check_bundle(p, bundle)
 
 
 def _as_integer(x, route):
@@ -153,19 +153,15 @@ def chi_closed_form(p, bundle=None):
     order, and the familiar -2 s / -2 mu^2 when h = 1.  The w2 vector is
     not read beyond the admissibility check: chi is bundle independent.
     """
-    return _chi_closed_form(p, _check(p, bundle))
-
-
-def _chi_closed_form(p, bundle):
+    bundle = _check(p, bundle)
     n = len(p.components)
     h = p.base_order
     if n == 1:
-        c = p.components[0]
-        value = -_delta2(c.seifert, c.skew_form[0], h)
+        value = -delta2(p, p.components[0].name)
     elif n == 2:
-        value = -2 * h * _sato_levine(p)[DERIVED]
+        value = -2 * h * sato_levine(p)
     elif n == 3:
-        value = -2 * h * _mu_squared(p)[DERIVED]
+        value = -2 * h * milnor_mu_squared(p)
     else:
         value = Fraction(0)
     return _report(p, value, CLOSED_FORM, bundle)
@@ -192,10 +188,7 @@ def chi_via_triangle(p, bundle=None):
     independent of the order, which the test suite checks rather than
     assumes.  Both branches are pure, so evaluation order cannot matter.
     """
-    return _chi_via_triangle(p, _check(p, bundle))
-
-
-def _chi_via_triangle(p, bundle):
+    bundle = _check(p, bundle)
     first, *others = p.components
     d, dv, vectors = _integral(first.seifert, [first.linking[c.name] for c in others])
     value = _chi_triangle(d, dv, first.skew_form[0], vectors, p.base_order)

@@ -30,9 +30,12 @@ common denominator c, to dV = c^2 V and cE, so d (V + E E^T) =
 dV + (cE)(cE)^T stays integral under blow-down; the jet, s and mu are
 int products and bilinear forms, divided by a power of d once at the end.
 
-Each public function validates its presentation once, then calls private
-helpers that check nothing: surgery keeps the data valid, since adding the
-symmetric E E^T to a Seifert matrix V leaves V - V^T unchanged.
+Every public function checks its presentation by reading
+p.violations, which validate fills on first use and the presentation
+keeps; so one function can call another, as lescop calls delta2,
+sato_levine and milnor_mu_squared, and the presentation is still
+validated once.  Surgery keeps the data valid, since adding the symmetric
+E E^T to a Seifert matrix V leaves V - V^T unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .presentation import InvalidSpecError, fraction_matrix, skew_form, validate
+from .presentation import InvalidSpecError, fraction_matrix, skew_form
 from .ring import HalfLaurent, determinant
 
 
@@ -93,9 +96,8 @@ def _check_mode(mode):
 
 
 def _require_valid(p):
-    violations = validate(p)
-    if violations:
-        raise InvalidPresentationError(violations)
+    if p.violations:
+        raise InvalidPresentationError(p.violations)
 
 
 def _require_exactly(p, count, name):
@@ -244,20 +246,6 @@ def _normalized(s, h):
     return {DERIVED: s, PAPER_LITERAL: h * s}
 
 
-def _sato_levine(p):
-    c1, c2 = p.components
-    d, dv, (ce,) = _integral(c1.seifert, [c1.linking[c2.name]])
-    x = [sum(map(mul, row, ce)) for row in c1.skew_form[0]]  # c S^-1 E
-    return _normalized(Fraction(_form(x, dv, x), d * d), p.base_order)
-
-
-def _mu_squared(p):
-    c1, c2, c3 = p.components
-    d, _, (ce2, ce3) = _integral(c1.seifert, [c1.linking[c2.name], c1.linking[c3.name]])
-    mu = Fraction(_form(ce3, c1.skew_form[0], ce2), d)
-    return _normalized(mu * mu, p.base_order)
-
-
 def sato_levine(p, mode=DERIVED):
     """Sato-Levine invariant of a two-component presentation.
 
@@ -270,14 +258,16 @@ def sato_levine(p, mode=DERIVED):
     sato_levine_modes() gives both values.
     """
     _check_mode(mode)
-    _require_exactly(p, 2, "sato_levine")
-    return _sato_levine(p)[mode]
+    return sato_levine_modes(p)[mode]
 
 
 def sato_levine_modes(p):
     """mode -> sato_levine(p, mode) for every mode, from one computation of s."""
     _require_exactly(p, 2, "sato_levine")
-    return _sato_levine(p)
+    c1, c2 = p.components
+    d, dv, (ce,) = _integral(c1.seifert, [c1.linking[c2.name]])
+    x = [sum(map(mul, row, ce)) for row in c1.skew_form[0]]  # c S^-1 E
+    return _normalized(Fraction(_form(x, dv, x), d * d), p.base_order)
 
 
 def milnor_mu_squared(p, mode=DERIVED):
@@ -293,7 +283,10 @@ def milnor_mu_squared(p, mode=DERIVED):
     """
     _check_mode(mode)
     _require_exactly(p, 3, "milnor_mu_squared")
-    return _mu_squared(p)[mode]
+    c1, c2, c3 = p.components
+    d, _, (ce2, ce3) = _integral(c1.seifert, [c1.linking[c2.name], c1.linking[c3.name]])
+    mu = Fraction(_form(ce3, c1.skew_form[0], ce2), d)
+    return _normalized(mu * mu, p.base_order)[mode]
 
 
 def lescop(p):
@@ -305,22 +298,17 @@ def lescop(p):
     integral homology spheres.
     """
     _require_valid(p)
-    if not p.components:
+    n = len(p.components)
+    h = p.base_order
+    if n == 0:
         raise WrongComponentCountError(
             "lescop needs at least one component; for integral homology "
             "spheres use casson()"
         )
-    return _lescop(p)
-
-
-def _lescop(p):
-    n = len(p.components)
-    h = p.base_order
     if n == 1:
-        c = p.components[0]
-        return _delta2(c.seifert, c.skew_form[0], h) / 2 - Fraction(h, 12)
+        return delta2(p, p.components[0].name) / 2 - Fraction(h, 12)
     if n == 2:
-        return -h * _sato_levine(p)[DERIVED]
+        return -h * sato_levine(p)
     if n == 3:
-        return h * _mu_squared(p)[DERIVED]
+        return h * milnor_mu_squared(p)
     return Fraction(0)

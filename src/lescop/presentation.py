@@ -7,11 +7,14 @@ the data model itself (algebraically split links); presentations with
 nonzero pairwise linking are unrepresentable rather than validated away,
 since every formula downstream assumes the splitting.
 
-All types are immutable values and all operations are pure functions.
-skew_form checks the Seifert-form invariant and yields S^-1 for
-S = V - V^T from the same integer elimination; a Component computes it
-on first use and keeps it, so validation and every invariant downstream
-share one elimination per component.
+All types are immutable values and all operations are pure functions;
+a Component's linking vectors sit behind a read-only mapping, so nothing
+can change a value after it is built.  skew_form checks the Seifert-form
+invariant and yields S^-1 for S = V - V^T from the same integer
+elimination; a Component computes it on first use and keeps it.  Likewise
+a SurgeryPresentation runs validate on first reading its violations and
+keeps the result, so every invariant downstream can check its input at
+no further cost and shares one elimination per component.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 
 from .ring import determinant, inverse
 
@@ -78,15 +82,16 @@ class Component:
 
     name: str
     seifert: tuple  # 2g x 2g matrix of Fraction
-    linking: dict  # other component name -> length-2g vector of Fraction
+    linking: MappingProxyType  # other component name -> length-2g vector of Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "seifert", fraction_matrix(self.seifert))
-        object.__setattr__(
-            self,
-            "linking",
-            {str(k): fraction_vector(v) for k, v in dict(self.linking).items()},
-        )
+        linking = {str(k): fraction_vector(v) for k, v in dict(self.linking).items()}
+        object.__setattr__(self, "linking", MappingProxyType(linking))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled, so rebuild from a plain dict
+        return Component, (self.name, self.seifert, dict(self.linking))
 
     @property
     def size(self):
@@ -118,6 +123,11 @@ class SurgeryPresentation:
 
     def names(self):
         return [c.name for c in self.components]
+
+    @cached_property
+    def violations(self):
+        """tuple(validate(self)), computed on first use and then kept."""
+        return tuple(validate(self))
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,18 @@ def test_mu_squared_validates_once(monkeypatch):
     assert validate.calls == 1
 
 
+def test_public_functions_share_one_validation(monkeypatch):
+    """Each public function checks its presentation, which keeps the result."""
+    validate = Counter(monkeypatch, presentation.validate)
+    p = corpus()["km-trefoil"].presentation
+    invariants.alexander(p, p.components[0].name)
+    invariants.lescop(p)
+    invariants.milnor_mu_squared(p)
+    floer.chi_closed_form(p)
+    floer.chi_via_triangle(p)
+    assert validate.calls == 1
+
+
 def test_triangle_builds_no_presentations(monkeypatch):
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)

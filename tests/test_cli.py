@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lescop
+from lescop import cli
 from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import parse
@@ -270,6 +272,62 @@ class TestVerify:
     def test_torsion_skip_is_reported(self, corpus_dir, capsys):
         code, out, _ = invoke(capsys, "verify", str(corpus_dir / "ribbon-s1-h3.json"))
         assert code == 0 and "SKIP" in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_non_integral_chi_reports_every_file(self, tmp_path, corpus_dir, capsys, json_flag):
+        doc = {
+            "format_version": 1,
+            "base_order": 3,
+            "components": [
+                {"name": "l1", "seifert": [["1/3", "1"], ["0", "1/3"]], "linking": {}}
+            ],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        good = str(corpus_dir / "trefoil-0.json")
+        code, out, err = invoke(capsys, "verify", good, str(bad), *json_flag)
+        assert code == 1 and err == ""
+        detail = "closed_form produced non-integral chi = -2/3"
+        if json_flag:
+            good_report, bad_report = json.loads(out)["results"]
+            assert all(c["status"] == "pass" for c in good_report["checks"])
+            assert bad_report["checks"][-1] == {
+                "name": "route-agreement", "status": "fail", "detail": detail,
+            }
+        else:
+            assert out.startswith(f"{good}:\n") and f"\n{bad}:\n" in out
+            assert out.count("FAIL") == 1
+            assert out.endswith(f"  route-agreement: FAIL ({detail})\n")
+
+
+class TestPublicApi:
+    def test_cli_reads_no_private_name_of_another_module(self):
+        """cli calls only the public API of the other lescop modules."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if node.module is None
+        }
+        assert {"floer", "invariants", "presentation"} <= modules
+        private = [
+            f"{node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ]
+        private += [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
 
 class TestJsonExactness:

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,24 @@ class TestValidate:
     def test_bad_base_order(self):
         msgs = validate(SurgeryPresentation(0, (Component("l1", TREFOIL, {}),)))
         assert any("base_order" in m for m in msgs)
+
+
+class TestImmutability:
+    def test_linking_is_read_only(self):
+        c = build_ribbon_pair(RibbonPairSpec(s=0)).components[0]
+        with pytest.raises(TypeError):
+            c.linking["l2"] = (0, 0)
+        assert c.linking == {"l2": (1, 0)}
+
+    def test_pickle_round_trip(self):
+        p = build_triple(2, RibbonPairSpec(s=1))
+        assert p.violations == ()
+        assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_violations_are_kept(self):
+        p = SurgeryPresentation(base_order=0, components=trefoil_presentation().components)
+        assert p.violations == tuple(validate(p)) != ()
+        assert p.violations is p.violations
 
 
 class TestBlowDown:
