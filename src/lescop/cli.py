@@ -7,6 +7,10 @@ default output is a human-readable table; --json switches every
 subcommand to machine-readable output in which all exact rationals are
 strings ("a/b") and all integers are JSON integers.
 
+The parser is built once per process, and each subcommand is dispatched
+by name to the module's cmd_* function at call time, so rebinding one
+(as a tracer or a test does) takes effect on the next run.
+
 The default normalization mode for the Sato-Levine computation is
 "derived"; the environment variable LESCOP_NORMALIZATION may change the
 default, and a document's "normalization" field overrides both.
@@ -15,6 +19,7 @@ default, and a document's "normalization" field overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,11 +179,12 @@ def cmd_mu2(args):
 def cmd_chi(args):
     doc = _load_document(args.file)
     p = doc.presentation
+    bundle = _bundle(doc)
     reports = {}
     if args.route in ("closed", "both"):
-        reports[floer.CLOSED_FORM] = floer.chi_closed_form(p, _bundle(doc))
+        reports[floer.CLOSED_FORM] = floer.chi_closed_form(p, bundle)
     if args.route in ("triangle", "both"):
-        reports[floer.TRIANGLE] = floer.chi_via_triangle(p, _bundle(doc))
+        reports[floer.TRIANGLE] = floer.chi_via_triangle(p, bundle)
     any_report = next(iter(reports.values()))
     lines = [f"chi[{route}] = {r.chi}" for route, r in reports.items()]
     lines.append(f"ambiguity = {any_report.ambiguity}")
@@ -278,9 +284,10 @@ def _verify_checks(doc):
         yield "z3-structure", "pass" if ok else "fail", f"s = {s}"
 
     if n >= 1:
+        bundle = _bundle(doc)
         try:
-            closed = floer.chi_closed_form(p, _bundle(doc))
-            triangle = floer.chi_via_triangle(p, _bundle(doc))
+            closed = floer.chi_closed_form(p, bundle)
+            triangle = floer.chi_via_triangle(p, bundle)
         except floer.NonIntegralChiError as e:
             yield "route-agreement", "fail", str(e)
             return
@@ -367,6 +374,7 @@ def cmd_examples(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lescop",
@@ -374,20 +382,19 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.set_defaults(func=func)
         return sp
 
-    sp = add("alexander", cmd_alexander, "Alexander polynomial of a component")
+    sp = add("alexander", "Alexander polynomial of a component")
     sp.add_argument("file")
     sp.add_argument("--component", help="component name (default: first)")
 
-    sp = add("lescop", cmd_lescop, "Lescop invariant of the presented manifold")
+    sp = add("lescop", "Lescop invariant of the presented manifold")
     sp.add_argument("file")
 
-    sp = add("chi", cmd_chi, "Euler characteristic of instanton Floer homology")
+    sp = add("chi", "Euler characteristic of instanton Floer homology")
     sp.add_argument("file")
     sp.add_argument(
         "--route",
@@ -396,22 +403,22 @@ def _build_parser():
         help="computation route (default: both, which cross-checks)",
     )
 
-    sp = add("sato-levine", cmd_sato_levine, "Sato-Levine invariant (2 components)")
+    sp = add("sato-levine", "Sato-Levine invariant (2 components)")
     sp.add_argument("file")
 
-    sp = add("mu2", cmd_mu2, "squared triple linking number (3 components)")
+    sp = add("mu2", "squared triple linking number (3 components)")
     sp.add_argument("file")
 
-    sp = add("casson", cmd_casson, "Casson invariant of a +-1-surgery chain")
+    sp = add("casson", "Casson invariant of a +-1-surgery chain")
     sp.add_argument("chainfile")
 
-    sp = add("lens", cmd_lens, "SU(2)-representation counting for Z/p")
+    sp = add("lens", "SU(2)-representation counting for Z/p")
     sp.add_argument("--p", type=int, required=True)
 
-    sp = add("verify", cmd_verify, "run every applicable cross-check on files")
+    sp = add("verify", "run every applicable cross-check on files")
     sp.add_argument("files", nargs="+")
 
-    sp = add("examples", cmd_examples, "list or export built-in presentations")
+    sp = add("examples", "list or export built-in presentations")
     sp.add_argument("name", nargs="?", help="print this example document")
     sp.add_argument("--write", metavar="DIR", help="write all examples into DIR")
 
@@ -419,10 +426,10 @@ def _build_parser():
 
 
 def run(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except documents.DocumentError as e:
         _err(str(e))
         return EXIT_INPUT

@@ -10,17 +10,36 @@ The closed-form route applies the case formulas by first Betti number:
 with Delta''(1) from the jet formula and s = x^T V x, mu = E3^T x for
 x = S^-1 E2, the int bilinear forms of invariants.
 
-The triangle route never looks at those formulas: it recursively applies
-the surgery exact triangle
+The triangle route never looks at those formulas.  Applying the surgery
+exact triangle
 
     chi(p) = chi(blow_down(p, last, -1)) - chi(drop_component(p, last))
 
-down to the one-component base case, where it sums the leaves'
-Delta''(1) by the jet formula.  It carries only what the leaves read,
-the first component's Seifert matrix and its linking vectors E, scaled to
-the ints dV and cE: blowing down adds (cE)(cE)^T, dropping changes
-nothing.  Every leaf reads the one S^-1 that validation computed.  The two routes
-agreeing on every input is the principal cross-check of this package.
+until one component is left gives 2^k leaves, one for each subset J of
+the k other components, with
+
+    chi = sum over J of (-1)^(k - |J|) * -Delta''_J(1),
+
+where Delta''_J(1) is the jet of the first component after blowing down
+the components in J.  The route carries only what the leaves read, the
+first component's Seifert matrix and its linking vectors E, scaled to the
+ints dV and cE: blowing down adds (cE)(cE)^T to dV, dropping changes
+nothing, and neither changes S = V - V^T, so every leaf reads the one
+S^-1 that validation computed.  The leaves are visited in Gray-code
+order: consecutive leaves differ by one vector, blown down (sigma = +1)
+or restored (sigma = -1), and the sign alternates.  That step adds
+2 sigma (cE)(cE)^T to dB = dV + dV^T, and since S^-1 is skew,
+(cE)^T S^-1 (cE) = 0, so the trace in the jet changes by
+
+    tr((S^-1 dB')^2) = tr((S^-1 dB)^2) - 4 sigma y^T dB y,   y = S^-1 (cE),
+
+so the first leaf costs one O(g^3) trace and every other one O(g^2).
+Each leaf's Delta''(1) is still formed on its own.  It is quadratic in
+the indicator vector of J, which is why chi = 0 for b1 >= 4: the sum
+over k >= 3 vectors is a k-th difference, and it kills every quadratic.
+The route deliberately does not sum that quadratic in closed form, which
+would make it the closed form again.  The two routes agreeing on every
+input is the principal cross-check of this package.
 
 Each route is one public function that checks its presentation and
 bundle itself.  The presentation keeps its violations once validated, so
@@ -40,11 +59,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .invariants import (
     WrongComponentCountError,
-    _delta2_jet,
+    _form,
     _integral,
+    _jet_trace,
     _require_valid,
     casson,
     delta2,
@@ -167,32 +188,51 @@ def chi_closed_form(p, bundle=None):
     return _report(p, value, CLOSED_FORM, bundle)
 
 
-def _chi_triangle(d, dv, s_inv, vectors, h):
-    """chi by one exact triangle per scaled linking vector cE, the last one first.
+def _leaf_traces(dv, s_inv, vectors):
+    """tr((S^-1 dB_J)^2) for every leaf J, dB_J = dB + 2 sum_J (cE)(cE)^T.
 
-    Blowing down adds the symmetric E E^T, so S = V - V^T and the S^-1
-    that every leaf's Delta''(1) needs are the same at every node; on the
-    int matrix dV = c^2 V it adds the int (cE)(cE)^T.
+    Yields the 2^k ints in Gray-code order: the m-th is for the J whose
+    indicator bits are those of m ^ (m >> 1).  Step m flips vector
+    i = ctz(m), blowing it down (sigma = +1) or restoring it (sigma = -1).
     """
-    if not vectors:
-        return -_delta2_jet(d, dv, s_inv, h)
-    *rest, e = vectors
-    blown_down = [[x + ei * ej for x, ej in zip(row, e)] for row, ei in zip(dv, e)]
-    return _chi_triangle(d, blown_down, s_inv, rest, h) - _chi_triangle(d, dv, s_inv, rest, h)
+    n = len(dv)
+    db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
+    trace = _jet_trace(s_inv, db)
+    yield trace
+    ys = [[sum(map(mul, row, e)) for row in s_inv] for e in vectors]
+    outers = [[[2 * a * b for b in e] for a in e] for e in vectors]
+    for m in range(1, 1 << len(vectors)):
+        i = (m & -m).bit_length() - 1
+        y = ys[i]
+        if (m ^ (m >> 1)) >> i & 1:
+            trace -= 4 * _form(y, db, y)
+            db = [list(map(add, row, o)) for row, o in zip(db, outers[i])]
+        else:
+            trace += 4 * _form(y, db, y)
+            db = [list(map(sub, row, o)) for row, o in zip(db, outers[i])]
+        yield trace
 
 
 def chi_via_triangle(p, bundle=None):
-    """Euler characteristic via the exact-triangle recursion.
+    """Euler characteristic via the exact triangle, summed over its leaves.
 
-    Always blows down the last component with sign -1; the result is
-    independent of the order, which the test suite checks rather than
-    assumes.  Both branches are pure, so evaluation order cannot matter.
+    Leaf J, a subset of the k = n - 1 other components, contributes
+    (-1)^(k - |J|) * -Delta''_J(1), with
+    Delta''_J(1) = h (2g d^2 - t_J) / (4 d^2) for t_J from _leaf_traces;
+    the signs alternate along the Gray-code walk, the int numerators are
+    summed and divided once.  The result does not depend on the order of
+    the components, which the test suite checks rather than assumes.
     """
     bundle = _check(p, bundle)
     first, *others = p.components
     d, dv, vectors = _integral(first.seifert, [first.linking[c.name] for c in others])
-    value = _chi_triangle(d, dv, first.skew_form[0], vectors, p.base_order)
-    return _report(p, value, TRIANGLE, bundle)
+    scaled_2g = len(dv) * d * d
+    sign = (-1) ** len(vectors)
+    total = 0
+    for trace in _leaf_traces(dv, first.skew_form[0], vectors):
+        total += sign * (scaled_2g - trace)
+        sign = -sign
+    return _report(p, Fraction(-p.base_order * total, 4 * d * d), TRIANGLE, bundle)
 
 
 def taubes_chi(chain):

@@ -167,10 +167,14 @@ def _delta2_jet(d, dv, s_inv, h):
     """
     n = len(dv)
     db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
+    return Fraction(h * (n * d * d - _jet_trace(s_inv, db)), 4 * d * d)
+
+
+def _jet_trace(s_inv, db):
+    """The int tr((S^-1 dB)^2), O(g^3), for a symmetric int matrix dB."""
     # db is symmetric, so its rows are its columns
     a = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
-    trace = sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*a)))
-    return Fraction(h * (n * d * d - trace), 4 * d * d)
+    return sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*a)))
 
 
 def _delta2(seifert, s_inv, h):

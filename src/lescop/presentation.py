@@ -40,7 +40,8 @@ class InvalidSpecError(PresentationError, ValueError):
 
 
 def fraction_vector(values):
-    return tuple(Fraction(v) for v in values)
+    """The values as a tuple of Fractions; a Fraction, being immutable, is kept as is."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def fraction_matrix(rows):

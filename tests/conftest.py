@@ -84,6 +84,21 @@ def dense_knot_document(g, seed=24):
     return serialize(PresentationDocument(p))
 
 
+def split_link_document(components, genus, seed=24):
+    """Document text of a split link: a random genus-`genus` knot l1 and
+    components - 1 unknots, every linking vector zero.
+
+    The triangle route visits 2^(components - 1) leaves on it.  Run as
+    `python tests/conftest.py N G` it prints that document for N components.
+    """
+    names = [f"l{i + 1}" for i in range(components)]
+    first = Component("l1", random_seifert(seeded(seed), genus),
+                      {other: (0,) * (2 * genus) for other in names[1:]})
+    unknots = [Component(name, (), {other: () for other in names if other != name})
+               for name in names[1:]]
+    return serialize(PresentationDocument(SurgeryPresentation(1, (first, *unknots))))
+
+
 def seeded(seed=20240815):
     return random.Random(seed)
 
@@ -100,4 +115,5 @@ def corpus_dir(tmp_path_factory):
 if __name__ == "__main__":
     import sys
 
-    print(dense_knot_document(int(sys.argv[1])), end="")
+    sizes = [int(x) for x in sys.argv[1:]]
+    print(split_link_document(*sizes) if len(sizes) == 2 else dense_knot_document(*sizes), end="")

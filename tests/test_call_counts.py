@@ -136,12 +136,23 @@ def test_public_functions_share_one_validation(monkeypatch):
 
 
 def test_triangle_builds_no_presentations(monkeypatch):
+    """2^(n-1) leaves, of which only the first takes an O(g^3) trace."""
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)
-    leaves = Counter(monkeypatch, invariants._delta2_jet)
+    cubic = Counter(monkeypatch, invariants._jet_trace)
+    walk = floer._leaf_traces
+    leaves = 0
+
+    def counted(*args):
+        nonlocal leaves
+        for trace in walk(*args):
+            leaves += 1
+            yield trace
+
+    monkeypatch.setattr(floer, "_leaf_traces", counted)
     for name, doc in corpus().items():
         p = doc.presentation
-        before = leaves.calls
+        before = leaves, cubic.calls
         floer.chi_via_triangle(p)
-        assert leaves.calls - before == 2 ** (len(p.components) - 1), name
+        assert (leaves - before[0], cubic.calls - before[1]) == (2 ** (len(p.components) - 1), 1), name
     assert blow_down.calls == drop.calls == 0

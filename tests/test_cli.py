@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -14,7 +15,7 @@ from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import parse
 
-from conftest import dense_knot_document
+from conftest import dense_knot_document, split_link_document
 
 FLOAT_LITERAL = re.compile(r"\d\.\d|[eE][+-]\d")
 
@@ -366,3 +367,45 @@ class TestErrors:
         f.write_text('{"format_version": 1, "base_order": 1, "components": [], "x": 1}')
         code, _, err = invoke(capsys, "lescop", str(f))
         assert code == 2 and "unknown fields" in err
+
+
+class TestParser:
+    """The parser is built once per process; commands dispatch by name."""
+
+    def test_second_run_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        assert run(["lens", "--p", "3"]) == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["lens", "--p", "3"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_rebound_command_is_called(self, monkeypatch, capsys):
+        assert run(["lens", "--p", "3"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_lens", lambda args: 42 + args.p)
+        assert run(["lens", "--p", "3"]) == 45
+
+    @pytest.mark.parametrize("argv", [["chi"], ["nope"], ["--help"], ["lens", "--p", "x"]])
+    def test_usage_is_the_same_every_time(self, argv, capsys):
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            captured = capsys.readouterr()
+            outcomes.append((exc.value.code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] in (0, 2) and (outcomes[0][1] or outcomes[0][2])
+
+    def test_split_link_routes_agree(self, tmp_path, capsys):
+        f = tmp_path / "split.json"
+        f.write_text(split_link_document(6, 1))
+        code, out, _ = invoke(capsys, "chi", str(f))
+        assert code == 0 and out.splitlines() == [
+            "chi[closed_form] = 0", "chi[triangle] = 0", "ambiguity = unique", "routes agree"]

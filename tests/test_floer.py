@@ -19,11 +19,13 @@ from lescop.floer import (
     chi_via_triangle,
     lescop_to_chi,
     reduced_knot_chi,
+    _leaf_traces,
     taubes_chi,
 )
 from lescop.invariants import (
     SurgeryChain,
     WrongComponentCountError,
+    _integral,
     delta2,
     knot_alexander,
     lescop,
@@ -234,6 +236,39 @@ class TestTriangleOracle:
             elif n == 3:
                 values.append(milnor_mu_squared(p))
             assert all(type(x) is Fraction for x in values), (p, values)
+
+
+def direct_trace(dv, s_inv, vectors, subset):
+    """tr((S^-1 dB)^2) for dB the symmetrized dV + sum over the subset of (cE)(cE)^T, by O(g^3) products."""
+    n = len(dv)
+    w = [list(row) for row in dv]
+    for i in subset:
+        e = vectors[i]
+        w = [[w[r][c] + e[r] * e[c] for c in range(n)] for r in range(n)]
+    db = [[w[r][c] + w[c][r] for c in range(n)] for r in range(n)]
+    a = [[sum(s_inv[r][k] * db[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+    return sum(a[r][k] * a[k][r] for r in range(n) for k in range(n))
+
+
+class TestLeafWalk:
+    def test_every_leaf_trace_is_the_direct_trace(self):
+        """The Gray-code walk yields 2^k traces, the m-th for the subset
+        given by the bits of m ^ (m >> 1), each equal to its O(g^3) trace."""
+        rng = seeded(48)
+        nontrivial = 0
+        for _ in range(300):
+            p = fractional_presentation(rng)
+            first, *others = p.components
+            _, dv, vectors = _integral(first.seifert, [first.linking[c.name] for c in others])
+            s_inv = first.skew_form[0]
+            traces = list(_leaf_traces(dv, s_inv, vectors))
+            assert len(traces) == 2 ** len(vectors), p
+            for m, trace in enumerate(traces):
+                gray = m ^ (m >> 1)
+                subset = [i for i in range(len(vectors)) if gray >> i & 1]
+                assert trace == direct_trace(dv, s_inv, vectors, subset), (p, subset)
+            nontrivial += len(vectors) >= 2 and len(dv) > 0 and len(set(traces)) > 1
+        assert nontrivial >= 50
 
 
 class TestTaubes:
