@@ -23,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import documents, floer, invariants, lens, presentation, ring
@@ -45,12 +44,8 @@ def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _rat_str(x):
-    return str(Fraction(x))
-
-
 def _poly_json(p):
-    return {ring.exponent_str(k): str(Fraction(c)) for k, c in p.terms.items()}
+    return {ring.exponent_str(k): str(c) for k, c in p.terms.items()}
 
 
 def _emit(args, human_lines, payload):
@@ -61,12 +56,15 @@ def _emit(args, human_lines, payload):
             print(line)
 
 
-def _load_document(path):
+def _read(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
-    return documents.parse(text)
+
+
+def _load_document(path):
+    return documents.parse(_read(path))
 
 
 def _resolve_mode(doc):
@@ -106,7 +104,7 @@ def cmd_alexander(args):
             "component": comp,
             "alexander": _poly_json(poly),
             "display": str(poly),
-            "delta2_at_1": _rat_str(d2),
+            "delta2_at_1": str(d2),
         },
     )
     return EXIT_OK
@@ -134,7 +132,7 @@ def cmd_lescop(args):
             f"route = {route}",
         ],
         {
-            "lescop": _rat_str(value),
+            "lescop": str(value),
             "b1": n,
             "torsion_order": p.base_order,
             "route": route,
@@ -150,10 +148,10 @@ def cmd_sato_levine(args):
     both = invariants.sato_levine_modes(p)
     value = both[mode]
     disagree = len(set(both.values())) > 1
-    payload = {"sato_levine": _rat_str(value), "mode": mode, "mode_mismatch": disagree}
+    payload = {"sato_levine": str(value), "mode": mode, "mode_mismatch": disagree}
     lines = [f"sato_levine = {value}", f"mode = {mode}"]
     if disagree:
-        payload["modes"] = {m: _rat_str(v) for m, v in both.items()}
+        payload["modes"] = {m: str(v) for m, v in both.items()}
         print(
             "warning: normalization modes disagree: "
             + ", ".join(f"{m}={v}" for m, v in both.items()),
@@ -171,7 +169,7 @@ def cmd_mu2(args):
     _emit(
         args,
         [f"mu_squared = {value}", f"mode = {mode}"],
-        {"mu_squared": _rat_str(value), "mode": mode},
+        {"mu_squared": str(value), "mode": mode},
     )
     return EXIT_OK
 
@@ -207,17 +205,13 @@ def cmd_chi(args):
 
 
 def cmd_casson(args):
-    try:
-        text = Path(args.chainfile).read_text(encoding="utf-8")
-    except OSError as e:
-        raise CliInputError(f"cannot read {args.chainfile}: {e}") from None
-    chain = documents.parse_chain(text)
+    chain = documents.parse_chain(_read(args.chainfile))
     value = invariants.casson(chain)
     chi = 2 * value  # floer.taubes_chi, without computing the ledger again
     _emit(
         args,
         [f"casson = {value}", f"taubes_chi = {chi}"],
-        {"casson": _rat_str(value), "taubes_chi": _rat_str(chi)},
+        {"casson": str(value), "taubes_chi": str(chi)},
     )
     return EXIT_OK
 
@@ -430,13 +424,10 @@ def run(argv):
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)
-    except documents.DocumentError as e:
-        _err(str(e))
-        return EXIT_INPUT
-    except (CliInputError, lens.InvalidPError) as e:
-        _err(str(e))
-        return EXIT_INPUT
     except (
+        documents.DocumentError,
+        CliInputError,
+        lens.InvalidPError,
         presentation.UnknownComponentError,
         invariants.WrongComponentCountError,
         floer.InadmissibleBundleError,

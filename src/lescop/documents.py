@@ -52,7 +52,7 @@ class DocumentValueError(DocumentError, ValueError):
     """A rational string is malformed, e.g. "1/0" or "0.5"."""
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_rational(s, where="value"):
@@ -60,10 +60,12 @@ def parse_rational(s, where="value"):
         raise DocumentSchemaError(
             f"{where}: rationals must be strings like \"a\" or \"a/b\", got {s!r}"
         )
-    if not _RATIONAL_RE.fullmatch(s):
+    match = _RATIONAL_RE.fullmatch(s)
+    if not match:
         raise DocumentValueError(f"{where}: malformed rational {s!r}")
+    num, den = match.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise DocumentValueError(f"{where}: zero denominator in {s!r}") from None
     except ValueError:  # more digits than int() converts

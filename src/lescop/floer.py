@@ -22,10 +22,12 @@ the k other components, with
 
 where Delta''_J(1) is the jet of the first component after blowing down
 the components in J.  The route carries only what the leaves read, the
-first component's Seifert matrix and its linking vectors E, scaled to the
-ints dV and cE: blowing down adds (cE)(cE)^T to dV, dropping changes
-nothing, and neither changes S = V - V^T, so every leaf reads the one
-S^-1 that validation computed.  The leaves are visited in Gray-code
+first component's Seifert matrix and its linking vectors E, as the ints
+dV and cE of the integral form that the component keeps (see
+presentation.integral_form, the one place that scales rational data):
+blowing down adds (cE)(cE)^T to dV, dropping changes nothing, and
+neither changes S = V - V^T, so every leaf reads the one S^-1 that
+validation computed.  The leaves are visited in Gray-code
 order: consecutive leaves differ by one vector, blown down (sigma = +1)
 or restored (sigma = -1), and the sign alternates.  That step adds
 2 sigma (cE)(cE)^T to dB = dV + dV^T, and since S^-1 is skew,
@@ -64,7 +66,6 @@ from operator import add, mul, sub
 from .invariants import (
     WrongComponentCountError,
     _form,
-    _integral,
     _jet_trace,
     _require_valid,
     casson,
@@ -225,7 +226,8 @@ def chi_via_triangle(p, bundle=None):
     """
     bundle = _check(p, bundle)
     first, *others = p.components
-    d, dv, vectors = _integral(first.seifert, [first.linking[c.name] for c in others])
+    d, dv, ce = first.integral_form
+    vectors = [ce[c.name] for c in others]
     scaled_2g = len(dv) * d * d
     sign = (-1) ** len(vectors)
     total = 0

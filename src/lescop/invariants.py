@@ -23,12 +23,15 @@ with x = S^-1 E the jump of Delta''(1) is 2 h x^T V x: the Sato-Levine
 number is s = x^T V x, and a third component linked by E3 gives
 mu = E3^T x.
 
-All of this runs on ints.  S^-1 comes from presentation.skew_form, one
-integer Gauss-Jordan per component that validation already ran and each
-Component keeps.  _integral scales V and the linking vectors by their
-common denominator c, to dV = c^2 V and cE, so d (V + E E^T) =
-dV + (cE)(cE)^T stays integral under blow-down; the jet, s and mu are
-int products and bilinear forms, divided by a power of d once at the end.
+All of this runs on ints.  Each Component keeps its integral form from
+presentation.integral_form, the one place that scales rational data: V
+and the linking vectors become dV = c^2 V and cE for their common
+denominator c, so d (V + E E^T) = dV + (cE)(cE)^T stays integral under
+blow-down.  S^-1 comes from presentation.skew_form on that form, one
+integer Gauss-Jordan per component that validation already ran and the
+Component keeps.  The jet, s and mu are int products and bilinear forms,
+divided by a power of d once at the end; casson scales each chain step
+once, and knot_alexander each bare matrix it is given.
 
 Every public function checks its presentation by reading
 p.violations, which validate fills on first use and the presentation
@@ -40,12 +43,11 @@ E E^T to a Seifert matrix V leaves V - V^T unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .presentation import InvalidSpecError, fraction_matrix, skew_form
+from .presentation import InvalidSpecError, fraction_matrix, integral_form, skew_form
 from .ring import HalfLaurent, determinant
 
 
@@ -108,27 +110,12 @@ def _require_exactly(p, count, name):
         )
 
 
-def _integral(seifert, vectors=()):
-    """(d, dV, [cE, ...]) in ints, for c the common denominator of V and the E.
-
-    d = c^2, so that d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays
-    integral.
-    """
-    c = math.lcm(*(x.denominator for row in seifert for x in row),
-                 *(x.denominator for e in vectors for x in e))
-    d = c * c
-    return (
-        d,
-        [[x.numerator * (d // x.denominator) for x in row] for row in seifert],
-        [[x.numerator * (c // x.denominator) for x in e] for e in vectors],
-    )
-
-
 def knot_alexander(seifert, base_order=1):
     """h * det(t^(1/2) V - t^(-1/2) V^T) for a bare Seifert matrix.
 
     Any square matrix is accepted, of odd size, singular or fractional.
-    With dV the int matrix of _integral and n the size of V,
+    With (d, dV) the int form of V from presentation.integral_form and n
+    the size of V,
     P(t) = det(t dV - dV^T) = d^n t^(n/2) det(t^(1/2) V - t^(-1/2) V^T)
     is an integer polynomial of degree <= n.  It is evaluated by integer
     determinants at the n + 1 consecutive integers around 0 and
@@ -139,9 +126,8 @@ def knot_alexander(seifert, base_order=1):
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
     """
-    seifert = fraction_matrix(seifert)
-    n = len(seifert)
-    d, dv, _ = _integral(seifert)
+    d, dv, _ = integral_form(fraction_matrix(seifert))
+    n = len(dv)
     nodes = range(-(n // 2), n - n // 2 + 1)
     coeffs = [
         determinant([[t * dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)])
@@ -177,11 +163,6 @@ def _jet_trace(s_inv, db):
     return sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*a)))
 
 
-def _delta2(seifert, s_inv, h):
-    d, dv, _ = _integral(seifert)
-    return _delta2_jet(d, dv, s_inv, h)
-
-
 def _form(u, m, v):
     """The int bilinear form u^T M v."""
     return sum(map(mul, u, (sum(map(mul, row, v)) for row in m)))
@@ -205,7 +186,8 @@ def delta2(p, comp):
     """
     _require_valid(p)
     c = p.component(comp)
-    return _delta2(c.seifert, c.skew_form[0], p.base_order)
+    d, dv, _ = c.integral_form
+    return _delta2_jet(d, dv, c.skew_form[0], p.base_order)
 
 
 def casson(chain):
@@ -233,15 +215,16 @@ def casson(chain):
     for i, (v, sign) in enumerate(chain.steps):
         if sign not in (-1, 1):
             raise InvalidSpecError(f"step {i}: surgery sign must be +1 or -1, got {sign}")
-        s_inv, msg = skew_form(v)
+        d, dv, _ = integral_form(v)
+        s_inv, msg = skew_form(d, dv)
         if msg is not None:
             raise InvalidSpecError(f"step {i}: {msg}")
-        if any(x.denominator != 1 for row in v for x in row):
+        if d != 1:
             raise InvalidSpecError(
                 f"step {i}: non-integer entries require base_order > 1, "
                 "and a chain starts from S^3"
             )
-        total += sign * _delta2(v, s_inv, 1) / 2
+        total += sign * _delta2_jet(d, dv, s_inv, 1) / 2
     return total
 
 
@@ -269,8 +252,8 @@ def sato_levine_modes(p):
     """mode -> sato_levine(p, mode) for every mode, from one computation of s."""
     _require_exactly(p, 2, "sato_levine")
     c1, c2 = p.components
-    d, dv, (ce,) = _integral(c1.seifert, [c1.linking[c2.name]])
-    x = [sum(map(mul, row, ce)) for row in c1.skew_form[0]]  # c S^-1 E
+    d, dv, ce = c1.integral_form
+    x = [sum(map(mul, row, ce[c2.name])) for row in c1.skew_form[0]]  # c S^-1 E
     return _normalized(Fraction(_form(x, dv, x), d * d), p.base_order)
 
 
@@ -288,8 +271,8 @@ def milnor_mu_squared(p, mode=DERIVED):
     _check_mode(mode)
     _require_exactly(p, 3, "milnor_mu_squared")
     c1, c2, c3 = p.components
-    d, _, (ce2, ce3) = _integral(c1.seifert, [c1.linking[c2.name], c1.linking[c3.name]])
-    mu = Fraction(_form(ce3, c1.skew_form[0], ce2), d)
+    d, _, ce = c1.integral_form
+    mu = Fraction(_form(ce[c3.name], c1.skew_form[0], ce[c2.name]), d)
     return _normalized(mu * mu, p.base_order)[mode]
 
 

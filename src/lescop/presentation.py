@@ -9,16 +9,22 @@ since every formula downstream assumes the splitting.
 
 All types are immutable values and all operations are pure functions;
 a Component's linking vectors sit behind a read-only mapping, so nothing
-can change a value after it is built.  skew_form checks the Seifert-form
-invariant and yields S^-1 for S = V - V^T from the same integer
-elimination; a Component computes it on first use and keeps it.  Likewise
-a SurgeryPresentation runs validate on first reading its violations and
-keeps the result, so every invariant downstream can check its input at
-no further cost and shares one elimination per component.
+can change a value after it is built.  Seifert and linking entries are
+rational, and integral_form is the one function that turns them into
+ints: it scales V and the linking vectors E by their common denominator
+c to dV = c^2 V and cE, and every formula of the package runs on those.
+skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
+for S = V - V^T from the same integer elimination.  A Component computes
+its integral form and its skew form on first use and keeps both.
+Likewise a SurgeryPresentation runs validate on first reading its
+violations and keeps the result, so every invariant downstream can check
+its input at no further cost and shares one scaling and one elimination
+per component.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,25 +57,48 @@ def fraction_matrix(rows):
     return rows
 
 
-def skew_form(seifert):
-    """S^-1 for S = V - V^T, or why the Seifert form is invalid.
+def integral_form(seifert, linking=MappingProxyType({})):
+    """(d, dV, {name: cE}) in ints, for c the common denominator of the
+    entries of V and of the linking vectors E, and d = c^2.
 
-    Returns (S^-1, None) or (None, message).  The matrix must be square of
-    even size, S must be integer valued, and det S must equal 1 (it is
-    the intersection form of the surface in a symplectic basis).  S is
-    skew, so det S = Pf(S)^2 >= 0, and one integer Gauss-Jordan
+    This is the one place where rational Seifert and linking data become
+    ints; every formula downstream runs on its result.  d = c^2 so that
+    d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays integral.
+
+    >>> half, third = Fraction(1, 2), Fraction(1, 3)
+    >>> integral_form(fraction_matrix([[half, 1], [0, half]]), {"k": (third, 0)})
+    (36, ((18, 36), (0, 18)), mappingproxy({'k': (2, 0)}))
+    """
+    c = math.lcm(*(x.denominator for row in seifert for x in row),
+                 *(x.denominator for e in linking.values() for x in e))
+    d = c * c
+    return (
+        d,
+        tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in seifert),
+        MappingProxyType(
+            {k: tuple(x.numerator * (c // x.denominator) for x in e) for k, e in linking.items()}
+        ),
+    )
+
+
+def skew_form(d, dv):
+    """S^-1 for S = V - V^T, or why the Seifert form is invalid, from the
+    int form (d, dV) of V that integral_form gives.
+
+    Returns (S^-1, None) or (None, message).  V must be of even size, S
+    must be integer valued (d divides dV - dV^T), and det S must equal 1
+    (it is the intersection form of the surface in a symplectic basis).
+    S is skew, so det S = Pf(S)^2 >= 0, and one integer Gauss-Jordan
     (ring.inverse) succeeds exactly when det S = 1; only when it fails is
     det S computed, for the message.  S^-1 is returned as int rows.
     """
-    n = len(seifert)
-    if any(len(r) != n for r in seifert):
-        return None, "seifert matrix is not square"
+    n = len(dv)
     if n % 2 != 0:
         return None, f"seifert matrix has odd size {n}"
-    skew = [[seifert[i][j] - seifert[j][i] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for r in skew for x in r):
+    skew = [[dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)]
+    if any(x % d for r in skew for x in r):
         return None, "V - V^T has non-integer entries"
-    skew = [[x.numerator for x in r] for r in skew]
+    skew = [[x // d for x in r] for r in skew]
     try:
         return tuple(map(tuple, inverse(skew))), None
     except ArithmeticError:
@@ -99,9 +128,15 @@ class Component:
         return len(self.seifert)
 
     @cached_property
+    def integral_form(self):
+        """integral_form(self.seifert, self.linking), computed on first use and then kept."""
+        return integral_form(self.seifert, self.linking)
+
+    @cached_property
     def skew_form(self):
-        """skew_form(self.seifert), computed on first use and then kept."""
-        return skew_form(self.seifert)
+        """skew_form of the component's integral form, computed on first use and then kept."""
+        d, dv, _ = self.integral_form
+        return skew_form(d, dv)
 
 
 @dataclass(frozen=True)
@@ -165,7 +200,8 @@ class RibbonPairSpec:
                 f"a has length {len(self.a)}, expected {len(self.w)}"
             )
         if self.w:
-            msg = skew_form(self.w)[1]
+            d, dw, _ = integral_form(self.w)
+            msg = skew_form(d, dw)[1]
             if msg is not None:
                 raise InvalidSpecError(f"w: {msg}")
 
@@ -202,13 +238,8 @@ def validate(p):
                     f"component {c.name!r}: linking vector against {other!r} "
                     f"has length {len(vec)}, expected {c.size}"
                 )
-        if p.base_order == 1:
-            entries = [x for r in c.seifert for x in r]
-            entries += [x for v in c.linking.values() for x in v]
-            if any(x.denominator != 1 for x in entries):
-                out.append(
-                    f"component {c.name!r}: non-integer entries require base_order > 1"
-                )
+        if p.base_order == 1 and c.integral_form[0] != 1:
+            out.append(f"component {c.name!r}: non-integer entries require base_order > 1")
     return out
 
 
@@ -235,31 +266,27 @@ def blow_down(p, target, sign=-1):
     """
     if sign not in (-1, 1):
         raise InvalidSpecError(f"surgery sign must be +1 or -1, got {sign}")
-    p.component(target)  # raises UnknownComponentError
-    new = [
-        Component(
-            name=c.name,
-            seifert=rank_one_update(c.seifert, c.linking.get(target, ()), sign),
-            linking={k: vec for k, vec in c.linking.items() if k != target},
-        )
-        for c in p.components
-        if c.name != target
-    ]
-    return SurgeryPresentation(base_order=p.base_order, components=tuple(new))
+    return _remove(p, target, sign)
 
 
 def drop_component(p, target):
     """Forget a 0-framed component without performing surgery on it."""
-    p.component(target)
-    new = [
-        Component(
-            name=c.name,
-            seifert=c.seifert,
-            linking={k: v for k, v in c.linking.items() if k != target},
-        )
-        for c in p.components
-        if c.name != target
-    ]
+    return _remove(p, target, 0)
+
+
+def _remove(p, target, sign):
+    """p without the target, each remaining V updated by (sign)-surgery on
+    it, or left unchanged when sign is 0."""
+    p.component(target)  # raises UnknownComponentError
+    new = []
+    for c in p.components:
+        if c.name == target:
+            continue
+        seifert = c.seifert
+        if sign:
+            seifert = rank_one_update(seifert, c.linking.get(target, ()), sign)
+        linking = {k: vec for k, vec in c.linking.items() if k != target}
+        new.append(Component(name=c.name, seifert=seifert, linking=linking))
     return SurgeryPresentation(base_order=p.base_order, components=tuple(new))
 
 
@@ -324,7 +351,8 @@ def connected_sum_knot(p, comp, v):
     """
     v = fraction_matrix(v)
     if v:
-        msg = skew_form(v)[1]
+        d, dv, _ = integral_form(v)
+        msg = skew_form(d, dv)[1]
         if msg is not None:
             raise InvalidSpecError(f"summand matrix: {msg}")
     c = p.component(comp)

@@ -75,6 +75,33 @@ def random_ribbon_spec(rng, s=None, gmax=3, bound=3, h=1):
     )
 
 
+def fractional_presentation(rng):
+    """1-5 components, the first of genus 0-2.  With h > 1 the first Seifert
+    matrix sometimes gains a fractional symmetric part, and the linking
+    vectors carry denominators 2, 3 and 7, so V may be integral while the
+    E are not."""
+    h = rng.choice((1, 2, 3, 4))
+    names = [f"l{i + 1}" for i in range(rng.randint(1, 5))]
+    denominators = (1, 2, 3, 7) if h > 1 else (1,)
+    comps = []
+    for k, name in enumerate(names):
+        g = rng.randint(0, 2) if k == 0 else rng.randint(0, 1)
+        v = [list(row) for row in random_seifert(rng, g, bound=2)]
+        if k == 0 and h > 1 and rng.random() < 0.5:
+            for i in range(2 * g):
+                for j in range(i, 2 * g):
+                    x = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 7)))
+                    v[i][j] += x
+                    if j != i:
+                        v[j][i] += x
+        linking = {
+            other: tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
+            for other in names if other != name
+        }
+        comps.append(Component(name, v, linking))
+    return SurgeryPresentation(h, tuple(comps))
+
+
 def dense_knot_document(g, seed=24):
     """Document text of one 0-framed knot with a random genus-g Seifert matrix.
 

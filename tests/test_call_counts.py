@@ -78,6 +78,26 @@ def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch, capsys):
+    """Rational Seifert and linking data become ints in
+    presentation.integral_form alone: once per component, which keeps the
+    result, once per chain step, and once per bare matrix whose Alexander
+    polynomial is interpolated."""
+    scale = Counter(monkeypatch, presentation.integral_form)
+    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
+    for argv in (["chi", str(corpus_dir / "km-trefoil.json")], ["casson", str(chain)]):
+        before = scale.calls
+        assert run(argv) == 0, argv
+        assert scale.calls - before == 3, argv
+    files = sorted(str(f) for f in corpus_dir.glob("*.json"))
+    before = scale.calls
+    assert run(["verify", *files]) == 0
+    capsys.readouterr()
+    assert scale.calls - before == 40 + alexander.calls == 89
+
+
 def test_chi_validates_once(corpus_dir, monkeypatch, capsys):
     validate = Counter(monkeypatch, presentation.validate)
     assert run(["chi", str(corpus_dir / "km-trefoil.json")]) == 0

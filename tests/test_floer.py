@@ -25,7 +25,6 @@ from lescop.floer import (
 from lescop.invariants import (
     SurgeryChain,
     WrongComponentCountError,
-    _integral,
     delta2,
     knot_alexander,
     lescop,
@@ -43,7 +42,13 @@ from lescop.presentation import (
     rank_one_update,
 )
 
-from conftest import random_presentation, random_ribbon_spec, random_seifert, seeded
+from conftest import (
+    fractional_presentation,
+    random_presentation,
+    random_ribbon_spec,
+    random_seifert,
+    seeded,
+)
 
 
 def knot_surgery(v, h=1):
@@ -168,33 +173,6 @@ class TestTriangle:
         assert chi_closed_form(p).chi == chi_via_triangle(p).chi == -6
 
 
-def fractional_presentation(rng):
-    """1-5 components, the first of genus 0-2.  With h > 1 the first Seifert
-    matrix sometimes gains a fractional symmetric part, and the linking
-    vectors carry denominators 2, 3 and 7, so V may be integral while the
-    E are not."""
-    h = rng.choice((1, 2, 3, 4))
-    names = [f"l{i + 1}" for i in range(rng.randint(1, 5))]
-    denominators = (1, 2, 3, 7) if h > 1 else (1,)
-    comps = []
-    for k, name in enumerate(names):
-        g = rng.randint(0, 2) if k == 0 else rng.randint(0, 1)
-        v = [list(row) for row in random_seifert(rng, g, bound=2)]
-        if k == 0 and h > 1 and rng.random() < 0.5:
-            for i in range(2 * g):
-                for j in range(i, 2 * g):
-                    x = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 7)))
-                    v[i][j] += x
-                    if j != i:
-                        v[j][i] += x
-        linking = {
-            other: tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
-            for other in names if other != name
-        }
-        comps.append(Component(name, v, linking))
-    return SurgeryPresentation(h, tuple(comps))
-
-
 def polynomial_triangle(p):
     """chi as the signed sum over the blown-down subsets J of the other
     components of -Delta''_J(1), each read off the interpolated Alexander
@@ -259,7 +237,8 @@ class TestLeafWalk:
         for _ in range(300):
             p = fractional_presentation(rng)
             first, *others = p.components
-            _, dv, vectors = _integral(first.seifert, [first.linking[c.name] for c in others])
+            _, dv, ce = first.integral_form
+            vectors = [ce[c.name] for c in others]
             s_inv = first.skew_form[0]
             traces = list(_leaf_traces(dv, s_inv, vectors))
             assert len(traces) == 2 ** len(vectors), p
