@@ -251,7 +251,7 @@ def _verify_checks(doc):
         return
     yield "validate", "pass", f"{n} components, base order {h}"
 
-    polys = [invariants.knot_alexander(c.seifert, h) for c in p.components]
+    polys = [invariants.alexander(p, c.name) for c in p.components]
     for c, poly in zip(p.components, polys):
         sym = poly.involution() == poly
         yield (

@@ -55,21 +55,40 @@ class DocumentValueError(DocumentError, ValueError):
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def parse_rational(s, where="value"):
+def _rational(s):
+    """The Fraction a string "a" or "a/b" denotes; errors name no location."""
     if not isinstance(s, str):
-        raise DocumentSchemaError(
-            f"{where}: rationals must be strings like \"a\" or \"a/b\", got {s!r}"
-        )
+        raise DocumentSchemaError(f"rationals must be strings like \"a\" or \"a/b\", got {s!r}")
     match = _RATIONAL_RE.fullmatch(s)
     if not match:
-        raise DocumentValueError(f"{where}: malformed rational {s!r}")
+        raise DocumentValueError(f"malformed rational {s!r}")
     num, den = match.groups()
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
-        raise DocumentValueError(f"{where}: zero denominator in {s!r}") from None
+        raise DocumentValueError(f"zero denominator in {s!r}") from None
     except ValueError:  # more digits than int() converts
-        raise DocumentValueError(f"{where}: rational of {len(s)} characters is too long") from None
+        raise DocumentValueError(f"rational of {len(s)} characters is too long") from None
+
+
+def parse_rational(s, where="value"):
+    try:
+        return _rational(s)
+    except DocumentError as e:
+        raise type(e)(f"{where}: {e}") from None
+
+
+def _parse_rationals(values, where):
+    """The rationals of a list of strings.  where(k) names entry k in an
+    error; it is called only when that entry fails, so valid input builds
+    no location text."""
+    out = []
+    for k, x in enumerate(values):
+        try:
+            out.append(_rational(x))
+        except DocumentError as e:
+            raise type(e)(f"{where(k)}: {e}") from None
+    return tuple(out)
 
 
 class _LongInteger:
@@ -143,9 +162,7 @@ def _parse_seifert(seifert, where, owner):
     for r, row in enumerate(seifert):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentSchemaError(f"{where}: {owner} matrix is not square")
-        rows.append(
-            tuple(parse_rational(x, f"{where}[{r}][{c}]") for c, x in enumerate(row))
-        )
+        rows.append(_parse_rationals(row, lambda c: f"{where}[{r}][{c}]"))
     return tuple(rows)
 
 
@@ -163,10 +180,7 @@ def _parse_component(obj, i):
     for other, vec in linking_obj.items():
         if not isinstance(vec, list):
             raise DocumentSchemaError(f"{where}.linking[{other!r}]: expected a list")
-        linking[other] = tuple(
-            parse_rational(x, f"{where}.linking[{other!r}][{k}]")
-            for k, x in enumerate(vec)
-        )
+        linking[other] = _parse_rationals(vec, lambda k: f"{where}.linking[{other!r}][{k}]")
     return Component(name=name, seifert=rows, linking=linking)
 
 

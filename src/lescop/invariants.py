@@ -6,9 +6,10 @@ sphere of order h is
     h * det(t^(1/2) V - t^(-1/2) V^T)
 
 for a Seifert matrix V; it is symmetric under t -> t^(-1) and evaluates to
-h at t = 1.  knot_alexander computes it from n + 1 integer determinants,
-its values at the integers t = -floor(n/2) .. ceil(n/2) for a Seifert
-matrix of size n, by exact interpolation; no elimination runs over the
+h at t = 1.  For a Seifert matrix of size n, knot_alexander and
+alexander compute it from floor(n/2) + 1 integer determinants by exact
+interpolation: transposing shows that the other half of its coefficients
+repeat the first, up to the sign (-1)^n.  No elimination runs over the
 half-Laurent ring.  The other invariants need only its second derivative
 at 1 and how that jumps under blow-down, and read them off the jet of the
 determinant at t = 1 instead.  With S = V - V^T (integral, det S = 1, so
@@ -30,8 +31,9 @@ denominator c, so d (V + E E^T) = dV + (cE)(cE)^T stays integral under
 blow-down.  S^-1 comes from presentation.skew_form on that form, one
 integer Gauss-Jordan per component that validation already ran and the
 Component keeps.  The jet, s and mu are int products and bilinear forms,
-divided by a power of d once at the end; casson scales each chain step
-once, and knot_alexander each bare matrix it is given.
+divided by a power of d once at the end; alexander interpolates from
+the kept form, casson scales each chain step once, and knot_alexander
+each bare matrix it is given.
 
 Every public function checks its presentation by reading
 p.violations, which validate fills on first use and the presentation
@@ -45,10 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .presentation import InvalidSpecError, fraction_matrix, integral_form, skew_form
-from .ring import HalfLaurent, determinant
+from .ring import HalfLaurent, determinant, scaled_inverse
 
 
 class InvariantError(Exception):
@@ -117,32 +120,57 @@ def knot_alexander(seifert, base_order=1):
     With (d, dV) the int form of V from presentation.integral_form and n
     the size of V,
     P(t) = det(t dV - dV^T) = d^n t^(n/2) det(t^(1/2) V - t^(-1/2) V^T)
-    is an integer polynomial of degree <= n.  It is evaluated by integer
-    determinants at the n + 1 consecutive integers around 0 and
-    interpolated in Newton form: at consecutive integer nodes the divided
-    differences of an integer polynomial are integers, so each division
-    is exact.  The coefficient of t^i becomes the term t^((2i - n)/2).
+    is an integer polynomial of degree <= n, and
+    t^n P(1/t) = det(dV - t dV^T) = det((dV - t dV^T)^T) = (-1)^n P(t),
+    so its coefficients satisfy c_(n-i) = (-1)^n c_i.  The floor(n/2) + 1
+    free ones are solved exactly from integer determinants at as many
+    integer nodes, and the coefficient of t^i becomes the term
+    t^((2i - n)/2).  alexander runs the same interpolation on a
+    component's kept int form.
 
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
     """
     d, dv, _ = integral_form(fraction_matrix(seifert))
+    return _alexander(d, dv, base_order)
+
+
+@lru_cache(maxsize=64)
+def _symmetric_solve(n):
+    """(nodes, D, R) that recover c_0 .. c_m, m = n // 2, of a degree-n
+    polynomial with c_(n-i) = (-1)^n c_i from its values at the nodes.
+
+    Such a polynomial is sum c_i b_i with b_i = t^i + (-1)^n t^(n-i) for
+    i < n/2 and b_(n/2) = t^(n/2).  R = D A^-1 for A[j][i] = b_i(x_j) and
+    D = +-det A, from ring.scaled_inverse; so c = R v / D for the values
+    v, exactly, since c is integral.  The nodes 0, -1, 2, -2, 3, ... make
+    A invertible: x = 0 gives c_0, and x + 1/x is distinct on the others.
+    t = 1 is avoided, where every b_i vanishes when n is odd.
+    """
+    m = n // 2
+    nodes = (0, -1, *(s * k for k in range(2, m + 2) for s in (1, -1)))[: m + 1]
+    sign = (-1) ** n
+    a = [[x**i + sign * x**(n - i) if 2 * i < n else x**i for i in range(m + 1)]
+         for x in nodes]
+    d, r = scaled_inverse(a)
+    return nodes, d, tuple(map(tuple, r))
+
+
+def _alexander(d, dv, h):
+    """h * det(t^(1/2) V - t^(-1/2) V^T) from the int form (d, dV) of V,
+    by the interpolation knot_alexander describes."""
     n = len(dv)
-    nodes = range(-(n // 2), n - n // 2 + 1)
-    coeffs = [
-        determinant([[t * dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)])
-        for t in nodes
+    nodes, det_a, solve = _symmetric_solve(n)
+    dvt = tuple(zip(*dv))
+    values = [
+        determinant([[x * a - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)])
+        for x in nodes
     ]
-    for k in range(1, n + 1):  # coeffs[i] becomes the divided difference on nodes i-k..i
-        for i in range(n, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
-    # Horner on P = c0 + (t - x0)(c1 + (t - x1)(c2 + ...)), coefficients low degree first
-    poly = [coeffs[n]]
-    for c, x in zip(reversed(coeffs[:n]), reversed(nodes[:n])):
-        poly = [a - x * b for a, b in zip([0, *poly], [*poly, 0])]
-        poly[0] += c
+    half = [sum(map(mul, row, values)) // det_a for row in solve]  # exact: the c_i are ints
+    sign = (-1) ** n
+    coeffs = half + [sign * c for c in reversed(half[: n - n // 2])]  # c_(n-i) = (-1)^n c_i
     scale = d**n
-    return HalfLaurent({2 * i - n: Fraction(c * base_order, scale) for i, c in enumerate(poly)})
+    return HalfLaurent({2 * i - n: Fraction(c * h, scale) for i, c in enumerate(coeffs)})
 
 
 def _delta2_jet(d, dv, s_inv, h):
@@ -175,7 +203,8 @@ def alexander(p, comp):
     the other components are 0-framed and do not affect it.
     """
     _require_valid(p)
-    return knot_alexander(p.component(comp).seifert, p.base_order)
+    d, dv, _ = p.component(comp).integral_form
+    return _alexander(d, dv, p.base_order)
 
 
 def delta2(p, comp):

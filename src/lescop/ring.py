@@ -6,15 +6,19 @@ stored by their numerator over the fixed denominator 2, and no floating
 point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
 
-``determinant`` and ``inverse`` share the package's one exact
-elimination, a fraction-free Bareiss step over int rows.  ``inverse``
-gives the integer ``S^-1 = (V - V^T)^-1`` of the jet formulas, and its
-success is the skew-form check ``det S = 1`` (``presentation.skew_form``).
-``determinant`` gives the n + 1 integer values from which
-``invariants.knot_alexander`` interpolates the symmetrized Seifert
-determinant ``det(t^(1/2) V - t^(-1/2) V^T)``, and ``det S`` for the
-message when that check fails; no elimination runs over the ring
-itself.
+``determinant``, ``scaled_inverse`` and ``inverse`` share the package's
+one exact elimination, a fraction-free Bareiss step over int rows.
+``inverse`` gives the integer ``S^-1 = (V - V^T)^-1`` of the jet
+formulas, and its success is the skew-form check ``det S = 1``
+(``presentation.skew_form``).  ``determinant`` gives the floor(n/2) + 1
+integer values from which ``invariants.knot_alexander`` interpolates the
+symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a
+size-n matrix; the other half of its coefficients repeat these up to the
+sign (-1)^n, since transposing gives ``t^n P(1/t) = (-1)^n P(t)`` for
+``P(t) = det(t V - V^T)``.  ``scaled_inverse`` gives the exact solve of
+that interpolation, once per size, and ``determinant`` also ``det S``
+for the message when the skew-form check fails.  No elimination runs
+over the ring itself.
 
 >>> print(Z * Z)
 t - 2 + t^-1
@@ -181,11 +185,8 @@ class HalfLaurent:
         return HalfLaurent(out)
 
     def second_derivative_at_one(self):
-        """Sum of c * (k/2) * (k/2 - 1) over all terms."""
-        total = Fraction(0)
-        for k, c in self._terms.items():
-            total += c * Fraction(k, 2) * Fraction(k - 2, 2)
-        return total
+        """Sum of c * (k/2) * (k/2 - 1) over all terms, as one sum of c * k (k - 2) over 4."""
+        return Fraction(sum(c * (k * (k - 2)) for k, c in self._terms.items()), 4)
 
     def involution(self):
         """The substitution t -> t^(-1), negating every exponent."""
@@ -348,7 +349,7 @@ def determinant(rows):
 
     rows is a sequence of equal-length rows of int entries; any other
     entry, a Fraction or a HalfLaurent included, raises TypeError.  With
-    inverse, this is the only elimination in the package; both run
+    scaled_inverse, this is the only elimination in the package; both run
     _bareiss.  A polynomial determinant such as the Alexander polynomial
     is interpolated from its values at integers (see
     invariants.knot_alexander), never eliminated over the ring.  The 0x0
@@ -370,27 +371,42 @@ def determinant(rows):
     return -det if sign < 0 else det
 
 
+def scaled_inverse(rows):
+    """(d, d * M^-1) in ints for a nonsingular square int matrix M, d = +-det M.
+
+    One fraction-free Gauss-Jordan elimination of [M | I]: it leaves
+    d * I on the left and d * M^-1 on the right, where d is the last
+    pivot.  A singular matrix raises ArithmeticError.
+
+    >>> scaled_inverse([[2, 1], [1, 3]])
+    (5, [[3, -1], [-1, 2]])
+    """
+    a = _square(rows)
+    n = len(a)
+    if n == 0:
+        return 1, []
+    for i, r in enumerate(a):
+        r.extend(int(i == j) for j in range(n))
+    if not _bareiss(a, n, jordan=True):
+        raise ArithmeticError("matrix is singular")
+    return a[n - 1][n - 1], [r[n:] for r in a]
+
+
 def inverse(rows):
     """The inverse of a square int matrix of determinant +-1, as int rows.
 
-    One fraction-free Gauss-Jordan elimination of [M | I]: it leaves
-    d * I on the left and d * M^-1 on the right, where d = +-det M is the
-    last pivot, so the right half is exact in integers exactly when d is
-    a unit.  Any other matrix raises ArithmeticError.
+    scaled_inverse gives d * M^-1 for d = +-det M, which is exact in
+    integers exactly when d is a unit.  Any other matrix raises
+    ArithmeticError.
 
     >>> inverse([[0, 1], [-1, 0]])
     [[0, -1], [1, 0]]
     >>> inverse([[2, 1], [1, 1]])
     [[1, -1], [-1, 2]]
     """
-    a = _square(rows)
-    n = len(a)
-    if n == 0:
-        return []
-    for i, r in enumerate(a):
-        r.extend(int(i == j) for j in range(n))
-    if not _bareiss(a, n, jordan=True) or a[n - 1][n - 1] not in (1, -1):
-        raise ArithmeticError("matrix is not invertible over the integers")
-    if a[n - 1][n - 1] == 1:
-        return [r[n:] for r in a]
-    return [[-x for x in r[n:]] for r in a]
+    d, scaled = scaled_inverse(rows)
+    if d == 1:
+        return scaled
+    if d == -1:
+        return [[-x for x in r] for r in scaled]
+    raise ArithmeticError("matrix is not invertible over the integers")

@@ -19,11 +19,11 @@ from lescop.ring import HalfLaurent
 class Counter:
     def __init__(self, monkeypatch, fn):
         self.calls = 0
-        self.first_args = []
+        self.args = []
 
         def counted(*args, **kwargs):
             self.calls += 1
-            self.first_args.append(args[0] if args else None)
+            self.args.append(args)
             return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -37,7 +37,7 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     components = sum(len(doc.presentation.components) for doc in corpus().values())
     assert components == 40
     validate = Counter(monkeypatch, presentation.validate)
-    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    alexander = Counter(monkeypatch, invariants._alexander)
     determinant = Counter(monkeypatch, ring.determinant)
     inverse = Counter(monkeypatch, ring.inverse)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
@@ -46,12 +46,13 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     capsys.readouterr()
     assert validate.calls == len(files)
     assert alexander.calls == 49
-    assert not any(isinstance(x, HalfLaurent) for rows in determinant.first_args
+    assert not any(isinstance(x, HalfLaurent) for (rows,) in determinant.args
                    for row in rows for x in row)
-    # n + 1 determinants for each Alexander polynomial of a size-n matrix,
-    # and one elimination of V - V^T per component, which the routes reuse
-    interpolation = sum(len(v) + 1 for v in alexander.first_args)
-    assert determinant.calls == interpolation == 105
+    # floor(n/2) + 1 determinants for each Alexander polynomial of a size-n
+    # matrix, and one elimination of V - V^T per component, which the
+    # routes reuse
+    interpolation = sum(len(dv) // 2 + 1 for _, dv, _ in alexander.args)
+    assert determinant.calls == interpolation == 77
     assert inverse.calls == components
 
 
@@ -82,9 +83,11 @@ def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch
     """Rational Seifert and linking data become ints in
     presentation.integral_form alone: once per component, which keeps the
     result, once per chain step, and once per bare matrix whose Alexander
-    polynomial is interpolated."""
+    polynomial is interpolated: in verify, the blown-down matrix of
+    z3-structure.  A component's polynomial comes from its kept form."""
     scale = Counter(monkeypatch, presentation.integral_form)
-    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    alexander = Counter(monkeypatch, invariants._alexander)
+    bare = Counter(monkeypatch, invariants.knot_alexander)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
     for argv in (["chi", str(corpus_dir / "km-trefoil.json")], ["casson", str(chain)]):
@@ -95,7 +98,8 @@ def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch
     before = scale.calls
     assert run(["verify", *files]) == 0
     capsys.readouterr()
-    assert scale.calls - before == 40 + alexander.calls == 89
+    assert scale.calls - before == 40 + bare.calls == 49
+    assert alexander.calls == 49
 
 
 def test_chi_validates_once(corpus_dir, monkeypatch, capsys):
@@ -118,7 +122,8 @@ def test_only_alexander_and_verify_compute_the_polynomial(
     corpus_dir, tmp_path, monkeypatch, capsys
 ):
     """chi, casson, lescop, sato-levine and mu2 read Delta''(1) off the jet."""
-    alexander = Counter(monkeypatch, invariants.knot_alexander)
+    alexander = Counter(monkeypatch, invariants._alexander)
+    determinant = Counter(monkeypatch, ring.determinant)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
     assert run(["casson", str(chain)]) == 0
@@ -131,10 +136,11 @@ def test_only_alexander_and_verify_compute_the_polynomial(
             ran.add(command)
     capsys.readouterr()
     assert ran == {"chi", "lescop", "sato-levine", "mu2"}
-    assert alexander.calls == 0
+    assert alexander.calls == determinant.calls == 0
     assert run(["verify", str(corpus_dir / "trefoil-0.json")]) == 0
     assert run(["alexander", str(corpus_dir / "trefoil-0.json")]) == 0
-    assert alexander.calls == 2
+    # the trefoil's 2 x 2 form takes 2 determinants per polynomial
+    assert (alexander.calls, determinant.calls) == (2, 4)
 
 
 def test_mu_squared_validates_once(monkeypatch):

@@ -153,6 +153,22 @@ class TestParseErrors:
             parse(json.dumps(obj))
         assert "seifert[0][0]" in str(e.value)
 
+    def test_entry_locations(self):
+        """The location of a bad entry, in the exact message of the error."""
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = [["-1", "1"], ["0", "1/0"]]
+        with pytest.raises(DocumentValueError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].seifert[1][1]: zero denominator in '1/0'"
+        obj["components"][0]["seifert"] = [["-1", "1"], ["0", "-1"]]
+        obj["components"][0]["linking"] = {"l2": ["0", 7]}
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == (
+            "components[0].linking['l2'][1]: "
+            'rationals must be strings like "a" or "a/b", got 7'
+        )
+
     def test_decimal_string_rejected(self):
         with pytest.raises(DocumentValueError):
             parse_rational("0.5")

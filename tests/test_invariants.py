@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from lescop import invariants
+from lescop.documents import parse
 from lescop.invariants import (
     DERIVED,
     PAPER_LITERAL,
@@ -29,9 +31,17 @@ from lescop.presentation import (
     build_triple,
     rank_one_update,
 )
-from lescop.ring import ONE, Z, HalfLaurent, divides_z_power
+from lescop.presentation import fraction_matrix, integral_form
+from lescop.ring import ONE, Z, HalfLaurent, determinant, divides_z_power
 
-from conftest import random_presentation, random_ribbon_spec, random_seifert, seeded, unimodular
+from conftest import (
+    dense_knot_document,
+    random_presentation,
+    random_ribbon_spec,
+    random_seifert,
+    seeded,
+    unimodular,
+)
 
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})
 FIG8_POLY = HalfLaurent({2: -1, 0: 3, -2: -1})
@@ -39,6 +49,28 @@ FIG8_POLY = HalfLaurent({2: -1, 0: 3, -2: -1})
 
 def knot_surgery(v, h=1):
     return SurgeryPresentation(h, (Component("l1", v, {}),))
+
+
+def full_interpolation(v, h):
+    """The oracle for knot_alexander: det(t dV - dV^T) at the n + 1
+    consecutive integers around 0, interpolated in Newton form with no
+    use of its symmetry."""
+    d, dv, _ = integral_form(fraction_matrix(v))
+    n = len(dv)
+    nodes = range(-(n // 2), n - n // 2 + 1)
+    coeffs = [
+        determinant([[t * dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)])
+        for t in nodes
+    ]
+    for k in range(1, n + 1):  # coeffs[i] becomes the divided difference on nodes i-k..i
+        for i in range(n, k - 1, -1):
+            assert (coeffs[i] - coeffs[i - 1]) % k == 0
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    poly = [coeffs[n]]  # Horner on c0 + (t - x0)(c1 + (t - x1)(c2 + ...))
+    for c, x in zip(reversed(coeffs[:n]), reversed(nodes[:n])):
+        poly = [a - x * b for a, b in zip([0, *poly], [*poly, 0])]
+        poly[0] += c
+    return HalfLaurent({2 * i - n: Fraction(c * h, d**n) for i, c in enumerate(poly)})
 
 
 class TestAlexander:
@@ -75,6 +107,50 @@ class TestAlexander:
             coeffs = sympy.Poly(m.det(method="domain-ge"), x).all_coeffs()[::-1]
             expected = {2 * i - n: h * Fraction(int(c.p), int(c.q)) for i, c in enumerate(coeffs)}
             assert knot_alexander(v, h) == HalfLaurent(expected), (g, h, v)
+
+    def test_matches_full_interpolation(self):
+        """Bare matrices of sizes 0 to 12, odd, singular and fractional ones
+        included, against n + 1 nodes interpolated without the symmetry."""
+        rng = seeded(37)
+        for n in range(13):
+            for kind in ("integral", "fractional", "singular"):
+                denominators = (1, 2, 3, 4) if kind == "fractional" else (1,)
+                v = [[Fraction(rng.randint(-4, 4), rng.choice(denominators)) for _ in range(n)]
+                     for _ in range(n)]
+                if kind == "singular" and n:
+                    v[-1] = [3 * x for x in v[0]]
+                for h in (1, 3, 4):
+                    assert knot_alexander(v, h) == full_interpolation(v, h), (v, h)
+
+    def test_half_the_determinants(self, monkeypatch):
+        """floor(n/2) + 1 integer determinants per polynomial, for bare
+        matrices and for components alike."""
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return determinant(rows)
+
+        monkeypatch.setattr(invariants, "determinant", counted)
+        rng = seeded(38)
+        for n in range(11):
+            calls.clear()
+            knot_alexander([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            assert calls == [n] * (n // 2 + 1), n
+        for g in range(5):
+            calls.clear()
+            alexander(knot_surgery(random_seifert(rng, g)), "l1")
+            assert calls == [2 * g] * (g + 1), g
+
+    def test_genus_24_knot(self):
+        """The 48 x 48 form of the knot the CI smoke test runs: symmetric,
+        sums to h, and its second derivative at 1 is the jet's."""
+        p = parse(dense_knot_document(24)).presentation
+        poly = alexander(p, "l1")
+        assert max(poly.terms) == 48
+        assert poly.involution() == poly
+        assert poly.eval_at_one() == p.base_order == 1
+        assert poly.second_derivative_at_one() == delta2(p, "l1")
 
     def test_unknown_component(self):
         with pytest.raises(UnknownComponentError):

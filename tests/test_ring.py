@@ -15,6 +15,7 @@ from lescop.ring import (
     determinant,
     divides_z_power,
     inverse,
+    scaled_inverse,
     z_power,
     z_power_quotient,
 )
@@ -119,6 +120,18 @@ class TestCalculus:
         assert TREFOIL_POLY.second_derivative_at_one() == 2
         assert (Z * Z).second_derivative_at_one() == 2
         assert HalfLaurent({0: 12}).second_derivative_at_one() == 0
+
+    def test_second_derivative_matches_per_term_formula(self):
+        """One sum of c k (k - 2) over 4 equals the per-term c (k/2) (k/2 - 1)."""
+        rng = seeded(17)
+        for _ in range(300):
+            terms = {rng.randint(-12, 12): rng.choice((rng.randint(-9, 9), Fraction(
+                rng.randint(-9, 9), rng.randint(1, 12)))) for _ in range(rng.randint(0, 8))}
+            p = HalfLaurent(terms)
+            expected = sum((c * Fraction(k, 2) * Fraction(k - 2, 2)
+                            for k, c in p.terms.items()), Fraction(0))
+            got = p.second_derivative_at_one()
+            assert type(got) is Fraction and got == expected, terms
 
     @given(polys)
     def test_second_derivative_matches_double_derivative(self, p):
@@ -310,6 +323,25 @@ class TestInverse:
 
     def test_empty_matrix(self):
         assert inverse([]) == []
+        assert scaled_inverse([]) == (1, [])
+
+    def test_scaled_inverse_of_any_nonsingular_matrix(self):
+        """d M^-1 in ints with d = +-det M; a singular matrix raises."""
+        rng = seeded(16)
+        nonsingular = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            det = determinant(m)
+            if not det:
+                with pytest.raises(ArithmeticError):
+                    scaled_inverse(m)
+                continue
+            nonsingular += 1
+            d, r = scaled_inverse(m)
+            assert d in (det, -det)
+            assert mat_mul(m, r) == [[d * x for x in row] for row in identity(n)] == mat_mul(r, m)
+        assert 50 < nonsingular < 200
 
     def test_only_unimodular_int_matrices(self):
         for m in ([[2, 1], [1, 2]], [[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3]]):
