@@ -71,13 +71,6 @@ def _rational(s):
         raise DocumentValueError(f"rational of {len(s)} characters is too long") from None
 
 
-def parse_rational(s, where="value"):
-    try:
-        return _rational(s)
-    except DocumentError as e:
-        raise type(e)(f"{where}: {e}") from None
-
-
 def _parse_rationals(values, where):
     """The rationals of a list of strings.  where(k) names entry k in an
     error; it is called only when that entry fails, so valid input builds

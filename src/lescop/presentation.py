@@ -40,6 +40,10 @@ class PresentationError(Exception):
 class UnknownComponentError(PresentationError, KeyError):
     """A named component does not exist in the presentation."""
 
+    def __str__(self):
+        # KeyError's own str() is the repr of its argument
+        return f"unknown component {self.args[0]!r}"
+
 
 class InvalidSpecError(PresentationError, ValueError):
     """A builder specification violates its invariants."""

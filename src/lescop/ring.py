@@ -20,6 +20,12 @@ that interpolation, once per size, and ``determinant`` also ``det S``
 for the message when the skew-form check fails.  No elimination runs
 over the ring itself.
 
+The ring's only polynomial division is by z, in ``z_power_quotient``.  With
+u = t^(1/2), p = z * q means q_(e-1) = p_e + q_(e+1) on the coefficients
+of u^e, so each coefficient of q is a running sum of p's coefficients of
+one exponent parity, from the top exponent down, and z divides p exactly
+when both parity sums end at 0.
+
 >>> print(Z * Z)
 t - 2 + t^-1
 >>> HalfLaurent({2: 1, 0: -1, -2: 1}).eval_at_one()
@@ -46,16 +52,6 @@ def _coeff(value):
     if isinstance(value, int):  # bool and int subclasses
         return int(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
-
-
-def _coeff_div(a, b):
-    """Exact a / b for int/Fraction coefficients."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-    q = Fraction(a) / Fraction(b)
-    return int(q) if q.denominator == 1 else q
 
 
 class HalfLaurent:
@@ -230,64 +226,35 @@ def z_power(k):
     return Z ** k
 
 
-def _poly_div_exact(a, b):
-    """Exact division of dicts with non-negative integer keys, or None.
+def _over_z(p):
+    """p / z for a nonzero p, or None when z does not divide p.
 
-    Both arguments are coefficient maps of ordinary polynomials in
-    u = t^(1/2) with nonzero constant term on b's side not required;
-    b must be non-empty.
+    q_(e-1) = p_e + q_(e+1), a running sum over the exponents e of one
+    parity from the top down (see the module docstring).
     """
-    rem = dict(a)
+    terms = p._terms
+    sums = [0, 0]
     quo = {}
-    db = max(b)
-    lead = b[db]
-    while rem:
-        da = max(rem)
-        if da < db:
-            return None
-        c = _coeff_div(rem[da], lead)
-        e = da - db
-        quo[e] = c
-        for k, v in b.items():
-            kk = e + k
-            s = rem.get(kk, 0) - c * v
-            if s:
-                rem[kk] = s
-            else:
-                rem.pop(kk, None)
-    return quo
-
-
-def _laurent_div_exact(a, b):
-    """Exact quotient a / b in the half-Laurent ring, or None.
-
-    Units u^k are invertible, so a = q * b is solvable iff the shifted
-    honest polynomials divide exactly.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("division of a polynomial by zero")
-    if a.is_zero():
-        return ZERO
-    va = min(a._terms)
-    vb = min(b._terms)
-    quo = _poly_div_exact(
-        {k - va: c for k, c in a._terms.items()},
-        {k - vb: c for k, c in b._terms.items()},
-    )
-    if quo is None:
-        return None
-    return HalfLaurent({k + va - vb: c for k, c in quo.items()})
+    for e in range(max(terms), min(terms) - 1, -1):
+        sums[e & 1] += terms.get(e, 0)
+        quo[e - 1] = sums[e & 1]
+    return None if sums[0] or sums[1] else HalfLaurent(quo)
 
 
 def z_power_quotient(p, k):
-    """The exact q with p = z^k * q, or None when z^k does not divide p."""
+    """The exact q with p = z^k * q, or None when z^k does not divide p.
+
+    The ring's only polynomial division: k divisions by z, each a running
+    sum of coefficients that is exact when, for each exponent parity, the
+    coefficients of its dividend sum to 0.  No coefficient is ever
+    divided, so int and Fraction coefficients take the same path.
+    """
     if type(k) is not int or k < 0:
         raise ValueError("k must be a non-negative integer")
-    if k == 0:
-        return p
-    if p.is_zero():
-        return ZERO
-    return _laurent_div_exact(p, z_power(k))
+    while p and k:
+        p = _over_z(p)
+        k -= 1
+    return p
 
 
 def divides_z_power(p, k):

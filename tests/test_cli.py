@@ -70,7 +70,7 @@ class TestInvariantCommands:
         assert data["alexander"] == {"1": "-1", "0": "3", "-1": "-1"}
         assert data["delta2_at_1"] == "-2"
 
-    def test_alexander_unknown_component(self, corpus_dir, capsys):
+    def test_alexander_unknown_component(self, corpus_dir, tmp_path, capsys):
         code, _, err = invoke(
             capsys,
             "alexander",
@@ -79,6 +79,11 @@ class TestInvariantCommands:
             "l7",
         )
         assert code == 2
+        assert err == "error: unknown component 'l7'\n"
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"format_version": 1, "base_order": 1, "components": []}')
+        code, _, err = invoke(capsys, "alexander", str(empty))
+        assert (code, err) == (2, "error: document has no components\n")
 
     def test_lescop(self, corpus_dir, capsys):
         code, out, _ = invoke(capsys, "lescop", str(corpus_dir / "s1xs2.json"))
@@ -269,6 +274,15 @@ class TestVerify:
         f.write_text(json.dumps(doc))
         code, out, _ = invoke(capsys, "verify", str(f))
         assert code == 1 and "FAIL" in out
+        # V - V^T is not integral, so skew_form rejects it before eliminating
+        doc["base_order"] = 2
+        doc["components"][0]["seifert"] = [["0", "1/2"], ["0", "0"]]
+        f.write_text(json.dumps(doc))
+        violation = "component 'l1': V - V^T has non-integer entries"
+        code, out, _ = invoke(capsys, "verify", str(f))
+        assert (code, out) == (1, f"{f}:\n  validate: FAIL ({violation})\n")
+        code, out, err = invoke(capsys, "chi", str(f))
+        assert (code, out, err) == (1, "", f"error: {violation}\n")
 
     def test_torsion_skip_is_reported(self, corpus_dir, capsys):
         code, out, _ = invoke(capsys, "verify", str(corpus_dir / "ribbon-s1-h3.json"))

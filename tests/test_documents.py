@@ -14,7 +14,6 @@ from lescop.documents import (
     DocumentValueError,
     parse,
     parse_chain,
-    parse_rational,
     serialize,
     serialize_chain,
 )
@@ -135,6 +134,28 @@ class TestParseErrors:
         obj["components"][0]["seifert"] = [["0", "1"]]
         with pytest.raises(DocumentSchemaError):
             parse(json.dumps(obj))
+        # an even number of rows, so the size check passes and the shape fails
+        obj["components"][0]["seifert"] = [["0", "1"], ["0"]]
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].seifert: component 'l1' matrix is not square"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seifert", "0", "components[0].seifert: expected a list of rows"),
+            ("name", "", "components[0].name: expected a non-empty string"),
+            ("linking", [], "components[0].linking: expected an object"),
+            ("linking", {"l2": "0"}, "components[0].linking['l2']: expected a list"),
+        ],
+        ids=["seifert", "name", "linking", "linking-vector"],
+    )
+    def test_component_field_types(self, field, value, message):
+        obj = json.loads(MINIMAL)
+        obj["components"][0][field] = value
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == message
 
     def test_float_literal_rejected(self):
         with pytest.raises(DocumentValueError):
@@ -170,8 +191,11 @@ class TestParseErrors:
         )
 
     def test_decimal_string_rejected(self):
-        with pytest.raises(DocumentValueError):
-            parse_rational("0.5")
+        obj = json.loads(TREFOIL_DOC)
+        obj["components"][0]["seifert"][0][0] = "0.5"
+        with pytest.raises(DocumentValueError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].seifert[0][0]: malformed rational '0.5'"
 
     def test_bundle_w2_length(self):
         obj = json.loads(TREFOIL_DOC)

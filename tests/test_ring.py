@@ -195,6 +195,21 @@ class TestZDivision:
         if quotient is not None:
             assert z_power(k) * quotient == p
 
+    @given(polys, polys, st.integers(0, 4), st.integers(-8, 8), coefficients)
+    @settings(max_examples=100)
+    def test_moment_oracle(self, p, q, k, e, c):
+        """z = (u - 1)(u + 1)/u for u = t^(1/2), so z^k divides p exactly when p
+        vanishes to order k at u = 1 and at u = -1: for each exponent parity
+        r, the sum of p_e * e^j over e = r mod 2 is 0 for every j < k."""
+        near_miss = z_power(k) * q + HalfLaurent({e: c})
+        for x in (p, near_miss):
+            moments = [
+                sum(a * n**j for n, a in x.terms.items() if n % 2 == r)
+                for r in (0, 1)
+                for j in range(k)
+            ]
+            assert divides_z_power(x, k) == (not any(moments))
+
 
 class TestDeterminant:
     """ring.determinant on int rows, and the polynomial determinant
