@@ -3,8 +3,10 @@
 Presentations encode exact mathematical objects, so the schema is strict:
 unknown fields are errors, every rational number is a string "a" or "a/b"
 with b > 0, and floating-point literals are rejected anywhere in the
-document.  serialize() is canonical, so serialize(parse(text)) is
-byte-stable under further round trips.
+document.  An entry parses to an int when it is integral ("3", "-0",
+"2/2") and to a Fraction otherwise, by the rule of ring.exact.
+serialize() is canonical, so serialize(parse(text)) is byte-stable under
+further round trips.
 
 Document shape::
 
@@ -32,6 +34,7 @@ from fractions import Fraction
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
 from .presentation import Component, SurgeryPresentation
+from .ring import exact
 
 FORMAT_VERSION = 1
 
@@ -56,7 +59,8 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _rational(s):
-    """The Fraction a string "a" or "a/b" denotes; errors name no location."""
+    """The exact number a string "a" or "a/b" denotes, an int when it is
+    integral (see ring.exact); errors name no location."""
     if not isinstance(s, str):
         raise DocumentSchemaError(f"rationals must be strings like \"a\" or \"a/b\", got {s!r}")
     match = _RATIONAL_RE.fullmatch(s)
@@ -64,7 +68,7 @@ def _rational(s):
         raise DocumentValueError(f"malformed rational {s!r}")
     num, den = match.groups()
     try:
-        return Fraction(int(num), int(den or 1))
+        return int(num) if den is None else exact(Fraction(int(num), int(den)))
     except ZeroDivisionError:
         raise DocumentValueError(f"zero denominator in {s!r}") from None
     except ValueError:  # more digits than int() converts

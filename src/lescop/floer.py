@@ -73,6 +73,7 @@ from .invariants import (
     milnor_mu_squared,
     sato_levine,
 )
+from .ring import exact
 
 
 class FloerError(Exception):
@@ -253,7 +254,7 @@ def lescop_to_chi(lambda_l, b1, h):
         raise ValueError(f"b1 must be a positive integer, got {b1!r}")
     if type(h) is not int or h < 1:
         raise ValueError(f"h must be a positive integer, got {h!r}")
-    lambda_l = Fraction(lambda_l)
+    lambda_l = exact(lambda_l)
     if b1 == 1:
         value = -2 * lambda_l - Fraction(h, 6)
     else:
@@ -267,9 +268,9 @@ def chi_to_lescop(chi, b1, h):
         raise ValueError(f"b1 must be a positive integer, got {b1!r}")
     if type(h) is not int or h < 1:
         raise ValueError(f"h must be a positive integer, got {h!r}")
-    chi = Fraction(chi)
+    chi = exact(chi)
     if b1 == 1:
-        return -chi / 2 - Fraction(h, 12)
+        return Fraction(-chi, 2) - Fraction(h, 12)
     return Fraction((-1) ** b1, 2) * h * chi
 
 

@@ -50,8 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .presentation import InvalidSpecError, fraction_matrix, integral_form, skew_form
-from .ring import HalfLaurent, determinant, scaled_inverse
+from .presentation import InvalidSpecError, exact_matrix, integral_form, skew_form
+from .ring import HalfLaurent, determinant, exact, scaled_inverse
 
 
 class InvariantError(Exception):
@@ -85,14 +85,11 @@ class SurgeryChain:
     blow_down).
     """
 
-    steps: tuple  # of (seifert matrix, sign)
+    steps: tuple  # of (seifert matrix, sign), their numbers checked by ring.exact
 
     def __post_init__(self):
-        steps = []
-        for entry in self.steps:
-            v, sign = entry
-            steps.append((fraction_matrix(v), sign))
-        object.__setattr__(self, "steps", tuple(steps))
+        steps = tuple((exact_matrix(v), exact(sign)) for v, sign in self.steps)
+        object.__setattr__(self, "steps", steps)
 
 
 def _check_mode(mode):
@@ -131,7 +128,7 @@ def knot_alexander(seifert, base_order=1):
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
     """
-    d, dv, _ = integral_form(fraction_matrix(seifert))
+    d, dv, _ = integral_form(exact_matrix(seifert))
     return _alexander(d, dv, base_order)
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ring import exact
+
 
 class InvalidPError(ValueError):
     """p must be a positive integer."""
@@ -64,7 +66,7 @@ def connect_sum_chi(chi_y, p):
     = 2 per sphere class, so the counting argument is what actually runs;
     connect_sum_chi(c, p) == p * c.
     """
-    return rep_classes(p).euler_factor * chi_y
+    return rep_classes(p).euler_factor * exact(chi_y)
 
 
 def lescop_connect_sum(lambda_y, p):
@@ -75,4 +77,4 @@ def lescop_connect_sum(lambda_y, p):
     """
     if type(p) is not int or p < 1:
         raise InvalidPError(f"p must be a positive integer, got {p!r}")
-    return p * Fraction(lambda_y)
+    return Fraction(p * exact(lambda_y))

@@ -10,9 +10,13 @@ since every formula downstream assumes the splitting.
 All types are immutable values and all operations are pure functions;
 a Component's linking vectors sit behind a read-only mapping, so nothing
 can change a value after it is built.  Seifert and linking entries are
-rational, and integral_form is the one function that turns them into
-ints: it scales V and the linking vectors E by their common denominator
-c to dV = c^2 V and cE, and every formula of the package runs on those.
+exact rationals, checked once when a value is built by ring.exact
+(through exact_vector and exact_matrix): an integral entry is stored as
+an int, any other as a Fraction, and a float, string or Decimal raises
+TypeError.  integral_form is the one function that turns the entries
+into ints: it scales V and the linking vectors E by their common
+denominator c to dV = c^2 V and cE, and every formula of the package
+runs on those.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
 for S = V - V^T from the same integer elimination.  A Component computes
 its integral form and its skew form on first use and keeps both.
@@ -27,10 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from types import MappingProxyType
 
-from .ring import determinant, inverse
+from .ring import exact, scaled_inverse
 
 
 class PresentationError(Exception):
@@ -49,13 +52,14 @@ class InvalidSpecError(PresentationError, ValueError):
     """A builder specification violates its invariants."""
 
 
-def fraction_vector(values):
-    """The values as a tuple of Fractions; a Fraction, being immutable, is kept as is."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+def exact_vector(values):
+    """The values as a tuple of exact numbers (see ring.exact)."""
+    return tuple(map(exact, values))
 
 
-def fraction_matrix(rows):
-    rows = tuple(fraction_vector(r) for r in rows)
+def exact_matrix(rows):
+    """The rows of a square matrix as tuples of exact numbers (see ring.exact)."""
+    rows = tuple(map(exact_vector, rows))
     if rows and any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     return rows
@@ -69,8 +73,9 @@ def integral_form(seifert, linking=MappingProxyType({})):
     ints; every formula downstream runs on its result.  d = c^2 so that
     d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays integral.
 
+    >>> from fractions import Fraction
     >>> half, third = Fraction(1, 2), Fraction(1, 3)
-    >>> integral_form(fraction_matrix([[half, 1], [0, half]]), {"k": (third, 0)})
+    >>> integral_form(exact_matrix([[half, 1], [0, half]]), {"k": (third, 0)})
     (36, ((18, 36), (0, 18)), mappingproxy({'k': (2, 0)}))
     """
     c = math.lcm(*(x.denominator for row in seifert for x in row),
@@ -92,9 +97,10 @@ def skew_form(d, dv):
     Returns (S^-1, None) or (None, message).  V must be of even size, S
     must be integer valued (d divides dV - dV^T), and det S must equal 1
     (it is the intersection form of the surface in a symplectic basis).
-    S is skew, so det S = Pf(S)^2 >= 0, and one integer Gauss-Jordan
-    (ring.inverse) succeeds exactly when det S = 1; only when it fails is
-    det S computed, for the message.  S^-1 is returned as int rows.
+    One integer Gauss-Jordan (ring.scaled_inverse) gives d S^-1 with
+    d = +-det S, and S is skew, so det S = Pf(S)^2 = |d|: S^-1 is d
+    times the scaled inverse when |d| = 1, and otherwise |d| goes into
+    the message, 0 when S is singular.  S^-1 is returned as int rows.
     """
     n = len(dv)
     if n % 2 != 0:
@@ -104,9 +110,12 @@ def skew_form(d, dv):
         return None, "V - V^T has non-integer entries"
     skew = [[x // d for x in r] for r in skew]
     try:
-        return tuple(map(tuple, inverse(skew))), None
+        det, scaled = scaled_inverse(skew)
     except ArithmeticError:
-        return None, f"det(V - V^T) = {determinant(skew)}, expected 1"
+        det = 0
+    if det not in (1, -1):
+        return None, f"det(V - V^T) = {abs(det)}, expected 1"
+    return tuple(tuple(det * x for x in r) for r in scaled), None
 
 
 @dataclass(frozen=True)
@@ -115,12 +124,12 @@ class Component:
     curves of its Seifert surface link the other components."""
 
     name: str
-    seifert: tuple  # 2g x 2g matrix of Fraction
-    linking: MappingProxyType  # other component name -> length-2g vector of Fraction
+    seifert: tuple  # 2g x 2g matrix of exact numbers (see ring.exact)
+    linking: MappingProxyType  # other component name -> length-2g vector of exact numbers
 
     def __post_init__(self):
-        object.__setattr__(self, "seifert", fraction_matrix(self.seifert))
-        linking = {str(k): fraction_vector(v) for k, v in dict(self.linking).items()}
+        object.__setattr__(self, "seifert", exact_matrix(self.seifert))
+        linking = {str(k): exact_vector(v) for k, v in dict(self.linking).items()}
         object.__setattr__(self, "linking", MappingProxyType(linking))
 
     def __reduce__(self):
@@ -189,8 +198,8 @@ class RibbonPairSpec:
     base_order: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "a", fraction_vector(self.a))
-        object.__setattr__(self, "w", fraction_matrix(self.w))
+        object.__setattr__(self, "a", exact_vector(self.a))
+        object.__setattr__(self, "w", exact_matrix(self.w))
 
     def check(self):
         if self.epsilon not in (1, -1):
@@ -307,12 +316,12 @@ def build_ribbon_pair(spec):
     spec.check()
     g2 = len(spec.w)
     n = g2 + 2
-    rows = [[Fraction(0)] * n]
-    rows.append([Fraction(spec.epsilon), Fraction(spec.s), *spec.a])
+    rows = [[0] * n]
+    rows.append([spec.epsilon, spec.s, *spec.a])
     for m in range(g2):
-        rows.append([Fraction(0), spec.a[m], *spec.w[m]])
-    e = [Fraction(0)] * n
-    e[0] = Fraction(spec.epsilon)
+        rows.append([0, spec.a[m], *spec.w[m]])
+    e = [0] * n
+    e[0] = spec.epsilon
     comp1 = Component(name="l1", seifert=tuple(tuple(r) for r in rows), linking={"l2": tuple(e)})
     comp2 = Component(name="l2", seifert=(), linking={"l1": ()})
     return SurgeryPresentation(base_order=spec.base_order, components=(comp1, comp2))
@@ -330,8 +339,8 @@ def build_triple(mu, spec):
         raise InvalidSpecError("mu must be an integer")
     pair = build_ribbon_pair(spec)
     comp1, comp2 = pair.components
-    e3 = [Fraction(0)] * comp1.size
-    e3[1] = Fraction(mu)
+    e3 = [0] * comp1.size
+    e3[1] = mu
     comp1 = Component(
         name=comp1.name,
         seifert=comp1.seifert,
@@ -353,7 +362,7 @@ def connected_sum_knot(p, comp, v):
     linking vectors are padded with zeros on the new rows: the summand's
     surface is disjoint from everything else.  All other data is unchanged.
     """
-    v = fraction_matrix(v)
+    v = exact_matrix(v)
     if v:
         d, dv, _ = integral_form(v)
         msg = skew_form(d, dv)[1]
@@ -362,15 +371,11 @@ def connected_sum_knot(p, comp, v):
     c = p.component(comp)
     k = len(v)
     n = c.size
-    rows = []
-    for i in range(k):
-        rows.append(tuple(v[i]) + (Fraction(0),) * n)
-    for i in range(n):
-        rows.append((Fraction(0),) * k + tuple(c.seifert[i]))
+    rows = [row + (0,) * n for row in v] + [(0,) * k + row for row in c.seifert]
     new_comp = Component(
         name=c.name,
-        seifert=tuple(rows),
-        linking={other: (Fraction(0),) * k + vec for other, vec in c.linking.items()},
+        seifert=rows,
+        linking={other: (0,) * k + vec for other, vec in c.linking.items()},
     )
     return SurgeryPresentation(
         base_order=p.base_order,
@@ -379,6 +384,6 @@ def connected_sum_knot(p, comp, v):
 
 
 # Seifert matrices of the standard small knots, for builders and tests.
-TREFOIL = fraction_matrix([[-1, 1], [0, -1]])
-FIGURE_EIGHT = fraction_matrix([[1, 1], [0, -1]])
-UNKNOT = fraction_matrix([])
+TREFOIL = exact_matrix([[-1, 1], [0, -1]])
+FIGURE_EIGHT = exact_matrix([[1, 1], [0, -1]])
+UNKNOT = exact_matrix([])

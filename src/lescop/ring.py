@@ -1,24 +1,29 @@
 """Exact arithmetic in the ring of Laurent polynomials in t^(1/2).
 
-Everything here is exact: coefficients are rational numbers
-(``fractions.Fraction``, aliased ``Rational``), exponents are half-integers
-stored by their numerator over the fixed denominator 2, and no floating
-point is allowed anywhere.  The ring houses the element
+Everything here is exact: coefficients are rational numbers, exponents
+are half-integers stored by their numerator over the fixed denominator 2,
+and no floating point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
 
-``determinant``, ``scaled_inverse`` and ``inverse`` share the package's
-one exact elimination, a fraction-free Bareiss step over int rows.
-``inverse`` gives the integer ``S^-1 = (V - V^T)^-1`` of the jet
-formulas, and its success is the skew-form check ``det S = 1``
-(``presentation.skew_form``).  ``determinant`` gives the floor(n/2) + 1
-integer values from which ``invariants.knot_alexander`` interpolates the
-symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a
-size-n matrix; the other half of its coefficients repeat these up to the
-sign (-1)^n, since transposing gives ``t^n P(1/t) = (-1)^n P(t)`` for
-``P(t) = det(t V - V^T)``.  ``scaled_inverse`` gives the exact solve of
-that interpolation, once per size, and ``determinant`` also ``det S``
-for the message when the skew-form check fails.  No elimination runs
-over the ring itself.
+``exact`` is the package's one rule for a number a caller passes in: an
+int stays an int, an integral ``fractions.Fraction`` (aliased
+``Rational``) becomes an int, and anything else, a float, a string or a
+Decimal, raises TypeError.  Ring coefficients, Seifert and linking
+entries and the scalar arguments of the conversions all pass through it.
+
+``determinant`` and ``scaled_inverse`` share the package's one exact
+elimination, a fraction-free Bareiss step over int rows.
+``scaled_inverse`` gives ``(d, d S^-1)`` with ``|d| = det S`` for
+``S = V - V^T``, so one elimination yields both the skew-form check
+``det S = 1`` and the integer ``S^-1`` of the jet formulas
+(``presentation.skew_form``); it also gives the exact solve of the
+interpolation below, once per size.  ``determinant`` gives the
+floor(n/2) + 1 integer values from which ``invariants.knot_alexander``
+interpolates the symmetrized Seifert determinant
+``det(t^(1/2) V - t^(-1/2) V^T)`` of a size-n matrix; the other half of
+its coefficients repeat these up to the sign (-1)^n, since transposing
+gives ``t^n P(1/t) = (-1)^n P(t)`` for ``P(t) = det(t V - V^T)``.  No
+elimination runs over the ring itself.
 
 The ring's only polynomial division is by z, in ``z_power_quotient``.  With
 u = t^(1/2), p = z * q means q_(e-1) = p_e + q_(e+1) on the coefficients
@@ -43,15 +48,23 @@ class NonSquareError(ValueError):
     """Determinant of a non-square matrix was requested."""
 
 
-def _coeff(value):
-    """Coerce a coefficient to int or Fraction; floats are rejected."""
+def exact(value):
+    """The value as an exact number: an int, or a Fraction that is not integral.
+
+    >>> exact(Fraction(4, 2)), exact(Fraction(1, 2)), exact(True)
+    (2, Fraction(1, 2), 1)
+    >>> exact(0.5)
+    Traceback (most recent call last):
+    ...
+    TypeError: exact number expected (int or Fraction), got float
+    """
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, int):  # bool and int subclasses
         return int(value)
-    raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
+    raise TypeError(f"exact number expected (int or Fraction), got {type(value).__name__}")
 
 
 class HalfLaurent:
@@ -78,7 +91,7 @@ class HalfLaurent:
             for k, c in terms.items():
                 if type(k) is not int:
                     raise TypeError("exponent numerators must be int")
-                c = _coeff(c)
+                c = exact(c)
                 if c:
                     clean[k] = c
         # kept in descending exponent order so printing and serialization
@@ -99,7 +112,7 @@ class HalfLaurent:
         if isinstance(other, HalfLaurent):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: _coeff(other)} if other else {})
+            return self._terms == ({0: exact(other)} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -136,7 +149,7 @@ class HalfLaurent:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
+            c = exact(other)
             if not c:
                 return ZERO
             return HalfLaurent({k: v * c for k, v in self._terms.items()})
@@ -177,7 +190,7 @@ class HalfLaurent:
         for k, c in self._terms.items():
             nc = c * Fraction(k, 2)
             if nc:
-                out[k - 2] = _coeff(nc)
+                out[k - 2] = exact(nc)
         return HalfLaurent(out)
 
     def second_derivative_at_one(self):
@@ -358,22 +371,3 @@ def scaled_inverse(rows):
         raise ArithmeticError("matrix is singular")
     return a[n - 1][n - 1], [r[n:] for r in a]
 
-
-def inverse(rows):
-    """The inverse of a square int matrix of determinant +-1, as int rows.
-
-    scaled_inverse gives d * M^-1 for d = +-det M, which is exact in
-    integers exactly when d is a unit.  Any other matrix raises
-    ArithmeticError.
-
-    >>> inverse([[0, 1], [-1, 0]])
-    [[0, -1], [1, 0]]
-    >>> inverse([[2, 1], [1, 1]])
-    [[1, -1], [-1, 2]]
-    """
-    d, scaled = scaled_inverse(rows)
-    if d == 1:
-        return scaled
-    if d == -1:
-        return [[-x for x in r] for r in scaled]
-    raise ArithmeticError("matrix is not invertible over the integers")

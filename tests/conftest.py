@@ -126,6 +126,45 @@ def split_link_document(components, genus, seed=24):
     return serialize(PresentationDocument(SurgeryPresentation(1, (first, *unknots))))
 
 
+def primes(count):
+    """The first count primes."""
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % q for q in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def hostile_rational_document(components, digits=1000, seed=24):
+    """Document text of a presentation with h = 2 and genus-1 components
+    whose every linking vector has its own prime-power denominator of
+    about `digits` digits, so a component's common denominator has about
+    (components - 1) * digits of them.
+
+    Every formula runs on the integral form of the first component, whose
+    d is the square of that denominator.  Run as
+    `python tests/conftest.py hostile N` it prints that document for N
+    components.
+    """
+    rng = seeded(seed)
+    names = [f"l{i + 1}" for i in range(components)]
+    denominators = iter(primes(components * (components - 1)))
+    comps = []
+    for name in names:
+        linking = {}
+        for other in names:
+            if other != name:
+                p = next(denominators)
+                q = p
+                while q < 10 ** (digits - 1):
+                    q *= p
+                linking[other] = tuple(Fraction(rng.choice((1, -1)), q) for _ in range(2))
+        comps.append(Component(name, random_seifert(rng, 1), linking))
+    return serialize(PresentationDocument(SurgeryPresentation(2, tuple(comps))))
+
+
 def seeded(seed=20240815):
     return random.Random(seed)
 
@@ -142,5 +181,8 @@ def corpus_dir(tmp_path_factory):
 if __name__ == "__main__":
     import sys
 
-    sizes = [int(x) for x in sys.argv[1:]]
-    print(split_link_document(*sizes) if len(sizes) == 2 else dense_knot_document(*sizes), end="")
+    if sys.argv[1] == "hostile":
+        print(hostile_rational_document(int(sys.argv[2])), end="")
+    else:
+        sizes = [int(x) for x in sys.argv[1:]]
+        print(split_link_document(*sizes) if len(sizes) == 2 else dense_knot_document(*sizes), end="")

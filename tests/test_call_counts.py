@@ -2,7 +2,7 @@
 
 Each counter wraps one function and rebinds every name in the lescop
 modules that refers to it, so calls made through `from ... import` names
-are counted too.
+are counted too; given modules, it rebinds the names in those alone.
 """
 
 import sys
@@ -17,7 +17,7 @@ from lescop.ring import HalfLaurent
 
 
 class Counter:
-    def __init__(self, monkeypatch, fn):
+    def __init__(self, monkeypatch, fn, modules=None):
         self.calls = 0
         self.args = []
 
@@ -26,11 +26,19 @@ class Counter:
             self.args.append(args)
             return fn(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name == "lescop" or name.startswith("lescop."):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, counted)
+        if modules is None:
+            modules = [module for name, module in list(sys.modules.items())
+                       if name == "lescop" or name.startswith("lescop.")]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def skew_eliminations(monkeypatch):
+    """Counts the eliminations of V - V^T: presentation's calls of
+    ring.scaled_inverse, which the cached solve of invariants also calls."""
+    return Counter(monkeypatch, ring.scaled_inverse, modules=[presentation])
 
 
 def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
@@ -39,7 +47,7 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     validate = Counter(monkeypatch, presentation.validate)
     alexander = Counter(monkeypatch, invariants._alexander)
     determinant = Counter(monkeypatch, ring.determinant)
-    inverse = Counter(monkeypatch, ring.inverse)
+    inverse = skew_eliminations(monkeypatch)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     assert len(files) == 19
     assert run(["verify", *files]) == 0
@@ -58,10 +66,10 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
 
 def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys):
     """S = V - V^T is eliminated once per component or chain step, by
-    ring.inverse alone: validation and every route share that one result,
-    and a valid form takes no determinant."""
+    ring.scaled_inverse alone: validation and every route share that one
+    result, and a valid form takes no determinant."""
     determinant = Counter(monkeypatch, ring.determinant)
-    inverse = Counter(monkeypatch, ring.inverse)
+    inverse = skew_eliminations(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
     runs = [
@@ -77,6 +85,19 @@ def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys
         assert run(argv) == 0, argv
         assert (determinant.calls - before[0], inverse.calls - before[1]) == (0, eliminations), argv
     capsys.readouterr()
+
+
+def test_an_invalid_form_takes_one_elimination(monkeypatch):
+    """det S for the message comes from the elimination that would give S^-1."""
+    determinant = Counter(monkeypatch, ring.determinant)
+    inverse = skew_eliminations(monkeypatch)
+    forms = (((0, 0), (0, 0)), ((0, 2), (0, 0)), ((0, 1), (0, 0)))
+    assert [presentation.skew_form(1, dv) for dv in forms] == [
+        (None, "det(V - V^T) = 0, expected 1"),
+        (None, "det(V - V^T) = 4, expected 1"),
+        (((0, -1), (1, 0)), None),
+    ]
+    assert (determinant.calls, inverse.calls) == (0, 3)
 
 
 def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch, capsys):

@@ -20,6 +20,8 @@ from lescop.documents import (
 from lescop.invariants import SurgeryChain
 from lescop.presentation import TREFOIL, validate
 
+from test_golden_cli import fractional_documents
+
 MINIMAL = """
 {
   "format_version": 1,
@@ -66,6 +68,28 @@ class TestParse:
         text = MINIMAL.replace('"seifert": []', '"seifert": [["-3/7", "1"], ["0", "2"]]')
         doc = parse(text)
         assert doc.presentation.components[0].seifert[0][0] == Fraction(-3, 7)
+
+    def test_parsed_types(self):
+        """An integral entry parses to an int, however written; only a
+        non-integral one is a Fraction."""
+        text = MINIMAL.replace('"seifert": []', '"seifert": [["3", "-0"], ["2/2", "0/5"]]')
+        text = text.replace('"linking": {}', '"linking": {"l2": ["-6/4", "12/8"]}')
+        c = parse(text).presentation.components[0]
+        got = [*c.seifert[0], *c.seifert[1], *c.linking["l2"]]
+        assert [(type(x), x) for x in got] == [
+            (int, 3), (int, 0), (int, 1), (int, 0),
+            (Fraction, Fraction(-3, 2)), (Fraction, Fraction(3, 2)),
+        ]
+
+    def test_fractional_documents_round_trip(self):
+        for name, doc in fractional_documents().items():
+            text = serialize(doc)
+            parsed = parse(text)
+            assert serialize(parsed) == text, name
+            for c in parsed.presentation.components:
+                for x in [*(x for row in c.seifert for x in row),
+                          *(x for vec in c.linking.values() for x in vec)]:
+                    assert type(x) is int or (type(x) is Fraction and x.denominator != 1), name
 
     def test_optional_fields(self):
         obj = json.loads(TREFOIL_DOC)

@@ -31,7 +31,7 @@ from lescop.presentation import (
     build_triple,
     rank_one_update,
 )
-from lescop.presentation import fraction_matrix, integral_form
+from lescop.presentation import exact_matrix, integral_form
 from lescop.ring import ONE, Z, HalfLaurent, determinant, divides_z_power
 
 from conftest import (
@@ -55,7 +55,7 @@ def full_interpolation(v, h):
     """The oracle for knot_alexander: det(t dV - dV^T) at the n + 1
     consecutive integers around 0, interpolated in Newton form with no
     use of its symmetry."""
-    d, dv, _ = integral_form(fraction_matrix(v))
+    d, dv, _ = integral_form(exact_matrix(v))
     n = len(dv)
     nodes = range(-(n // 2), n - n // 2 + 1)
     coeffs = [

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from lescop.ring import (
     NonSquareError,
     determinant,
     divides_z_power,
-    inverse,
+    exact,
     scaled_inverse,
     z_power,
     z_power_quotient,
@@ -79,8 +80,13 @@ class TestArithmetic:
         assert HalfLaurent({1: 1}) * HalfLaurent({-1: 1}) == ONE
 
     def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            HalfLaurent({0: 0.5})
+        for inexact in (0.5, "1/2", Decimal("0.5"), 1.0):
+            with pytest.raises(TypeError):
+                exact(inexact)
+            with pytest.raises(TypeError):
+                HalfLaurent({0: inexact})
+        assert [type(exact(x)) for x in (3, True, Fraction(4, 2), Fraction(1, 2))] == [
+            int, int, int, Fraction]
         with pytest.raises(TypeError):
             determinant([[0.5]])
         with pytest.raises(TypeError):
@@ -319,13 +325,20 @@ def unimodular_cases(rng):
     return cases
 
 
+def unit_inverse(m):
+    """M^-1 for a matrix of determinant +-1: d M^-1 from scaled_inverse, times d = +-1."""
+    d, r = scaled_inverse(m)
+    assert d in (1, -1), m
+    return [[d * x for x in row] for row in r]
+
+
 class TestInverse:
     def test_products_are_the_identity(self):
         """Every skew form, and many others, has a zero leading entry, so the
         elimination must swap rows."""
         swaps = 0
         for m in unimodular_cases(seeded(14)):
-            inv = inverse(m)
+            inv = unit_inverse(m)
             assert all(type(x) is int for r in inv for x in r)
             assert mat_mul(m, inv) == identity(len(m)) == mat_mul(inv, m), m
             swaps += m[0][0] == 0
@@ -334,10 +347,9 @@ class TestInverse:
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         for m in unimodular_cases(seeded(15)):
-            assert inverse(m) == sympy.Matrix(m).inv().tolist(), m
+            assert unit_inverse(m) == sympy.Matrix(m).inv().tolist(), m
 
     def test_empty_matrix(self):
-        assert inverse([]) == []
         assert scaled_inverse([]) == (1, [])
 
     def test_scaled_inverse_of_any_nonsingular_matrix(self):
@@ -359,11 +371,15 @@ class TestInverse:
         assert 50 < nonsingular < 200
 
     def test_only_unimodular_int_matrices(self):
-        for m in ([[2, 1], [1, 2]], [[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0]], [[3]]):
+        """The scale d is a unit, so the inverse is integral, only for a
+        unimodular matrix; only square int rows are eliminated."""
+        for m, det in (([[2, 1], [1, 2]], 3), ([[3]], 3), ([[4, 2], [1, 2]], 6)):
+            assert scaled_inverse(m)[0] in (det, -det)
+        for m in ([[0, 0], [0, 1]], [[1, 2], [2, 4]], [[0]]):
             with pytest.raises(ArithmeticError):
-                inverse(m)
+                scaled_inverse(m)
         with pytest.raises(NonSquareError):
-            inverse([[1, 0]])
+            scaled_inverse([[1, 0]])
         for entry in (Fraction(1), ONE, 1.0, True):
             with pytest.raises(TypeError):
-                inverse([[entry]])
+                scaled_inverse([[entry]])
