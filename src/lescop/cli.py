@@ -59,7 +59,7 @@ def _emit(args, human_lines, payload):
 def _read(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
 
 
@@ -268,12 +268,10 @@ def _verify_checks(doc):
 
     if n == 2:
         c1, c2 = p.components
-        before = polys[0]
         blown_down = presentation.rank_one_update(c1.seifert, c1.linking[c2.name], -1)
         after = invariants.knot_alexander(blown_down, h)
-        jump = after.second_derivative_at_one() - before.second_derivative_at_one()
-        s = jump / (2 * h)
-        residue = after - (ring.ONE + s * ring.Z * ring.Z) * before
+        s = invariants.sato_levine(p)
+        residue = after - (ring.ONE + s * ring.Z * ring.Z) * polys[0]
         ok = ring.divides_z_power(residue, 3)
         yield "z3-structure", "pass" if ok else "fail", f"s = {s}"
 
@@ -349,14 +347,17 @@ def cmd_examples(args):
         return EXIT_OK
     if args.write is not None:
         out_dir = Path(args.write)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, doc in entries.items():
-            target = out_dir / f"{name}.json"
-            target.write_text(documents.serialize(doc), encoding="utf-8")
-            if not args.json:
-                print(target)
+        targets = [out_dir / f"{name}.json" for name in entries]
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for target, doc in zip(targets, entries.values()):
+                target.write_text(documents.serialize(doc), encoding="utf-8")
+        except OSError as e:
+            raise CliInputError(f"cannot write {out_dir}: {e}") from None
         if args.json:
-            print(json.dumps(sorted(str(out_dir / f"{n}.json") for n in entries)))
+            print(json.dumps(sorted(map(str, targets))))
+        else:
+            print(*targets, sep="\n")
         return EXIT_OK
     desc = corpus_descriptions()
     if args.json:

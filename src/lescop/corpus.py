@@ -38,10 +38,7 @@ def _boundary_link():
 
 
 def _km(seifert):
-    p = build_triple(1, RibbonPairSpec(s=0))
-    if seifert:
-        p = connected_sum_knot(p, "l1", seifert)
-    return p
+    return connected_sum_knot(build_triple(1, RibbonPairSpec(s=0)), "l1", seifert)
 
 
 def _entries():

@@ -55,7 +55,7 @@ class DocumentValueError(DocumentError, ValueError):
     """A rational string is malformed, e.g. "1/0" or "0.5"."""
 
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
 def _rational(s):

@@ -212,11 +212,10 @@ class RibbonPairSpec:
             raise InvalidSpecError(
                 f"a has length {len(self.a)}, expected {len(self.w)}"
             )
-        if self.w:
-            d, dw, _ = integral_form(self.w)
-            msg = skew_form(d, dw)[1]
-            if msg is not None:
-                raise InvalidSpecError(f"w: {msg}")
+        d, dw, _ = integral_form(self.w)
+        msg = skew_form(d, dw)[1]
+        if msg is not None:
+            raise InvalidSpecError(f"w: {msg}")
 
 
 def validate(p):
@@ -363,11 +362,10 @@ def connected_sum_knot(p, comp, v):
     surface is disjoint from everything else.  All other data is unchanged.
     """
     v = exact_matrix(v)
-    if v:
-        d, dv, _ = integral_form(v)
-        msg = skew_form(d, dv)[1]
-        if msg is not None:
-            raise InvalidSpecError(f"summand matrix: {msg}")
+    d, dv, _ = integral_form(v)
+    msg = skew_form(d, dv)[1]
+    if msg is not None:
+        raise InvalidSpecError(f"summand matrix: {msg}")
     c = p.component(comp)
     k = len(v)
     n = c.size

@@ -6,13 +6,20 @@ and no floating point is allowed anywhere.  The ring houses the element
 ``z = t^(1/2) - t^(-1/2)`` and its powers.
 
 ``exact`` is the package's one rule for a number a caller passes in: an
-int stays an int, an integral ``fractions.Fraction`` (aliased
-``Rational``) becomes an int, and anything else, a float, a string or a
-Decimal, raises TypeError.  Ring coefficients, Seifert and linking
-entries and the scalar arguments of the conversions all pass through it.
+int stays an int, an integral ``fractions.Fraction`` becomes an int,
+and anything else, a float, a string or a Decimal, raises TypeError.
+Ring coefficients, Seifert and linking entries and the scalar arguments
+of the conversions all pass through it.  ``HalfLaurent.__init__`` is the
+one place that applies it to a coefficient and drops the zero terms, so
+no arithmetic of HalfLaurent drops a zero term itself.
 
 ``determinant`` and ``scaled_inverse`` share the package's one exact
-elimination, a fraction-free Bareiss step over int rows.
+elimination, a fraction-free Bareiss step over int rows.  It runs all n
+steps in both modes and returns ``(sign, last pivot)``: the sign of its
+row permutation and its last pivot, ``(1, 1)`` for the 0x0 matrix and
+``(0, 0)`` for a singular one.  The determinant is their product, and
+the last pivot of a Gauss-Jordan on [M | I] is the scale d of the
+inverse, so neither function treats any size apart.
 ``scaled_inverse`` gives ``(d, d S^-1)`` with ``|d| = det S`` for
 ``S = V - V^T``, so one elimination yields both the skew-form check
 ``det S = 1`` and the integer ``S^-1`` of the jet formulas
@@ -40,8 +47,6 @@ Fraction(1, 1)
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
 
 
 class NonSquareError(ValueError):
@@ -102,18 +107,15 @@ class HalfLaurent:
     def terms(self):
         return dict(self._terms)
 
-    def is_zero(self):
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, HalfLaurent):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: exact(other)} if other else {})
-        return NotImplemented
+            other = HalfLaurent({0: other})
+        if not isinstance(other, HalfLaurent):
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -128,11 +130,7 @@ class HalfLaurent:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return HalfLaurent(out)
 
     __radd__ = __add__
@@ -149,21 +147,13 @@ class HalfLaurent:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = exact(other)
-            if not c:
-                return ZERO
-            return HalfLaurent({k: v * c for k, v in self._terms.items()})
+            return HalfLaurent({k: v * other for k, v in self._terms.items()})
         if not isinstance(other, HalfLaurent):
             return NotImplemented
         out = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
-                k = ka + kb
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[ka + kb] = out.get(ka + kb, 0) + ca * cb
         return HalfLaurent(out)
 
     __rmul__ = __mul__
@@ -186,12 +176,7 @@ class HalfLaurent:
 
     def derivative(self):
         """Formal d/dt: c * t^(k/2) maps to c*(k/2) * t^(k/2 - 1)."""
-        out = {}
-        for k, c in self._terms.items():
-            nc = c * Fraction(k, 2)
-            if nc:
-                out[k - 2] = exact(nc)
-        return HalfLaurent(out)
+        return HalfLaurent({k - 2: c * Fraction(k, 2) for k, c in self._terms.items()})
 
     def second_derivative_at_one(self):
         """Sum of c * (k/2) * (k/2 - 1) over all terms, as one sum of c * k (k - 2) over 4."""
@@ -234,11 +219,6 @@ T = HalfLaurent({2: 1})
 Z = HalfLaurent({1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
 
 
-def z_power(k):
-    """z^k with z = t^(1/2) - t^(-1/2)."""
-    return Z ** k
-
-
 def _over_z(p):
     """p / z for a nonzero p, or None when z does not divide p.
 
@@ -273,7 +253,7 @@ def z_power_quotient(p, k):
 def divides_z_power(p, k):
     """Whether p lies in the ideal generated by z^k.
 
-    >>> divides_z_power(z_power(3) * (T + 3), 3)
+    >>> divides_z_power(Z**3 * (T + 3), 3)
     True
     >>> divides_z_power(HalfLaurent({2: 1, 0: -1, -2: 1}), 1)
     False
@@ -302,16 +282,17 @@ def _bareiss(a, n, jordan):
     columns before it are left stale.  Each update divides the previous
     pivot out with //, exact by Sylvester's identity.  This keeps
     coefficient growth polynomial instead of exponential.  Returns
-    the sign of the row permutation, or 0 when a column has no pivot, that
-    is when the matrix is singular.
+    (sign, last pivot) for the sign of the row permutation, (1, 1) when
+    n is 0, or (0, 0) when a column has no pivot, that is when the matrix
+    is singular.  The last pivot is the determinant up to that sign.
     """
     sign = 1
     prev = 1
-    for k in range(n if jordan else n - 1):
+    for k in range(n):
         if not a[k][k]:
             pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot is None:
-                return 0
+                return 0, 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         pk = a[k]
@@ -321,7 +302,7 @@ def _bareiss(a, n, jordan):
                 for j in range(k + 1, len(pk)):
                     ai[j] = (pk[k] * ai[j] - ai[k] * pk[j]) // prev
         prev = pk[k]
-    return sign
+    return sign, prev
 
 
 def determinant(rows):
@@ -341,14 +322,8 @@ def determinant(rows):
     1
     """
     a = _square(rows)
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = _bareiss(a, n, jordan=False)
-    if not sign:
-        return 0
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    sign, last = _bareiss(a, len(a), jordan=False)
+    return sign * last
 
 
 def scaled_inverse(rows):
@@ -360,14 +335,15 @@ def scaled_inverse(rows):
 
     >>> scaled_inverse([[2, 1], [1, 3]])
     (5, [[3, -1], [-1, 2]])
+    >>> scaled_inverse([])
+    (1, [])
     """
     a = _square(rows)
     n = len(a)
-    if n == 0:
-        return 1, []
     for i, r in enumerate(a):
         r.extend(int(i == j) for j in range(n))
-    if not _bareiss(a, n, jordan=True):
+    sign, d = _bareiss(a, n, jordan=True)
+    if not sign:
         raise ArithmeticError("matrix is singular")
-    return a[n - 1][n - 1], [r[n:] for r in a]
+    return d, [r[n:] for r in a]
 

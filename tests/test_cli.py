@@ -53,6 +53,14 @@ class TestExamples:
         assert (tmp_path / "s1xs2.json").exists()
         assert len(list(tmp_path.glob("*.json"))) == len(corpus())
 
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_write_onto_a_file_exits_2(self, target, tmp_path, capsys):
+        (tmp_path / "file").write_text("taken")
+        path = tmp_path / target
+        code, _, err = invoke(capsys, "examples", "--write", str(path))
+        assert code == 2 and err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestInvariantCommands:
     def test_alexander_human(self, corpus_dir, capsys):
@@ -375,6 +383,14 @@ class TestErrors:
         f.write_text("{nope")
         code, _, err = invoke(capsys, "lescop", str(f))
         assert code == 2 and "line" in err
+
+    @pytest.mark.parametrize("argv", [["verify"], ["casson"]])
+    def test_document_not_utf8(self, argv, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(capsys, *argv, str(f))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {f}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_schema_error(self, tmp_path, capsys):
         f = tmp_path / "extra.json"

@@ -256,15 +256,21 @@ class TestParseErrors:
                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                          reason="no int-to-str digit limit"),
             ),
+            # the trefoil in Arabic-Indic and in fullwidth digits
+            (MINIMAL.replace('"seifert": []', '"seifert": [["-\u0661", "\u0661"], ["0", "-1"]]'),
+             pytest.raises(DocumentValueError)),
+            (MINIMAL.replace('"seifert": []', '"seifert": [["-1", "\uff11"], ["0", "-1"]]'),
+             pytest.raises(DocumentValueError)),
         ],
-        ids=["huge-base-order", "huge-rational", "deep-nesting", "huge-result"],
+        ids=["huge-base-order", "huge-rational", "deep-nesting", "huge-result",
+             "arabic-indic-digits", "fullwidth-digits"],
     )
     def test_hostile_input_exits_2(self, text, parsing, tmp_path, capsys):
         """Inputs that crashed the parser or the output end in exit 2 and one error line."""
         with parsing:
             parse(text)
         f = tmp_path / "hostile.json"
-        f.write_text(text)
+        f.write_text(text, encoding="utf-8")
         for command in ("verify", "alexander", "chi", "lescop"):
             assert run([command, str(f)]) == 2, command
             out, err = capsys.readouterr()

@@ -1,0 +1,80 @@
+"""Mutants of named helpers that `verify` must catch on the built-in corpus.
+
+Each test breaks one helper by monkeypatching, runs `verify --json` on
+every built-in document and asserts that the run exits 1 with the named
+check among the failures.  A mutant that `verify` misses is a check that
+cannot fail: it stays here as a strict xfail until a check catches it.
+"""
+
+import json
+
+import pytest
+
+from lescop import floer, invariants, ring
+from lescop.cli import run
+
+
+def failed_checks(corpus_dir, capsys):
+    """The exit code of `verify --json` on the corpus, and the names of the
+    checks that failed, without their [component] suffix."""
+    files = sorted(str(f) for f in corpus_dir.glob("*.json"))
+    code = run(["verify", "--json", *files])
+    results = json.loads(capsys.readouterr().out)["results"]
+    return code, {
+        c["name"].split("[")[0]
+        for r in results
+        for c in r["checks"]
+        if c["status"] == "fail"
+    }
+
+
+def test_alexander_coefficient(corpus_dir, capsys, monkeypatch):
+    """+1 on the free t^0 coefficient of every Alexander polynomial."""
+    alexander = invariants._alexander
+    monkeypatch.setattr(invariants, "_alexander", lambda *args: alexander(*args) + 1)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert code == 1 and "alexander-at-one" in failed
+
+
+def test_leaf_traces(corpus_dir, capsys, monkeypatch):
+    """Every triangle leaf after the first shifted by 4."""
+    leaf_traces = floer._leaf_traces
+
+    def shifted(*args):
+        traces = leaf_traces(*args)
+        yield next(traces)
+        for trace in traces:
+            yield trace + 4
+
+    monkeypatch.setattr(floer, "_leaf_traces", shifted)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert (code, failed) == (1, {"route-agreement"})
+
+
+def test_blown_down_alexander(corpus_dir, capsys, monkeypatch):
+    """z^2 added to the blown-down polynomial: its value at 1 is unchanged,
+    but its Delta''(1) jump no longer matches the Sato-Levine number."""
+    knot_alexander = invariants.knot_alexander
+    monkeypatch.setattr(
+        invariants, "knot_alexander", lambda *args: knot_alexander(*args) + ring.Z * ring.Z
+    )
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert (code, failed) == (1, {"z3-structure"})
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: both chi routes and theorem1-consistency read the one "
+    "jet trace, so no check compares it with a route that does not",
+)
+def test_jet_trace(corpus_dir, capsys, monkeypatch):
+    """+8 on the jet trace, as both the closed form and the triangle read it."""
+    jet_trace = invariants._jet_trace
+
+    def mutant(*args):
+        return jet_trace(*args) + 8
+
+    monkeypatch.setattr(invariants, "_jet_trace", mutant)
+    monkeypatch.setattr(floer, "_jet_trace", mutant)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert code == 1 and "route-agreement" in failed
