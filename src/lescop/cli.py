@@ -2,10 +2,17 @@
 
 Exit codes: 0 on success, 1 when a mathematical invariant or cross-route
 agreement fails, 2 on input errors (malformed documents, unknown
-components, bad arguments).  Diagnostics go to standard error.  The
-default output is a human-readable table; --json switches every
-subcommand to machine-readable output in which all exact rationals are
-strings ("a/b") and all integers are JSON integers.
+components, bad arguments).  Diagnostics go to standard error.
+
+Each subcommand states its result once, as a JSON payload in which all
+exact rationals are strings ("a/b") and all integers are JSON integers,
+and hands it to _emit, the one function that writes a result to
+standard output, at most once per run.  Under --json _emit prints the
+payload; otherwise it prints the human form, by default one
+"key = value" line per payload field.  A subcommand whose human form
+differs (alexander, sato-levine, lens, chi, verify and examples)
+passes its lines beside the payload.  Only `examples NAME` writes
+something else: a document, which is not a payload.
 
 The parser is built once per process, and each subcommand is dispatched
 by name to the module's cmd_* function at call time, so rebinding one
@@ -48,12 +55,16 @@ def _poly_json(p):
     return {ring.exponent_str(k): str(c) for k, c in p.terms.items()}
 
 
-def _emit(args, human_lines, payload):
+def _emit(args, payload, lines=None):
+    """Print a subcommand's result: the payload under --json, else the
+    human lines, by default one "key = value" line per payload field."""
     if args.json:
         print(json.dumps(payload))
-    else:
-        for line in human_lines:
-            print(line)
+        return
+    if lines is None:
+        lines = [f"{key} = {value}" for key, value in payload.items()]
+    for line in lines:
+        print(line)
 
 
 def _read(path):
@@ -95,17 +106,17 @@ def cmd_alexander(args):
     d2 = poly.second_derivative_at_one()
     _emit(
         args,
-        [
-            f"component = {comp}",
-            f"alexander = {poly}",
-            f"delta2_at_1 = {d2}",
-        ],
         {
             "component": comp,
             "alexander": _poly_json(poly),
             "display": str(poly),
             "delta2_at_1": str(d2),
         },
+        [
+            f"component = {comp}",
+            f"alexander = {poly}",
+            f"delta2_at_1 = {d2}",
+        ],
     )
     return EXIT_OK
 
@@ -125,12 +136,6 @@ def cmd_lescop(args):
     route = _LESCOP_ROUTES.get(n, "vanishes for b1 >= 4")
     _emit(
         args,
-        [
-            f"lescop = {value}",
-            f"b1 = {n}",
-            f"torsion_order = {p.base_order}",
-            f"route = {route}",
-        ],
         {
             "lescop": str(value),
             "b1": n,
@@ -157,7 +162,7 @@ def cmd_sato_levine(args):
             + ", ".join(f"{m}={v}" for m, v in both.items()),
             file=sys.stderr,
         )
-    _emit(args, lines, payload)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -166,11 +171,7 @@ def cmd_mu2(args):
     p = doc.presentation
     mode = _resolve_mode(doc)
     value = invariants.milnor_mu_squared(p, mode)
-    _emit(
-        args,
-        [f"mu_squared = {value}", f"mode = {mode}"],
-        {"mu_squared": str(value), "mode": mode},
-    )
+    _emit(args, {"mu_squared": str(value), "mode": mode})
     return EXIT_OK
 
 
@@ -191,47 +192,35 @@ def cmd_chi(args):
         "ambiguity": any_report.ambiguity,
         "bundle_w2": list(any_report.bundle.w2),
     }
+    code = EXIT_OK
     if len(reports) == 2:
-        chis = {r.chi for r in reports.values()}
-        agree = len(chis) == 1
+        agree = len({r.chi for r in reports.values()}) == 1
         payload["agree"] = agree
-        if not agree:
+        if agree:
+            lines.append("routes agree")
+        else:
             _err(f"routes disagree: {payload['routes']}")
-            _emit(args, lines, payload)
-            return EXIT_INVARIANT
-        lines.append("routes agree")
-    _emit(args, lines, payload)
-    return EXIT_OK
+            code = EXIT_INVARIANT
+    _emit(args, payload, lines)
+    return code
 
 
 def cmd_casson(args):
     chain = documents.parse_chain(_read(args.chainfile))
     value = invariants.casson(chain)
     chi = 2 * value  # floer.taubes_chi, without computing the ledger again
-    _emit(
-        args,
-        [f"casson = {value}", f"taubes_chi = {chi}"],
-        {"casson": str(value), "taubes_chi": str(chi)},
-    )
+    _emit(args, {"casson": str(value), "taubes_chi": str(chi)})
     return EXIT_OK
 
 
 def cmd_lens(args):
     breakdown = lens.rep_classes(args.p)
-    _emit(
-        args,
-        [
-            f"p = {breakdown.p}",
-            f"central = {breakdown.central_classes}",
-            f"spheres = {breakdown.sphere_classes}",
-            f"factor = {breakdown.euler_factor}",
-        ],
-        {
-            "central": breakdown.central_classes,
-            "spheres": breakdown.sphere_classes,
-            "factor": breakdown.euler_factor,
-        },
-    )
+    payload = {
+        "central": breakdown.central_classes,
+        "spheres": breakdown.sphere_classes,
+        "factor": breakdown.euler_factor,
+    }
+    _emit(args, payload, (f"{k} = {v}" for k, v in {"p": breakdown.p, **payload}.items()))
     return EXIT_OK
 
 
@@ -318,24 +307,23 @@ def _verify_checks(doc):
 
 
 def cmd_verify(args):
-    overall_ok = True
     results = []
     for path in args.files:
         doc = _load_document(path)
-        checks = []
-        for name, status, detail in _verify_checks(doc):
-            checks.append({"name": name, "status": status, "detail": detail})
-            if status == "fail":
-                overall_ok = False
+        checks = [{"name": n, "status": s, "detail": d} for n, s, d in _verify_checks(doc)]
         results.append({"file": str(path), "checks": checks})
-    if args.json:
-        print(json.dumps({"ok": overall_ok, "results": results}))
-    else:
-        for res in results:
-            print(f"{res['file']}:")
-            for chk in res["checks"]:
-                print(f"  {chk['name']}: {chk['status'].upper()} ({chk['detail']})")
-    return EXIT_OK if overall_ok else EXIT_INVARIANT
+    ok = all(c["status"] != "fail" for res in results for c in res["checks"])
+    # a generator, so that --json formats no line
+    lines = (
+        line
+        for res in results
+        for line in (
+            f"{res['file']}:",
+            *(f"  {c['name']}: {c['status'].upper()} ({c['detail']})" for c in res["checks"]),
+        )
+    )
+    _emit(args, {"ok": ok, "results": results}, lines)
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def cmd_examples(args):
@@ -354,18 +342,15 @@ def cmd_examples(args):
                 target.write_text(documents.serialize(doc), encoding="utf-8")
         except OSError as e:
             raise CliInputError(f"cannot write {out_dir}: {e}") from None
-        if args.json:
-            print(json.dumps(sorted(map(str, targets))))
-        else:
-            print(*targets, sep="\n")
+        _emit(args, sorted(map(str, targets)), targets)
         return EXIT_OK
     desc = corpus_descriptions()
-    if args.json:
-        print(json.dumps([{"name": n, "description": desc[n]} for n in entries]))
-    else:
-        width = max(len(n) for n in entries)
-        for name in entries:
-            print(f"{name:<{width}}  {desc[name]}")
+    width = max(len(n) for n in entries)
+    _emit(
+        args,
+        [{"name": n, "description": desc[n]} for n in entries],
+        [f"{name:<{width}}  {desc[name]}" for name in entries],
+    )
     return EXIT_OK
 
 

@@ -143,7 +143,6 @@ class PresentationDocument:
     presentation: SurgeryPresentation
     bundle_w2: tuple = None
     normalization: str = None
-    format_version: int = FORMAT_VERSION
 
 
 def _parse_seifert(seifert, where, owner):
@@ -169,6 +168,10 @@ def _parse_component(obj, i):
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise DocumentSchemaError(f"{where}.name: expected a non-empty string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate such as "\ud800"
+        raise DocumentSchemaError(f"{where}.name: not valid text") from None
     rows = _parse_seifert(obj["seifert"], f"{where}.seifert", f"component {name!r}")
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):

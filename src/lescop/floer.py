@@ -76,15 +76,11 @@ from .invariants import (
 from .ring import exact
 
 
-class FloerError(Exception):
-    pass
-
-
-class InadmissibleBundleError(FloerError):
+class InadmissibleBundleError(Exception):
     """The w2 vector is zero, ill-typed, or has the wrong length."""
 
 
-class NonIntegralChiError(FloerError):
+class NonIntegralChiError(Exception):
     """An Euler characteristic came out non-integral.
 
     chi is asserted integral on output; a fractional value signals
@@ -206,12 +202,9 @@ def _leaf_traces(dv, s_inv, vectors):
     for m in range(1, 1 << len(vectors)):
         i = (m & -m).bit_length() - 1
         y = ys[i]
-        if (m ^ (m >> 1)) >> i & 1:
-            trace -= 4 * _form(y, db, y)
-            db = [list(map(add, row, o)) for row, o in zip(db, outers[i])]
-        else:
-            trace += 4 * _form(y, db, y)
-            db = [list(map(sub, row, o)) for row, o in zip(db, outers[i])]
+        op, sigma = (add, 1) if (m ^ (m >> 1)) >> i & 1 else (sub, -1)
+        trace -= 4 * sigma * _form(y, db, y)
+        db = [list(map(op, row, o)) for row, o in zip(db, outers[i])]
         yield trace
 
 

@@ -54,11 +54,7 @@ from .presentation import InvalidSpecError, exact_matrix, integral_form, skew_fo
 from .ring import HalfLaurent, determinant, exact, scaled_inverse
 
 
-class InvariantError(Exception):
-    pass
-
-
-class InvalidPresentationError(InvariantError):
+class InvalidPresentationError(Exception):
     """The presentation fails validation; .violations lists the reasons."""
 
     def __init__(self, violations):
@@ -66,7 +62,7 @@ class InvalidPresentationError(InvariantError):
         self.violations = list(violations)
 
 
-class WrongComponentCountError(InvariantError):
+class WrongComponentCountError(Exception):
     pass
 
 

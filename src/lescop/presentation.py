@@ -36,11 +36,7 @@ from types import MappingProxyType
 from .ring import exact, scaled_inverse
 
 
-class PresentationError(Exception):
-    pass
-
-
-class UnknownComponentError(PresentationError, KeyError):
+class UnknownComponentError(KeyError):
     """A named component does not exist in the presentation."""
 
     def __str__(self):
@@ -48,7 +44,7 @@ class UnknownComponentError(PresentationError, KeyError):
         return f"unknown component {self.args[0]!r}"
 
 
-class InvalidSpecError(PresentationError, ValueError):
+class InvalidSpecError(ValueError):
     """A builder specification violates its invariants."""
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lescop
-from lescop import cli
+from lescop import cli, floer
 from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import parse
@@ -351,6 +351,53 @@ class TestPublicApi:
             if alias.name.startswith("_")
         ]
         assert private == []
+
+
+class TestOutputPath:
+    def test_only_emit_writes_a_result(self):
+        """Every other print goes to stderr; the one other stdout write is
+        the document that `examples NAME` prints."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        writers = {
+            (fn.name, ast.unparse(node.func))
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("print", "sys.stdout.write")
+            and not any(k.arg == "file" for k in node.keywords)
+        }
+        assert writers == {("_emit", "print"), ("cmd_examples", "sys.stdout.write")}
+
+    def test_each_run_emits_once(self, corpus_dir, tmp_path, monkeypatch):
+        emit = cli._emit
+        calls = []
+        monkeypatch.setattr(cli, "_emit", lambda *args: calls.append(args) or emit(*args))
+        trefoil, ribbon = str(corpus_dir / "trefoil-0.json"), str(corpus_dir / "ribbon-s1.json")
+        chain = tmp_path / "chain.json"
+        chain.write_text('[{"seifert": [["-1", "1"], ["0", "-1"]], "sign": -1}]')
+        commands = [
+            ["alexander", trefoil], ["lescop", ribbon], ["chi", ribbon],
+            ["sato-levine", ribbon], ["mu2", str(corpus_dir / "triple-mu2.json")],
+            ["casson", str(chain)], ["verify", trefoil, ribbon], ["lens", "--p", "5"],
+            ["examples"], ["examples", "--write", str(tmp_path / "out")],
+        ]
+        for argv in commands:
+            for flag in ([], ["--json"]):
+                calls.clear()
+                assert run(argv + flag) == 0 and len(calls) == 1, argv + flag
+        leaf_traces = floer._leaf_traces
+
+        def shifted(*args):
+            traces = leaf_traces(*args)
+            yield next(traces) + 4
+            yield from traces
+
+        monkeypatch.setattr(floer, "_leaf_traces", shifted)
+        calls.clear()
+        assert run(["chi", ribbon]) == 1 and len(calls) == 1  # the routes disagree
+        calls.clear()
+        assert run(["examples", "trefoil-0"]) == 0 and calls == []
 
 
 class TestJsonExactness:

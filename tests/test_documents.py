@@ -261,9 +261,12 @@ class TestParseErrors:
              pytest.raises(DocumentValueError)),
             (MINIMAL.replace('"seifert": []', '"seifert": [["-1", "\uff11"], ["0", "-1"]]'),
              pytest.raises(DocumentValueError)),
+            # a lone surrogate, which no output can encode, written as ASCII escape text
+            (MINIMAL.replace('"l1"', '"\\ud800"'),
+             pytest.raises(DocumentSchemaError, match=r"^components\[0\]\.name: not valid text$")),
         ],
         ids=["huge-base-order", "huge-rational", "deep-nesting", "huge-result",
-             "arabic-indic-digits", "fullwidth-digits"],
+             "arabic-indic-digits", "fullwidth-digits", "surrogate-name"],
     )
     def test_hostile_input_exits_2(self, text, parsing, tmp_path, capsys):
         """Inputs that crashed the parser or the output end in exit 2 and one error line."""
