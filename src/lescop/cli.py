@@ -18,9 +18,11 @@ The parser is built once per process, and each subcommand is dispatched
 by name to the module's cmd_* function at call time, so rebinding one
 (as a tracer or a test does) takes effect on the next run.
 
-The default normalization mode for the Sato-Levine computation is
-"derived"; the environment variable LESCOP_NORMALIZATION may change the
-default, and a document's "normalization" field overrides both.
+sato-levine and mu2 print the derived value the library returns, read
+in the normalization mode of invariants.normalized that _resolve_mode
+picks: "derived" by default; the environment variable
+LESCOP_NORMALIZATION may change the default, and a document's
+"normalization" field overrides both.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ def _bundle(doc):
 def cmd_alexander(args):
     doc = _load_document(args.file)
     p = doc.presentation
-    comp = args.component or (p.components[0].name if p.components else None)
-    if comp is None:
+    if args.component is None and not p.components:
         raise invariants.WrongComponentCountError("document has no components")
+    comp = p.components[0].name if args.component is None else args.component
     poly = invariants.alexander(p, comp)
     d2 = poly.second_derivative_at_one()
     _emit(
@@ -150,7 +152,7 @@ def cmd_sato_levine(args):
     doc = _load_document(args.file)
     p = doc.presentation
     mode = _resolve_mode(doc)
-    both = invariants.sato_levine_modes(p)
+    both = invariants.normalized(invariants.sato_levine(p), p.base_order)
     value = both[mode]
     disagree = len(set(both.values())) > 1
     payload = {"sato_levine": str(value), "mode": mode, "mode_mismatch": disagree}
@@ -170,7 +172,7 @@ def cmd_mu2(args):
     doc = _load_document(args.file)
     p = doc.presentation
     mode = _resolve_mode(doc)
-    value = invariants.milnor_mu_squared(p, mode)
+    value = invariants.normalized(invariants.milnor_mu_squared(p), p.base_order)[mode]
     _emit(args, {"mu_squared": str(value), "mode": mode})
     return EXIT_OK
 

@@ -7,8 +7,10 @@ The closed-form route applies the case formulas by first Betti number:
     b1 = 3:  chi = -2 h mu^2
     b1 >= 4: chi = 0
 
-with Delta''(1) from the jet formula and s = x^T V x, mu = E3^T x for
-x = S^-1 E2, the int bilinear forms of invariants.
+that is -x for b1 = 1 and -2 h x otherwise, where x is the quantity
+invariants._case picks for lescop too: Delta''(1) from the jet formula,
+s = x^T V x or mu^2 for mu = E3^T x and x = S^-1 E2, the int bilinear
+forms of invariants, or 0.
 
 The triangle route never looks at those formulas.  Applying the surgery
 exact triangle
@@ -45,8 +47,7 @@ input is the principal cross-check of this package.
 
 Each route is one public function that checks its presentation and
 bundle itself.  The presentation keeps its violations once validated, so
-computing chi both ways validates it once, and the closed form reads
-Delta''(1), s and mu^2 through the public functions of invariants.
+computing chi both ways validates it once.
 
 chi does not depend on which admissible bundle is chosen; neither route
 reads w2 beyond the admissibility check, and the bundle is echoed into
@@ -65,13 +66,11 @@ from operator import add, mul, sub
 
 from .invariants import (
     WrongComponentCountError,
+    _case,
     _form,
     _jet_trace,
     _require_valid,
     casson,
-    delta2,
-    milnor_mu_squared,
-    sato_levine,
 )
 from .ring import exact
 
@@ -117,14 +116,18 @@ class ChiReport:
     ambiguity: str
 
 
+def _require_positive(name, value):
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def bundle_ambiguity(h):
     """Whether the admissible bundle over the presented manifold is unique.
 
     The ambiguity lives in Ext(H1(M), Z/2), which vanishes exactly when
     the torsion order h is odd.
     """
-    if type(h) is not int or h < 1:
-        raise ValueError(f"h must be a positive integer, got {h!r}")
+    _require_positive("h", h)
     return UNIQUE if h % 2 == 1 else EXT_AMBIGUOUS
 
 
@@ -164,7 +167,8 @@ def _report(p, value, route, bundle):
 
 
 def chi_closed_form(p, bundle=None):
-    """Euler characteristic via the case formulas.
+    """Euler characteristic via the case formulas: -x for b1 = 1 and
+    -2 h x otherwise, for the quantity x that invariants._case picks.
 
     The b1 = 2 and b1 = 3 formulas are applied with the torsion factor h
     that the Delta''-difference computation actually produces (-2 h s and
@@ -173,16 +177,8 @@ def chi_closed_form(p, bundle=None):
     not read beyond the admissibility check: chi is bundle independent.
     """
     bundle = _check(p, bundle)
-    n = len(p.components)
-    h = p.base_order
-    if n == 1:
-        value = -delta2(p, p.components[0].name)
-    elif n == 2:
-        value = -2 * h * sato_levine(p)
-    elif n == 3:
-        value = -2 * h * milnor_mu_squared(p)
-    else:
-        value = Fraction(0)
+    b1, x = _case(p)
+    value = -x if b1 == 1 else -2 * p.base_order * x
     return _report(p, value, CLOSED_FORM, bundle)
 
 
@@ -243,10 +239,8 @@ def lescop_to_chi(lambda_l, b1, h):
     The result must be an integer; anything else means the inputs are
     inconsistent.
     """
-    if type(b1) is not int or b1 < 1:
-        raise ValueError(f"b1 must be a positive integer, got {b1!r}")
-    if type(h) is not int or h < 1:
-        raise ValueError(f"h must be a positive integer, got {h!r}")
+    _require_positive("b1", b1)
+    _require_positive("h", h)
     lambda_l = exact(lambda_l)
     if b1 == 1:
         value = -2 * lambda_l - Fraction(h, 6)
@@ -257,10 +251,8 @@ def lescop_to_chi(lambda_l, b1, h):
 
 def chi_to_lescop(chi, b1, h):
     """Exact inverse of lescop_to_chi."""
-    if type(b1) is not int or b1 < 1:
-        raise ValueError(f"b1 must be a positive integer, got {b1!r}")
-    if type(h) is not int or h < 1:
-        raise ValueError(f"h must be a positive integer, got {h!r}")
+    _require_positive("b1", b1)
+    _require_positive("h", h)
     chi = exact(chi)
     if b1 == 1:
         return Fraction(-chi, 2) - Fraction(h, 12)

@@ -35,10 +35,18 @@ divided by a power of d once at the end; alexander interpolates from
 the kept form, casson scales each chain step once, and knot_alexander
 each bare matrix it is given.
 
+The first Betti number b1 of the presented manifold is the number of
+components, and the case formulas of lescop and of floer.chi_closed_form
+read one quantity per b1: Delta''(1) of the first component for b1 = 1,
+s for b1 = 2, mu^2 for b1 = 3 and 0 for b1 >= 4.  _case picks it
+once for both; each caller applies its own formula.  sato_levine and
+milnor_mu_squared return the derived s and mu^2; normalized(x, h) gives
+a value in both normalization modes, since the paper-literal reading is
+h times the derived one.
+
 Every public function checks its presentation by reading
 p.violations, which validate fills on first use and the presentation
-keeps; so one function can call another, as lescop calls delta2,
-sato_levine and milnor_mu_squared, and the presentation is still
+keeps; so one function can call another and the presentation is still
 validated once.  Surgery keeps the data valid, since adding the symmetric
 E E^T to a Seifert matrix V leaves V - V^T unchanged.
 """
@@ -50,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .presentation import InvalidSpecError, exact_matrix, integral_form, skew_form
+from .presentation import InvalidSpecError, _valid_form, exact_matrix, integral_form
 from .ring import HalfLaurent, determinant, exact, scaled_inverse
 
 
@@ -86,11 +94,6 @@ class SurgeryChain:
     def __post_init__(self):
         steps = tuple((exact_matrix(v), exact(sign)) for v, sign in self.steps)
         object.__setattr__(self, "steps", steps)
-
-
-def _check_mode(mode):
-    if mode not in NORMALIZATION_MODES:
-        raise ValueError(f"unknown normalization mode {mode!r}")
 
 
 def _require_valid(p):
@@ -237,10 +240,7 @@ def casson(chain):
     for i, (v, sign) in enumerate(chain.steps):
         if sign not in (-1, 1):
             raise InvalidSpecError(f"step {i}: surgery sign must be +1 or -1, got {sign}")
-        d, dv, _ = integral_form(v)
-        s_inv, msg = skew_form(d, dv)
-        if msg is not None:
-            raise InvalidSpecError(f"step {i}: {msg}")
+        d, dv, s_inv = _valid_form(v, f"step {i}")
         if d != 1:
             raise InvalidSpecError(
                 f"step {i}: non-integer entries require base_order > 1, "
@@ -250,36 +250,53 @@ def casson(chain):
     return total
 
 
-def _normalized(s, h):
-    """A Sato-Levine-type number s read in each normalization mode (see sato_levine)."""
-    return {DERIVED: s, PAPER_LITERAL: h * s}
+def normalized(x, h):
+    """A derived Sato-Levine-type number x read in each normalization mode.
+
+    The jump of Delta''(1) under blow-down is 2 x Delta(1) = 2 x h.
+    Dividing it by 2h (DERIVED, what sato_levine and milnor_mu_squared
+    return) gives x; dividing it by 2 (PAPER_LITERAL) gives h x, which
+    reads the case formulas with the Alexander normalization dropped.
+    The modes coincide when h = 1.
+
+    >>> normalized(Fraction(1, 2), 3)
+    {'derived': Fraction(1, 2), 'paper-literal': Fraction(3, 2)}
+    """
+    return {DERIVED: x, PAPER_LITERAL: h * x}
 
 
-def sato_levine(p, mode=DERIVED):
-    """Sato-Levine invariant of a two-component presentation.
+def _case(p):
+    """(b1, x) for the quantity the b1 case formulas read: Delta''(1) of
+    the first component for b1 = 1, s for b1 = 2, mu^2 for b1 = 3 and 0
+    for b1 >= 4.  p is valid and has at least one component."""
+    b1 = len(p.components)
+    first = p.components[0]
+    d, dv, ce = first.integral_form
+    s_inv = first.skew_form[0]
+    if b1 == 1:
+        return b1, _delta2_jet(d, dv, s_inv, p.base_order)
+    if b1 == 2:
+        x = [sum(map(mul, row, ce[p.components[1].name])) for row in s_inv]  # c S^-1 E
+        return b1, Fraction(_form(x, dv, x), d * d)
+    if b1 == 3:
+        mu = Fraction(_form(ce[p.components[2].name], s_inv, ce[p.components[1].name]), d)
+        return b1, mu * mu
+    return b1, Fraction(0)
+
+
+def sato_levine(p):
+    """Sato-Levine invariant s of a two-component presentation.
 
     Computed as s = x^T V x with x = S^-1 E (see the module docstring).
     The jump of Delta''(1) of the first component under (-1)-surgery on
-    the second is 2 s Delta(1) = 2 s h.  The default 'derived' mode gives
-    s, that jump divided by 2h; 'paper-literal' mode gives h s, the jump
-    divided by 2, which reads the case formulas with the Alexander
-    normalization dropped.  The modes coincide when h = 1;
-    sato_levine_modes() gives both values.
+    the second is 2 s Delta(1) = 2 s h, so s is that jump divided by 2h;
+    normalized(s, h) also gives the paper-literal reading h s.
     """
-    _check_mode(mode)
-    return sato_levine_modes(p)[mode]
-
-
-def sato_levine_modes(p):
-    """mode -> sato_levine(p, mode) for every mode, from one computation of s."""
     _require_exactly(p, 2, "sato_levine")
-    c1, c2 = p.components
-    d, dv, ce = c1.integral_form
-    x = [sum(map(mul, row, ce[c2.name])) for row in c1.skew_form[0]]  # c S^-1 E
-    return _normalized(Fraction(_form(x, dv, x), d * d), p.base_order)
+    return _case(p)[1]
 
 
-def milnor_mu_squared(p, mode=DERIVED):
+def milnor_mu_squared(p):
     """Square of the triple linking number of a three-component presentation.
 
     Equal to the jump of the Sato-Levine invariant of the first two
@@ -287,37 +304,30 @@ def milnor_mu_squared(p, mode=DERIVED):
     mu = E3^T S^-1 E2 (see the module docstring).  That bilinear form
     carries the sign of mu, but only mu^2 is reported until the
     orientation convention that fixes the sign is pinned down.  mu is an
-    integer when the linking vectors are.  'paper-literal' mode gives
-    h mu^2, as in sato_levine.
+    integer when the linking vectors are.  normalized(mu^2, h) also
+    gives h mu^2, as for sato_levine.
     """
-    _check_mode(mode)
     _require_exactly(p, 3, "milnor_mu_squared")
-    c1, c2, c3 = p.components
-    d, _, ce = c1.integral_form
-    mu = Fraction(_form(ce[c3.name], c1.skew_form[0], ce[c2.name]), d)
-    return _normalized(mu * mu, p.base_order)[mode]
+    return _case(p)[1]
 
 
 def lescop(p):
     """Lescop invariant of the presented manifold, by first Betti number.
 
-    b1 = 1: Delta''(1)/2 - h/12;  b1 = 2: -h * s;  b1 = 3: h * mu^2;
-    b1 >= 4: 0.  Here h = base_order is the torsion order of the presented
-    manifold.  b1 = 0 (no components) is out of scope; use casson() for
-    integral homology spheres.
+    With x from _case: b1 = 1: x/2 - h/12 for x = Delta''(1);
+    b1 >= 2: (-1)^(b1+1) h x, that is -h s for b1 = 2, h mu^2 for
+    b1 = 3 and 0 for b1 >= 4.  Here h = base_order is the torsion order
+    of the presented manifold.  b1 = 0 (no components) is out of scope;
+    use casson() for integral homology spheres.
     """
     _require_valid(p)
-    n = len(p.components)
-    h = p.base_order
-    if n == 0:
+    if not p.components:
         raise WrongComponentCountError(
             "lescop needs at least one component; for integral homology "
             "spheres use casson()"
         )
-    if n == 1:
-        return delta2(p, p.components[0].name) / 2 - Fraction(h, 12)
-    if n == 2:
-        return -h * sato_levine(p)
-    if n == 3:
-        return h * milnor_mu_squared(p)
-    return Fraction(0)
+    b1, x = _case(p)
+    h = p.base_order
+    if b1 == 1:
+        return x / 2 - Fraction(h, 12)
+    return (-1) ** (b1 + 1) * h * x

@@ -114,6 +114,16 @@ def skew_form(d, dv):
     return tuple(tuple(det * x for x in r) for r in scaled), None
 
 
+def _valid_form(v, what):
+    """(d, dV, S^-1) for an exact square matrix v, by integral_form and
+    skew_form; an invalid Seifert form raises InvalidSpecError("what: why")."""
+    d, dv, _ = integral_form(v)
+    s_inv, msg = skew_form(d, dv)
+    if msg is not None:
+        raise InvalidSpecError(f"{what}: {msg}")
+    return d, dv, s_inv
+
+
 @dataclass(frozen=True)
 class Component:
     """One 0-framed link component: its Seifert matrix and how the basis
@@ -208,10 +218,7 @@ class RibbonPairSpec:
             raise InvalidSpecError(
                 f"a has length {len(self.a)}, expected {len(self.w)}"
             )
-        d, dw, _ = integral_form(self.w)
-        msg = skew_form(d, dw)[1]
-        if msg is not None:
-            raise InvalidSpecError(f"w: {msg}")
+        _valid_form(self.w, "w")
 
 
 def validate(p):
@@ -358,10 +365,7 @@ def connected_sum_knot(p, comp, v):
     surface is disjoint from everything else.  All other data is unchanged.
     """
     v = exact_matrix(v)
-    d, dv, _ = integral_form(v)
-    msg = skew_form(d, dv)[1]
-    if msg is not None:
-        raise InvalidSpecError(f"summand matrix: {msg}")
+    _valid_form(v, "summand matrix")
     c = p.component(comp)
     k = len(v)
     n = c.size

@@ -93,6 +93,13 @@ class TestInvariantCommands:
         code, _, err = invoke(capsys, "alexander", str(empty))
         assert (code, err) == (2, "error: document has no components\n")
 
+    def test_alexander_empty_component_name(self, corpus_dir, capsys):
+        """An empty --component is a name like any other, not the default."""
+        code, out, err = invoke(
+            capsys, "alexander", str(corpus_dir / "trefoil-0.json"), "--component", ""
+        )
+        assert (code, out, err) == (2, "", "error: unknown component ''\n")
+
     def test_lescop(self, corpus_dir, capsys):
         code, out, _ = invoke(capsys, "lescop", str(corpus_dir / "s1xs2.json"))
         assert code == 0 and "lescop = -1/12" in out

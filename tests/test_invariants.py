@@ -16,8 +16,8 @@ from lescop.invariants import (
     knot_alexander,
     lescop,
     milnor_mu_squared,
+    normalized,
     sato_levine,
-    sato_levine_modes,
 )
 from lescop.presentation import (
     FIGURE_EIGHT,
@@ -238,7 +238,7 @@ class TestSatoLevine:
         rng = seeded(34)
         for h in (2, 3, 5):
             spec = random_ribbon_spec(rng, s=-2, gmax=1, h=h)
-            assert sato_levine(build_ribbon_pair(spec), DERIVED) == -2
+            assert sato_levine(build_ribbon_pair(spec)) == -2
 
     def test_boundary_link_is_zero(self):
         c1 = Component("l1", TREFOIL, {"l2": (0, 0)})
@@ -247,22 +247,16 @@ class TestSatoLevine:
 
     def test_modes_coincide_without_torsion(self):
         p = build_ribbon_pair(RibbonPairSpec(s=3))
-        assert sato_levine(p, DERIVED) == sato_levine(p, PAPER_LITERAL) == 3
-        assert sato_levine_modes(p) == {DERIVED: 3, PAPER_LITERAL: 3}
+        assert normalized(sato_levine(p), p.base_order) == {DERIVED: 3, PAPER_LITERAL: 3}
 
     def test_modes_differ_with_torsion(self):
         p = build_ribbon_pair(RibbonPairSpec(s=1, base_order=3))
-        assert sato_levine(p, DERIVED) == 1
-        assert sato_levine(p, PAPER_LITERAL) == 3
-        assert sato_levine_modes(p) == {DERIVED: 1, PAPER_LITERAL: 3}
+        assert sato_levine(p) == 1
+        assert normalized(sato_levine(p), p.base_order) == {DERIVED: 1, PAPER_LITERAL: 3}
 
     def test_wrong_component_count(self):
         with pytest.raises(WrongComponentCountError):
             sato_levine(knot_surgery(TREFOIL))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sato_levine(build_ribbon_pair(RibbonPairSpec(s=0)), "rounded")
 
 
 class TestMilnor:
@@ -340,7 +334,7 @@ class TestJet:
             c1 = p.components[0]
             v, e = c1.seifert, c1.linking["l2"]
             jump = alexander_delta2(rank_one_update(v, e, -1), h) - alexander_delta2(v, h)
-            assert sato_levine_modes(p) == {DERIVED: jump / (2 * h), PAPER_LITERAL: jump / 2}, p
+            assert normalized(sato_levine(p), h) == {DERIVED: jump / (2 * h), PAPER_LITERAL: jump / 2}, p
 
     def test_mu_squared_matches_bareiss_jump(self):
         rng = seeded(43)
@@ -356,8 +350,8 @@ class TestJet:
             after = rank_one_update(v, e3, -1)
             jump = (alexander_delta2(rank_one_update(after, e2, -1), h) - alexander_delta2(after, h)
                     - alexander_delta2(rank_one_update(v, e2, -1), h) + alexander_delta2(v, h))
-            for mode, expected in ((DERIVED, jump / (2 * h)), (PAPER_LITERAL, jump / 2)):
-                assert milnor_mu_squared(p, mode) == expected, p
+            expected = {DERIVED: jump / (2 * h), PAPER_LITERAL: jump / 2}
+            assert normalized(milnor_mu_squared(p), h) == expected, p
 
 
 class TestHosteStructure:
