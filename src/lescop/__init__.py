@@ -7,6 +7,8 @@ instanton Floer homology by two independent routes: closed-form case
 formulas and the surgery exact triangle, summed over its leaves.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ring import (
     ONE,
     T,
@@ -68,63 +70,7 @@ from .corpus import corpus
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ONE",
-    "T",
-    "Z",
-    "ZERO",
-    "HalfLaurent",
-    "NonSquareError",
-    "determinant",
-    "divides_z_power",
-    "z_power_quotient",
-    "FIGURE_EIGHT",
-    "TREFOIL",
-    "UNKNOT",
-    "Component",
-    "InvalidSpecError",
-    "RibbonPairSpec",
-    "SurgeryPresentation",
-    "UnknownComponentError",
-    "blow_down",
-    "build_ribbon_pair",
-    "build_triple",
-    "connected_sum_knot",
-    "drop_component",
-    "validate",
-    "DERIVED",
-    "PAPER_LITERAL",
-    "InvalidPresentationError",
-    "SurgeryChain",
-    "WrongComponentCountError",
-    "alexander",
-    "casson",
-    "delta2",
-    "knot_alexander",
-    "lescop",
-    "milnor_mu_squared",
-    "normalized",
-    "sato_levine",
-    "BundleSpec",
-    "ChiReport",
-    "InadmissibleBundleError",
-    "NonIntegralChiError",
-    "bundle_ambiguity",
-    "chi_closed_form",
-    "chi_to_lescop",
-    "chi_via_triangle",
-    "lescop_to_chi",
-    "reduced_knot_chi",
-    "taubes_chi",
-    "InvalidPError",
-    "LensBreakdown",
-    "connect_sum_chi",
-    "lescop_connect_sum",
-    "rep_classes",
-    "PresentationDocument",
-    "parse",
-    "parse_chain",
-    "serialize",
-    "serialize_chain",
-    "corpus",
-]
+# Every name imported above is public: __all__ is the names bound here,
+# without the submodules that those imports bind as package attributes.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

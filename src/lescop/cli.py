@@ -329,30 +329,30 @@ def cmd_verify(args):
 
 
 def cmd_examples(args):
+    if args.name is None and args.write is None:
+        desc = corpus_descriptions()
+        width = max(map(len, desc))
+        _emit(
+            args,
+            [{"name": name, "description": text} for name, text in desc.items()],
+            [f"{name:<{width}}  {text}" for name, text in desc.items()],
+        )
+        return EXIT_OK
     entries = builtin_corpus()
     if args.name is not None:
         if args.name not in entries:
             raise CliInputError(f"unknown example {args.name!r}")
         sys.stdout.write(documents.serialize(entries[args.name]))
         return EXIT_OK
-    if args.write is not None:
-        out_dir = Path(args.write)
-        targets = [out_dir / f"{name}.json" for name in entries]
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for target, doc in zip(targets, entries.values()):
-                target.write_text(documents.serialize(doc), encoding="utf-8")
-        except OSError as e:
-            raise CliInputError(f"cannot write {out_dir}: {e}") from None
-        _emit(args, sorted(map(str, targets)), targets)
-        return EXIT_OK
-    desc = corpus_descriptions()
-    width = max(len(n) for n in entries)
-    _emit(
-        args,
-        [{"name": n, "description": desc[n]} for n in entries],
-        [f"{name:<{width}}  {desc[name]}" for name in entries],
-    )
+    out_dir = Path(args.write)
+    targets = [out_dir / f"{name}.json" for name in entries]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for target, doc in zip(targets, entries.values()):
+            target.write_text(documents.serialize(doc), encoding="utf-8")
+    except OSError as e:
+        raise CliInputError(f"cannot write {out_dir}: {e}") from None
+    _emit(args, sorted(map(str, targets)), targets)
     return EXIT_OK
 
 

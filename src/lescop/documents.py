@@ -1,9 +1,9 @@
 """Presentation file format: strict JSON with exact rational strings.
 
 Presentations encode exact mathematical objects, so the schema is strict:
-unknown fields are errors, every rational number is a string "a" or "a/b"
-with b > 0, and floating-point literals are rejected anywhere in the
-document.  An entry parses to an int when it is integral ("3", "-0",
+unknown or repeated fields are errors, every rational number is a string
+"a" or "a/b" with b > 0, and floating-point literals are rejected anywhere
+in the document.  An entry parses to an int when it is integral ("3", "-0",
 "2/2") and to a Fraction otherwise, by the rule of ring.exact.
 serialize() is canonical, so serialize(parse(text)) is byte-stable under
 further round trips.
@@ -48,7 +48,7 @@ class DocumentSyntaxError(DocumentError):
 
 
 class DocumentSchemaError(DocumentError):
-    """Unknown, missing, or ill-typed fields."""
+    """Unknown, repeated, missing, or ill-typed fields."""
 
 
 class DocumentValueError(DocumentError, ValueError):
@@ -109,10 +109,21 @@ def _no_float(text):
     )
 
 
+def _fields(pairs):
+    """A JSON object as a dict; a repeated field is an error, where
+    json.loads would keep the last value silently."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for k, name in enumerate(names) if name in names[:k])
+        raise DocumentSchemaError(f"duplicate field {repeated!r}")
+    return fields
+
+
 def _loads(text):
     try:
         return json.loads(text, parse_int=_parse_int, parse_float=_no_float,
-                          parse_constant=_no_float)
+                          parse_constant=_no_float, object_pairs_hook=_fields)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:

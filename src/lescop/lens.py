@@ -73,8 +73,7 @@ def lescop_connect_sum(lambda_y, p):
     """Lescop invariant of the same connected sum: p times the summand's.
 
     Stated for summands with torsion-free first homology of rank at least
-    one; that hypothesis is the caller's responsibility.
+    one; that hypothesis is the caller's responsibility.  The factor is
+    rep_classes(p).euler_factor, which is p, so p is checked there.
     """
-    if type(p) is not int or p < 1:
-        raise InvalidPError(f"p must be a positive integer, got {p!r}")
-    return Fraction(p * exact(lambda_y))
+    return Fraction(rep_classes(p).euler_factor * exact(lambda_y))

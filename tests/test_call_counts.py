@@ -123,6 +123,18 @@ def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch
     assert alexander.calls == 49
 
 
+def test_examples_list_builds_the_corpus_once(monkeypatch, capsys):
+    """The list reads names and descriptions off one pass over the built-in
+    entries, each of which builds its presentation."""
+    corpus_module = sys.modules["lescop.corpus"]
+    entries = Counter(monkeypatch, corpus_module._entries, modules=[corpus_module])
+    for argv in (["examples"], ["examples", "--json"]):
+        before = entries.calls
+        assert run(argv) == 0, argv
+        assert entries.calls - before == 1, argv
+    capsys.readouterr()
+
+
 def test_chi_validates_once(corpus_dir, monkeypatch, capsys):
     validate = Counter(monkeypatch, presentation.validate)
     assert run(["chi", str(corpus_dir / "km-trefoil.json")]) == 0

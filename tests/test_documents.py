@@ -264,9 +264,18 @@ class TestParseErrors:
             # a lone surrogate, which no output can encode, written as ASCII escape text
             (MINIMAL.replace('"l1"', '"\\ud800"'),
              pytest.raises(DocumentSchemaError, match=r"^components\[0\]\.name: not valid text$")),
+            # the trefoil, whose repeated base_order would make h = 3
+            (MINIMAL.replace('"base_order": 1', '"base_order": 1, "base_order": 3')
+                    .replace('"seifert": []', '"seifert": [["-1", "1"], ["0", "-1"]]'),
+             pytest.raises(DocumentSchemaError, match=r"^duplicate field 'base_order'$")),
+            # two unknots, whose repeated linking vector would drop the first one
+            (MINIMAL.replace('"linking": {}}', '"linking": {"l2": [], "l2": []}},\n'
+                             '    {"name": "l2", "seifert": [], "linking": {"l1": []}}'),
+             pytest.raises(DocumentSchemaError, match=r"^duplicate field 'l2'$")),
         ],
         ids=["huge-base-order", "huge-rational", "deep-nesting", "huge-result",
-             "arabic-indic-digits", "fullwidth-digits", "surrogate-name"],
+             "arabic-indic-digits", "fullwidth-digits", "surrogate-name",
+             "repeated-base-order", "repeated-linking"],
     )
     def test_hostile_input_exits_2(self, text, parsing, tmp_path, capsys):
         """Inputs that crashed the parser or the output end in exit 2 and one error line."""
@@ -311,6 +320,15 @@ class TestChains:
     def test_bad_sign(self):
         with pytest.raises(DocumentSchemaError):
             parse_chain('[{"seifert": [], "sign": 0}]')
+
+    def test_repeated_field(self, tmp_path, capsys):
+        text = '[{"seifert": [], "sign": 1, "sign": -1}]'
+        with pytest.raises(DocumentSchemaError, match=r"^duplicate field 'sign'$"):
+            parse_chain(text)
+        f = tmp_path / "repeated.json"
+        f.write_text(text)
+        assert run(["casson", str(f)]) == 2
+        assert capsys.readouterr().err == "error: duplicate field 'sign'\n"
 
     def test_non_square(self):
         with pytest.raises(DocumentSchemaError):

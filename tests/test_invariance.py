@@ -18,6 +18,12 @@ No relation moves the first component: every formula reads the first
 component's surface and its linking vectors, and the data of the other
 components only through validation, so swapping the first component with
 another one changes the numbers (on ribbon-s1, chi goes from -2 to 0).
+
+Reversing the orientation of the manifold, V -> -V^T on every component
+with the linking vectors kept, keeps each Alexander polynomial and
+multiplies the Lescop invariant by (-1)^(b1 + 1) (Lescop, Global surgery
+formula for the Casson-Walker invariant, 1996), and with it chi by both
+routes, or both sides have a non-integral chi.
 """
 
 import pytest
@@ -112,3 +118,36 @@ def test_invariants_survive(relation):
         checked += 1
     assert mismatches == []
     assert checked >= COUNT // 3
+
+
+def reversal(p):
+    """-M: every Seifert matrix V -> -V^T, the linking vectors kept."""
+    return SurgeryPresentation(p.base_order, tuple(
+        Component(c.name, [[-x for x in column] for column in zip(*c.seifert)], c.linking)
+        for c in p.components
+    ))
+
+
+def signed_values(p):
+    """The Lescop invariant and chi by both routes, a non-integral chi as None."""
+    out = {"lescop": invariants.lescop(p)}
+    for route in (floer.chi_closed_form, floer.chi_via_triangle):
+        try:
+            out[route.__name__] = route(p).chi
+        except floer.NonIntegralChiError:
+            out[route.__name__] = None
+    return out
+
+
+def test_orientation_reversal():
+    mismatches = []
+    for k, p in enumerate(presentations(seeded())):
+        q = reversal(p)
+        assert not q.violations, (k, q.violations)
+        sign = (-1) ** (len(p.components) + 1)
+        expected = {name: x if x is None else sign * x for name, x in signed_values(p).items()}
+        polys = [(invariants.alexander(p, c.name), invariants.alexander(q, c.name))
+                 for c in p.components]
+        if signed_values(q) != expected or any(a != b for a, b in polys):
+            mismatches.append(k)
+    assert mismatches == []

@@ -62,6 +62,34 @@ def test_blown_down_alexander(corpus_dir, capsys, monkeypatch):
     assert (code, failed) == (1, {"z3-structure"})
 
 
+def test_bilinear_form(corpus_dir, capsys, monkeypatch):
+    """+1 on every bilinear form u^T M v, as the closed form's s and mu and
+    each triangle leaf read it."""
+    form = invariants._form
+
+    def mutant(*args):
+        return form(*args) + 1
+
+    monkeypatch.setattr(invariants, "_form", mutant)
+    monkeypatch.setattr(floer, "_form", mutant)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert (code, failed) == (1, {"route-agreement", "z3-structure"})
+
+
+def test_case_quantity(corpus_dir, capsys, monkeypatch):
+    """+1 on the x that the b1 case formulas read: Delta''(1), s or mu^2."""
+    case = invariants._case
+
+    def mutant(p):
+        b1, x = case(p)
+        return b1, x + 1
+
+    monkeypatch.setattr(invariants, "_case", mutant)
+    monkeypatch.setattr(floer, "_case", mutant)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert (code, failed) == (1, {"route-agreement", "z3-structure"})
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 1: both chi routes and theorem1-consistency read the one "
