@@ -31,6 +31,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -356,6 +357,18 @@ def cmd_examples(args):
     return EXIT_OK
 
 
+def _integer(text):
+    """An int argument, by the rule of documents: ASCII digits after an
+    optional minus, so no other script's digits, underscores, plus sign or
+    surrounding space."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -395,7 +408,7 @@ def _build_parser():
     sp.add_argument("chainfile")
 
     sp = add("lens", "SU(2)-representation counting for Z/p")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_integer, required=True)
 
     sp = add("verify", "run every applicable cross-check on files")
     sp.add_argument("files", nargs="+")

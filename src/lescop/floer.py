@@ -37,13 +37,16 @@ or restored (sigma = -1), and the sign alternates.  That step adds
 
     tr((S^-1 dB')^2) = tr((S^-1 dB)^2) - 4 sigma y^T dB y,   y = S^-1 (cE),
 
-so the first leaf costs one O(g^3) trace and every other one O(g^2).
-Each leaf's Delta''(1) is still formed on its own.  It is quadratic in
-the indicator vector of J, which is why chi = 0 for b1 >= 4: the sum
-over k >= 3 vectors is a k-th difference, and it kills every quadratic.
-The route deliberately does not sum that quadratic in closed form, which
-would make it the closed form again.  The two routes agreeing on every
-input is the principal cross-check of this package.
+and the walk keeps that form for every vector: flipping cE_i adds
+2 sigma (cE_i . y_j)^2 to y_j^T dB y_j, y_j = S^-1 (cE_j), for each j,
+so the first leaf costs one O(g^3) trace and k O(g^2) forms, and every
+other leaf k int additions.  Each leaf's Delta''(1) is still formed on
+its own.  It is quadratic in the indicator vector of J, which is why
+chi = 0 for b1 >= 4: the sum over k >= 3 vectors is a k-th difference,
+and it kills every quadratic.  The route deliberately does not sum that
+quadratic in closed form, which would make it the closed form again.
+The two routes agreeing on every input is the principal cross-check of
+this package.
 
 Each route is one public function that checks its presentation and
 bundle itself.  The presentation keeps its violations once validated, so
@@ -187,20 +190,25 @@ def _leaf_traces(dv, s_inv, vectors):
 
     Yields the 2^k ints in Gray-code order: the m-th is for the J whose
     indicator bits are those of m ^ (m >> 1).  Step m flips vector
-    i = ctz(m), blowing it down (sigma = +1) or restoring it (sigma = -1).
+    i = ctz(m), blowing it down (sigma = +1) or restoring it (sigma = -1),
+    which moves the trace by -4 sigma forms[i].  The walk keeps
+    forms[j] = y_j^T dB_J y_j, y_j = S^-1 (cE_j), for every j: the flip
+    adds 2 sigma (cE_i)(cE_i)^T to dB_J, so forms[j] by
+    2 sigma (cE_i . y_j)^2 = sigma steps[i][j], and a step takes k int
+    additions.
     """
     n = len(dv)
     db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
     trace = _jet_trace(s_inv, db)
     yield trace
     ys = [[sum(map(mul, row, e)) for row in s_inv] for e in vectors]
-    outers = [[[2 * a * b for b in e] for a in e] for e in vectors]
+    forms = [_form(y, db, y) for y in ys]
+    steps = [[2 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors]
     for m in range(1, 1 << len(vectors)):
         i = (m & -m).bit_length() - 1
-        y = ys[i]
         op, sigma = (add, 1) if (m ^ (m >> 1)) >> i & 1 else (sub, -1)
-        trace -= 4 * sigma * _form(y, db, y)
-        db = [list(map(op, row, o)) for row, o in zip(db, outers[i])]
+        trace -= 4 * sigma * forms[i]
+        forms = list(map(op, forms, steps[i]))
         yield trace
 
 

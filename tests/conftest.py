@@ -86,20 +86,45 @@ def fractional_presentation(rng):
     comps = []
     for k, name in enumerate(names):
         g = rng.randint(0, 2) if k == 0 else rng.randint(0, 1)
-        v = [list(row) for row in random_seifert(rng, g, bound=2)]
+        v = random_seifert(rng, g, bound=2)
         if k == 0 and h > 1 and rng.random() < 0.5:
-            for i in range(2 * g):
-                for j in range(i, 2 * g):
-                    x = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 7)))
-                    v[i][j] += x
-                    if j != i:
-                        v[j][i] += x
+            v = with_fractional_symmetric_part(rng, v)
         linking = {
             other: tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
             for other in names if other != name
         }
         comps.append(Component(name, v, linking))
     return SurgeryPresentation(h, tuple(comps))
+
+
+def with_fractional_symmetric_part(rng, v):
+    """v plus a random symmetric matrix of entries a/q, |a| <= 3 and q in
+    {2, 3, 7}, which leaves V - V^T as it is."""
+    v = [list(row) for row in v]
+    for i in range(len(v)):
+        for j in range(i, len(v)):
+            x = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 7)))
+            v[i][j] += x
+            if j != i:
+                v[j][i] += x
+    return v
+
+
+def rational_presentation(rng, n_components, gmax=3):
+    """n_components of genus 0 to gmax over h = 2, each Seifert matrix
+    with a fractional symmetric part and each linking vector with
+    denominators 1, 2, 3 and 7, so the integral forms mostly have d > 1."""
+    names = [f"l{i + 1}" for i in range(n_components)]
+    comps = []
+    for name in names:
+        g = rng.randint(0, gmax)
+        v = with_fractional_symmetric_part(rng, random_seifert(rng, g, bound=2))
+        linking = {
+            other: tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 7))) for _ in range(2 * g))
+            for other in names if other != name
+        }
+        comps.append(Component(name, v, linking))
+    return SurgeryPresentation(2, tuple(comps))
 
 
 def dense_knot_document(g, seed=24):

@@ -15,6 +15,8 @@ from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
 from lescop.ring import HalfLaurent
 
+from conftest import random_presentation, seeded
+
 
 class Counter:
     def __init__(self, monkeypatch, fn, modules=None):
@@ -195,10 +197,13 @@ def test_public_functions_share_one_validation(monkeypatch):
 
 
 def test_triangle_builds_no_presentations(monkeypatch):
-    """2^(n-1) leaves, of which only the first takes an O(g^3) trace."""
+    """2^k leaves for k = n - 1, from one O(g^3) trace and k bilinear forms
+    taken before the walk: each further leaf costs k int additions, and no
+    leaf builds a presentation."""
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)
     cubic = Counter(monkeypatch, invariants._jet_trace)
+    form = Counter(monkeypatch, invariants._form, modules=[floer])
     walk = floer._leaf_traces
     leaves = 0
 
@@ -209,9 +214,11 @@ def test_triangle_builds_no_presentations(monkeypatch):
             yield trace
 
     monkeypatch.setattr(floer, "_leaf_traces", counted)
-    for name, doc in corpus().items():
-        p = doc.presentation
-        before = leaves, cubic.calls
+    cases = {name: doc.presentation for name, doc in corpus().items()}
+    cases["random-6"] = random_presentation(seeded(50), 6, gmax=2)
+    for name, p in cases.items():
+        k = len(p.components) - 1
+        before = leaves, form.calls, cubic.calls
         floer.chi_via_triangle(p)
-        assert (leaves - before[0], cubic.calls - before[1]) == (2 ** (len(p.components) - 1), 1), name
+        assert (leaves - before[0], form.calls - before[1], cubic.calls - before[2]) == (2 ** k, k, 1), name
     assert blow_down.calls == drop.calls == 0

@@ -250,6 +250,17 @@ class TestLensCommand:
         code, _, err = invoke(capsys, "lens", "--p", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("p", ["\u0665", "1_0", " 7 "])
+    def test_p_is_an_ascii_integer(self, p, capsys):
+        """--p follows the integer rule of documents: no Arabic-Indic digit
+        five, no underscore, no surrounding space."""
+        with pytest.raises(SystemExit) as exc:
+            run(["lens", "--p", p])
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert (exc.value.code, captured.out) == (2, "")
+        assert errors == [f"lescop lens: error: argument --p: invalid int value: {p!r}"]
+
     def test_huge_p_returns_at_once(self):
         """A cold process, so that work growing with p fails by the timeout."""
         p = 10**21

@@ -25,6 +25,7 @@ from lescop.floer import (
 from lescop.invariants import (
     SurgeryChain,
     WrongComponentCountError,
+    _jet_trace,
     delta2,
     knot_alexander,
     lescop,
@@ -45,6 +46,7 @@ from lescop.presentation import (
 from conftest import (
     fractional_presentation,
     random_presentation,
+    rational_presentation,
     random_ribbon_spec,
     random_seifert,
     seeded,
@@ -248,6 +250,34 @@ class TestLeafWalk:
                 assert trace == direct_trace(dv, s_inv, vectors, subset), (p, subset)
             nontrivial += len(vectors) >= 2 and len(dv) > 0 and len(set(traces)) > 1
         assert nontrivial >= 50
+
+    def test_each_leaf_trace_is_the_jet_trace_of_its_rebuilt_form(self):
+        """The m-th trace equals _jet_trace of dB_J built afresh for the J
+        given by the bits of m ^ (m >> 1), on rational presentations of
+        genus 0 to 3 with k = 0 to 6 vectors: the k-addition step of the
+        walk against the definition of its leaves."""
+        rng = seeded(49)
+        genera, scaled = set(), 0
+        for k in range(7):
+            for _ in range(10):
+                p = rational_presentation(rng, k + 1)
+                assert p.violations == (), p
+                first, *others = p.components
+                d, dv, ce = first.integral_form
+                vectors = [ce[c.name] for c in others]
+                s_inv = first.skew_form[0]
+                n = len(dv)
+                traces = list(_leaf_traces(dv, s_inv, vectors))
+                assert len(traces) == 2 ** k, p
+                for m, trace in enumerate(traces):
+                    blown = [e for i, e in enumerate(vectors) if (m ^ (m >> 1)) >> i & 1]
+                    db = [[dv[r][c] + dv[c][r] + 2 * sum(e[r] * e[c] for e in blown)
+                           for c in range(n)] for r in range(n)]
+                    assert trace == _jet_trace(s_inv, db), (p, m)
+                genera.add(n // 2)
+                scaled += d > 1 and k >= 2 and len(set(traces)) > 2
+        assert genera == {0, 1, 2, 3}
+        assert scaled >= 25
 
 
 class TestTaubes:
