@@ -330,6 +330,8 @@ def cmd_verify(args):
 
 
 def cmd_examples(args):
+    if args.name is not None and args.write is not None:
+        raise CliInputError("examples takes a NAME or --write DIR, not both")
     if args.name is None and args.write is None:
         desc = corpus_descriptions()
         width = max(map(len, desc))

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
 from .presentation import Component, SurgeryPresentation
-from .ring import exact
+from .ring import _Record, exact
 
 FORMAT_VERSION = 1
 
@@ -149,11 +148,13 @@ def _strict_int(x, where):
     return x
 
 
-@dataclass(frozen=True)
-class PresentationDocument:
-    presentation: SurgeryPresentation
-    bundle_w2: tuple = None
-    normalization: str = None
+class PresentationDocument(_Record):
+    __match_args__ = ("presentation", "bundle_w2", "normalization")
+
+    def __init__(self, presentation, bundle_w2=None, normalization=None):
+        vars(self).update(
+            presentation=presentation, bundle_w2=bundle_w2, normalization=normalization
+        )
 
 
 def _parse_seifert(seifert, where, owner):

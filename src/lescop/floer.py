@@ -63,7 +63,6 @@ report says so via ambiguity = "ext_ambiguous".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -75,7 +74,7 @@ from .invariants import (
     _require_valid,
     casson,
 )
-from .ring import exact
+from .ring import _Record, exact
 
 
 class InadmissibleBundleError(Exception):
@@ -97,26 +96,24 @@ UNIQUE = "unique"
 EXT_AMBIGUOUS = "ext_ambiguous"
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(_Record):
     """Evaluation of w2 of the adjoint bundle on the capped-surface classes,
     one bit per component.  Admissible means at least one bit is 1."""
 
-    w2: tuple
+    __match_args__ = ("w2",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "w2", tuple(self.w2))
+    def __init__(self, w2):
+        vars(self)["w2"] = tuple(w2)
 
     def is_admissible(self):
         return all(b in (0, 1) for b in self.w2) and any(self.w2)
 
 
-@dataclass(frozen=True)
-class ChiReport:
-    chi: int
-    route: str
-    bundle: BundleSpec
-    ambiguity: str
+class ChiReport(_Record):
+    __match_args__ = ("chi", "route", "bundle", "ambiguity")
+
+    def __init__(self, chi, route, bundle, ambiguity):
+        vars(self).update(chi=chi, route=route, bundle=bundle, ambiguity=ambiguity)
 
 
 def _require_positive(name, value):

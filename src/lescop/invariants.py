@@ -53,13 +53,12 @@ E E^T to a Seifert matrix V leaves V - V^T unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .presentation import InvalidSpecError, _valid_form, exact_matrix, integral_form
-from .ring import HalfLaurent, determinant, exact, scaled_inverse
+from .ring import HalfLaurent, _Record, determinant, exact, scaled_inverse
 
 
 class InvalidPresentationError(Exception):
@@ -79,8 +78,7 @@ PAPER_LITERAL = "paper-literal"
 NORMALIZATION_MODES = (DERIVED, PAPER_LITERAL)
 
 
-@dataclass(frozen=True)
-class SurgeryChain:
+class SurgeryChain(_Record):
     """A sequence of +-1 surgeries on knots, starting from S^3.
 
     Each step records the Seifert matrix of the surgery curve as a knot in
@@ -89,11 +87,11 @@ class SurgeryChain:
     blow_down).
     """
 
-    steps: tuple  # of (seifert matrix, sign), their numbers checked by ring.exact
+    __match_args__ = ("steps",)
 
-    def __post_init__(self):
-        steps = tuple((exact_matrix(v), exact(sign)) for v, sign in self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps):
+        # (seifert matrix, sign) pairs, their numbers checked by ring.exact
+        vars(self)["steps"] = tuple((exact_matrix(v), exact(sign)) for v, sign in steps)
 
 
 def _require_valid(p):

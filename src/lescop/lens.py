@@ -12,22 +12,25 @@ contributions are not computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import exact
+from .ring import _Record, exact
 
 
 class InvalidPError(ValueError):
     """p must be a positive integer."""
 
 
-@dataclass(frozen=True)
-class LensBreakdown:
-    p: int
-    central_classes: int
-    sphere_classes: int
-    euler_factor: int
+class LensBreakdown(_Record):
+    __match_args__ = ("p", "central_classes", "sphere_classes", "euler_factor")
+
+    def __init__(self, p, central_classes, sphere_classes, euler_factor):
+        vars(self).update(
+            p=p,
+            central_classes=central_classes,
+            sphere_classes=sphere_classes,
+            euler_factor=euler_factor,
+        )
 
 
 def rep_classes(p):

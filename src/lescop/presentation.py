@@ -7,9 +7,11 @@ the data model itself (algebraically split links); presentations with
 nonzero pairwise linking are unrepresentable rather than validated away,
 since every formula downstream assumes the splitting.
 
-All types are immutable values and all operations are pure functions;
-a Component's linking vectors sit behind a read-only mapping, so nothing
-can change a value after it is built.  Seifert and linking entries are
+All types are immutable values and all operations are pure functions.
+Component, SurgeryPresentation and RibbonPairSpec are plain classes on
+ring._Record, whose __setattr__ and __delattr__ raise AttributeError,
+and a Component's linking vectors sit behind a read-only mapping, so
+nothing can change a value after it is built.  Seifert and linking entries are
 exact rationals, checked once when a value is built by ring.exact
 (through exact_vector and exact_matrix): an integral entry is stored as
 an int, any other as a Fraction, and a float, string or Decimal raises
@@ -29,11 +31,10 @@ per component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .ring import exact, scaled_inverse
+from .ring import _Record, exact, scaled_inverse
 
 
 class UnknownComponentError(KeyError):
@@ -124,19 +125,20 @@ def _valid_form(v, what):
     return d, dv, s_inv
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """One 0-framed link component: its Seifert matrix and how the basis
     curves of its Seifert surface link the other components."""
 
-    name: str
-    seifert: tuple  # 2g x 2g matrix of exact numbers (see ring.exact)
-    linking: MappingProxyType  # other component name -> length-2g vector of exact numbers
+    __match_args__ = ("name", "seifert", "linking")
 
-    def __post_init__(self):
-        object.__setattr__(self, "seifert", exact_matrix(self.seifert))
-        linking = {str(k): exact_vector(v) for k, v in dict(self.linking).items()}
-        object.__setattr__(self, "linking", MappingProxyType(linking))
+    def __init__(self, name, seifert, linking):
+        vars(self).update(
+            name=name,
+            # a 2g x 2g matrix of exact numbers (see ring.exact)
+            seifert=exact_matrix(seifert),
+            # other component name -> length-2g vector of exact numbers
+            linking=MappingProxyType({str(k): exact_vector(v) for k, v in dict(linking).items()}),
+        )
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled, so rebuild from a plain dict
@@ -158,17 +160,15 @@ class Component:
         return skew_form(d, dv)
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(_Record):
     """A rational homology sphere of order base_order plus an ordered,
     algebraically split, 0-framed link.  b1 of the presented manifold
     equals the number of components."""
 
-    base_order: int
-    components: tuple
+    __match_args__ = ("base_order", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, base_order, components):
+        vars(self).update(base_order=base_order, components=tuple(components))
 
     def component(self, name):
         for c in self.components:
@@ -185,8 +185,7 @@ class SurgeryPresentation:
         return tuple(validate(self))
 
 
-@dataclass(frozen=True)
-class RibbonPairSpec:
+class RibbonPairSpec(_Record):
     """Parameters of a two-component link whose Seifert surfaces meet in a
     single ribbon intersection circle.
 
@@ -197,15 +196,12 @@ class RibbonPairSpec:
     of the surface's meridional curve with the second component.
     """
 
-    s: int
-    a: tuple = ()
-    w: tuple = ()
-    epsilon: int = 1
-    base_order: int = 1
+    __match_args__ = ("s", "a", "w", "epsilon", "base_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", exact_vector(self.a))
-        object.__setattr__(self, "w", exact_matrix(self.w))
+    def __init__(self, s, a=(), w=(), epsilon=1, base_order=1):
+        vars(self).update(
+            s=s, a=exact_vector(a), w=exact_matrix(w), epsilon=epsilon, base_order=base_order
+        )
 
     def check(self):
         if self.epsilon not in (1, -1):

@@ -72,6 +72,41 @@ def exact(value):
     raise TypeError(f"exact number expected (int or Fraction), got {type(value).__name__}")
 
 
+class _Record:
+    """Base of the package's immutable records, such as presentation.Component.
+
+    A subclass names its fields, in order, in __match_args__ (as a
+    dataclass does, so pattern matching works too) and its own __init__
+    writes them into the instance dict, vars(self), where cached_property
+    also keeps its results.  Equality, hashing and repr read those fields
+    only, in that order; equality holds only between instances of one
+    class, and no attribute can be assigned or deleted.  The package
+    avoids dataclasses, which would load inspect on every start-up, and
+    keeps this base here because every module with a record imports ring.
+    """
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class HalfLaurent:
     """A Laurent polynomial in t with half-integer exponents.
 

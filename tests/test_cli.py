@@ -53,6 +53,13 @@ class TestExamples:
         assert (tmp_path / "s1xs2.json").exists()
         assert len(list(tmp_path.glob("*.json"))) == len(corpus())
 
+    def test_name_with_write_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, err = invoke(capsys, "examples", "trefoil-0", "--write", str(out_dir))
+        assert code == 2 and out == ""
+        assert err == "error: examples takes a NAME or --write DIR, not both\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("target", ["file", "file/sub"])
     def test_write_onto_a_file_exits_2(self, target, tmp_path, capsys):
         (tmp_path / "file").write_text("taken")
@@ -275,6 +282,24 @@ class TestLensCommand:
 
 
 class TestVerify:
+    def test_cold_process_imports_neither_dataclasses_nor_inspect(self, tmp_path, capsys):
+        """A cold verify loads no module that it does not compute with:
+        dataclasses alone would bring inspect, dis, ast and tokenize."""
+        assert run(["examples", "--write", str(tmp_path)]) == 0
+        capsys.readouterr()
+        src = str(Path(lescop.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lescop", "verify", "--json",
+             *sorted(str(f) for f in tmp_path.glob("*.json"))],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0 and json.loads(done.stdout)["ok"], done.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "lescop.cli" in imported
+        assert not imported & {"dataclasses", "inspect"}
+
     def test_whole_corpus_passes(self, corpus_dir, capsys):
         files = sorted(str(f) for f in corpus_dir.glob("*.json"))
         code, out, _ = invoke(capsys, "verify", *files)
