@@ -145,6 +145,8 @@ def _check(p, bundle):
         raise InadmissibleBundleError(
             f"w2 has length {len(bundle.w2)}, expected {n}"
         )
+    if any(b not in (0, 1) for b in bundle.w2):
+        raise InadmissibleBundleError(f"w2 must hold only 0/1 bits, got {bundle.w2}")
     if not bundle.is_admissible():
         raise InadmissibleBundleError("w2 must contain at least one 1")
     return bundle

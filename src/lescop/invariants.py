@@ -9,8 +9,10 @@ for a Seifert matrix V; it is symmetric under t -> t^(-1) and evaluates to
 h at t = 1.  For a Seifert matrix of size n, knot_alexander and
 alexander compute it from floor(n/2) + 1 integer determinants by exact
 interpolation: transposing shows that the other half of its coefficients
-repeat the first, up to the sign (-1)^n.  No elimination runs over the
-half-Laurent ring.  The other invariants need only its second derivative
+repeat the first, up to the sign (-1)^n.  The determinants and the solve
+for those free coefficients are ring._bareiss eliminations of int rows
+built here, with nothing cached between calls; no elimination runs over
+the half-Laurent ring.  The other invariants need only its second derivative
 at 1 and how that jumps under blow-down, and read them off the jet of the
 determinant at t = 1 instead.  With S = V - V^T (integral, det S = 1, so
 S^-1 is an integer matrix) and B = V + V^T, expanding log det to second
@@ -54,11 +56,10 @@ E E^T to a Seifert matrix V leaves V - V^T unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .presentation import InvalidSpecError, _valid_form, exact_matrix, integral_form
-from .ring import HalfLaurent, _Record, determinant, exact, scaled_inverse
+from .ring import HalfLaurent, _Record, _bareiss, exact
 
 
 class InvalidPresentationError(Exception):
@@ -118,9 +119,9 @@ def knot_alexander(seifert, base_order=1):
     t^n P(1/t) = det(dV - t dV^T) = det((dV - t dV^T)^T) = (-1)^n P(t),
     so its coefficients satisfy c_(n-i) = (-1)^n c_i.  The floor(n/2) + 1
     free ones are solved exactly from integer determinants at as many
-    integer nodes, and the coefficient of t^i becomes the term
-    t^((2i - n)/2).  alexander runs the same interpolation on a
-    component's kept int form.
+    integer nodes, by one fraction-free Gauss-Jordan (see _alexander),
+    and the coefficient of t^i becomes the term t^((2i - n)/2).
+    alexander runs the same interpolation on a component's kept int form.
 
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
@@ -129,40 +130,35 @@ def knot_alexander(seifert, base_order=1):
     return _alexander(d, dv, base_order)
 
 
-@lru_cache(maxsize=64)
-def _symmetric_solve(n):
-    """(nodes, D, R) that recover c_0 .. c_m, m = n // 2, of a degree-n
-    polynomial with c_(n-i) = (-1)^n c_i from its values at the nodes.
-
-    Such a polynomial is sum c_i b_i with b_i = t^i + (-1)^n t^(n-i) for
-    i < n/2 and b_(n/2) = t^(n/2).  R = D A^-1 for A[j][i] = b_i(x_j) and
-    D = +-det A, from ring.scaled_inverse; so c = R v / D for the values
-    v, exactly, since c is integral.  The nodes 0, -1, 2, -2, 3, ... make
-    A invertible: x = 0 gives c_0, and x + 1/x is distinct on the others.
-    t = 1 is avoided, where every b_i vanishes when n is odd.
-    """
-    m = n // 2
-    nodes = (0, -1, *(s * k for k in range(2, m + 2) for s in (1, -1)))[: m + 1]
-    sign = (-1) ** n
-    a = [[x**i + sign * x**(n - i) if 2 * i < n else x**i for i in range(m + 1)]
-         for x in nodes]
-    d, r = scaled_inverse(a)
-    return nodes, d, tuple(map(tuple, r))
-
-
 def _alexander(d, dv, h):
     """h * det(t^(1/2) V - t^(-1/2) V^T) from the int form (d, dV) of V,
-    by the interpolation knot_alexander describes."""
+    by the interpolation knot_alexander describes.
+
+    P(t) = det(t dV - dV^T) is sum c_i b_i over i <= m = n // 2, with
+    b_i = t^i + (-1)^n t^(n-i) for i < n/2 and b_(n/2) = t^(n/2).  At
+    each node x, P(x) is the sign times the last pivot of ring._bareiss
+    on the int rows x dV - dV^T, built here, so they skip the copy and
+    type check of ring.determinant.  Appended to the row b_0(x) .. b_m(x),
+    it gives one equation of an (m + 1) x (m + 2) system, and one
+    fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) leaves
+    D c in the last column, D the last pivot; c = that column // D,
+    exactly, since c is integral.  The nodes 0, -1, 2, -2, 3, ... make
+    the system invertible: x = 0 gives c_0, and x + 1/x is distinct on
+    the others.  t = 1 is avoided, where every b_i vanishes when n is odd.
+    """
     n = len(dv)
-    nodes, det_a, solve = _symmetric_solve(n)
-    dvt = tuple(zip(*dv))
-    values = [
-        determinant([[x * a - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)])
-        for x in nodes
-    ]
-    half = [sum(map(mul, row, values)) // det_a for row in solve]  # exact: the c_i are ints
+    m = n // 2
     sign = (-1) ** n
-    coeffs = half + [sign * c for c in reversed(half[: n - n // 2])]  # c_(n-i) = (-1)^n c_i
+    dvt = tuple(zip(*dv))
+    system = []
+    for x in (0, -1, *(s * k for k in range(2, m + 2) for s in (1, -1)))[: m + 1]:
+        rows = [[x * a - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)]
+        det_sign, last = _bareiss(rows, n, False)
+        system.append([x**i + sign * x**(n - i) if 2 * i < n else x**i for i in range(m + 1)]
+                      + [det_sign * last])
+    pivot = _bareiss(system, m + 1, True)[1]
+    half = [row[-1] // pivot for row in system]  # exact: the c_i are ints
+    coeffs = half + [sign * c for c in reversed(half[: n - m])]  # c_(n-i) = (-1)^n c_i
     scale = d**n
     return HalfLaurent({2 * i - n: Fraction(c * h, scale) for i, c in enumerate(coeffs)})
 

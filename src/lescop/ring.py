@@ -13,24 +13,26 @@ of the conversions all pass through it.  ``HalfLaurent.__init__`` is the
 one place that applies it to a coefficient and drops the zero terms, so
 no arithmetic of HalfLaurent drops a zero term itself.
 
-``determinant`` and ``scaled_inverse`` share the package's one exact
-elimination, a fraction-free Bareiss step over int rows.  It runs all n
-steps in both modes and returns ``(sign, last pivot)``: the sign of its
-row permutation and its last pivot, ``(1, 1)`` for the 0x0 matrix and
+``_bareiss`` is the package's one exact elimination, a fraction-free
+Bareiss step over int rows.  It runs all n steps, with or without
+Gauss-Jordan, and returns ``(sign, last pivot)``: the sign of its row
+permutation and its last pivot, ``(1, 1)`` for the 0x0 matrix and
 ``(0, 0)`` for a singular one.  The determinant is their product, and
 the last pivot of a Gauss-Jordan on [M | I] is the scale d of the
-inverse, so neither function treats any size apart.
+inverse, so no caller treats any size apart.  ``determinant`` and
+``scaled_inverse`` are its checked entry points, which copy the rows a
+caller passes and check they are square with int entries.
 ``scaled_inverse`` gives ``(d, d S^-1)`` with ``|d| = det S`` for
 ``S = V - V^T``, so one elimination yields both the skew-form check
-``det S = 1`` and the integer ``S^-1`` of the jet formulas
-(``presentation.skew_form``); it also gives the exact solve of the
-interpolation below, once per size.  ``determinant`` gives the
-floor(n/2) + 1 integer values from which ``invariants.knot_alexander``
-interpolates the symmetrized Seifert determinant
-``det(t^(1/2) V - t^(-1/2) V^T)`` of a size-n matrix; the other half of
-its coefficients repeat these up to the sign (-1)^n, since transposing
-gives ``t^n P(1/t) = (-1)^n P(t)`` for ``P(t) = det(t V - V^T)``.  No
-elimination runs over the ring itself.
+``det S = 1`` and the integer ``S^-1`` of the jet formulas; its one
+caller is ``presentation.skew_form``.  ``invariants.knot_alexander``
+runs ``_bareiss`` itself on the int rows it builds: floor(n/2) + 1
+determinants, from which it interpolates the symmetrized Seifert
+determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a size-n matrix, and
+one Gauss-Jordan that solves for its free coefficients; the other half
+of its coefficients repeat these up to the sign (-1)^n, since
+transposing gives ``t^n P(1/t) = (-1)^n P(t)`` for
+``P(t) = det(t V - V^T)``.  No elimination runs over the ring itself.
 
 The ring's only polynomial division is by z, in ``z_power_quotient``.  With
 u = t^(1/2), p = z * q means q_(e-1) = p_e + q_(e+1) on the coefficients
@@ -153,6 +155,9 @@ class HalfLaurent:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that number
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self):
@@ -344,12 +349,13 @@ def determinant(rows):
     """Exact determinant of a square matrix by fraction-free (Bareiss) elimination.
 
     rows is a sequence of equal-length rows of int entries; any other
-    entry, a Fraction or a HalfLaurent included, raises TypeError.  With
-    scaled_inverse, this is the only elimination in the package; both run
-    _bareiss.  A polynomial determinant such as the Alexander polynomial
-    is interpolated from its values at integers (see
-    invariants.knot_alexander), never eliminated over the ring.  The 0x0
-    matrix has determinant 1 by the empty-product convention.
+    entry, a Fraction or a HalfLaurent included, raises TypeError.  It
+    is the checked entry point of _bareiss, the package's one
+    elimination, for rows a caller passes in; invariants.knot_alexander
+    runs _bareiss directly on the int rows it builds, since it interpolates
+    a polynomial determinant such as the Alexander polynomial from its
+    values at integers, never eliminating over the ring.  The 0x0 matrix
+    has determinant 1 by the empty-product convention.
 
     >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
     -3
@@ -364,9 +370,11 @@ def determinant(rows):
 def scaled_inverse(rows):
     """(d, d * M^-1) in ints for a nonsingular square int matrix M, d = +-det M.
 
-    One fraction-free Gauss-Jordan elimination of [M | I]: it leaves
-    d * I on the left and d * M^-1 on the right, where d is the last
-    pivot.  A singular matrix raises ArithmeticError.
+    One fraction-free Gauss-Jordan elimination of [M | I] by _bareiss,
+    after the checks determinant makes: it leaves d * I on the left and
+    d * M^-1 on the right, where d is the last pivot.  A singular matrix
+    raises ArithmeticError.  Its one caller in the package is
+    presentation.skew_form, for S^-1 of the skew form S = V - V^T.
 
     >>> scaled_inverse([[2, 1], [1, 3]])
     (5, [[3, -1], [-1, 2]])

@@ -13,7 +13,6 @@ from lescop.corpus import corpus
 from lescop.documents import serialize_chain
 from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
-from lescop.ring import HalfLaurent
 
 from conftest import random_presentation, seeded
 
@@ -22,10 +21,13 @@ class Counter:
     def __init__(self, monkeypatch, fn, modules=None):
         self.calls = 0
         self.args = []
+        self.callers = []
 
         def counted(*args, **kwargs):
             self.calls += 1
             self.args.append(args)
+            caller = sys._getframe(1)
+            self.callers.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
             return fn(*args, **kwargs)
 
         if modules is None:
@@ -38,9 +40,26 @@ class Counter:
 
 
 def skew_eliminations(monkeypatch):
-    """Counts the eliminations of V - V^T: presentation's calls of
-    ring.scaled_inverse, which the cached solve of invariants also calls."""
-    return Counter(monkeypatch, ring.scaled_inverse, modules=[presentation])
+    """Counts the eliminations of V - V^T: the package's calls of
+    ring.scaled_inverse, all of which presentation.skew_form makes."""
+    return Counter(monkeypatch, ring.scaled_inverse)
+
+
+class Interpolation:
+    """Counts the eliminations of the Alexander interpolation: the calls of
+    ring._bareiss as invariants binds it, split into the node
+    determinants (rows, n) and the Gauss-Jordan solves (rows, n)."""
+
+    def __init__(self, monkeypatch):
+        self.nodes = []
+        self.solves = []
+        bareiss = ring._bareiss
+
+        def counted(rows, n, jordan):
+            (self.solves if jordan else self.nodes).append(([list(r) for r in rows], n))
+            return bareiss(rows, n, jordan)
+
+        monkeypatch.setattr(invariants, "_bareiss", counted)
 
 
 def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
@@ -48,7 +67,7 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     assert components == 40
     validate = Counter(monkeypatch, presentation.validate)
     alexander = Counter(monkeypatch, invariants._alexander)
-    determinant = Counter(monkeypatch, ring.determinant)
+    interpolation = Interpolation(monkeypatch)
     inverse = skew_eliminations(monkeypatch)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     assert len(files) == 19
@@ -56,14 +75,37 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     capsys.readouterr()
     assert validate.calls == len(files)
     assert alexander.calls == 49
-    assert not any(isinstance(x, HalfLaurent) for (rows,) in determinant.args
-                   for row in rows for x in row)
-    # floor(n/2) + 1 determinants for each Alexander polynomial of a size-n
-    # matrix, and one elimination of V - V^T per component, which the
-    # routes reuse
-    interpolation = sum(len(dv) // 2 + 1 for _, dv, _ in alexander.args)
-    assert determinant.calls == interpolation == 77
+    # floor(n/2) + 1 eliminations of n x n int rows for each Alexander
+    # polynomial of a size-n matrix, never of HalfLaurent entries, and one
+    # (floor(n/2) + 1)-row solve; one elimination of V - V^T per
+    # component, which the routes reuse
+    sizes = [len(dv) for _, dv, _ in alexander.args]
+    assert [n for _, n in interpolation.nodes] == [n for n in sizes for _ in range(n // 2 + 1)]
+    assert len(interpolation.nodes) == 77
+    assert all(len(rows) == n and len(row) == n and type(x) is int
+               for rows, n in interpolation.nodes for row in rows for x in row)
+    assert [n for _, n in interpolation.solves] == [n // 2 + 1 for n in sizes]
     assert inverse.calls == components
+
+
+def test_only_skew_form_inverts(corpus_dir, tmp_path, monkeypatch, capsys):
+    """ring.scaled_inverse has one caller, presentation.skew_form; the
+    Alexander interpolation solves its own system."""
+    bound = {name for name, module in sys.modules.items()
+             if name.startswith("lescop") and ring.scaled_inverse in vars(module).values()}
+    assert bound == {"lescop.ring", "lescop.presentation"}
+    inverse = skew_eliminations(monkeypatch)
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
+    files = sorted(str(f) for f in corpus_dir.glob("*.json"))
+    for argv in (["verify", *files], ["alexander", files[0]], ["casson", str(chain)],
+                 ["chi", "--route", "both", files[0]]):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    invariants.knot_alexander(TREFOIL)
+    presentation.blow_down(corpus()["km-trefoil"].presentation, "l3")
+    assert inverse.calls > 40
+    assert set(inverse.callers) == {"lescop.presentation.skew_form"}
 
 
 def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -158,7 +200,7 @@ def test_only_alexander_and_verify_compute_the_polynomial(
 ):
     """chi, casson, lescop, sato-levine and mu2 read Delta''(1) off the jet."""
     alexander = Counter(monkeypatch, invariants._alexander)
-    determinant = Counter(monkeypatch, ring.determinant)
+    interpolation = Interpolation(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
     assert run(["casson", str(chain)]) == 0
@@ -171,11 +213,11 @@ def test_only_alexander_and_verify_compute_the_polynomial(
             ran.add(command)
     capsys.readouterr()
     assert ran == {"chi", "lescop", "sato-levine", "mu2"}
-    assert alexander.calls == determinant.calls == 0
+    assert alexander.calls == len(interpolation.nodes) == len(interpolation.solves) == 0
     assert run(["verify", str(corpus_dir / "trefoil-0.json")]) == 0
     assert run(["alexander", str(corpus_dir / "trefoil-0.json")]) == 0
-    # the trefoil's 2 x 2 form takes 2 determinants per polynomial
-    assert (alexander.calls, determinant.calls) == (2, 4)
+    # the trefoil's 2 x 2 form takes 2 determinants and one solve per polynomial
+    assert (alexander.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 4, 2)
 
 
 def test_mu_squared_validates_once(monkeypatch):

@@ -86,6 +86,14 @@ class TestBundles:
         with pytest.raises(InadmissibleBundleError):
             chi_closed_form(p, BundleSpec((0, 0)))
 
+    def test_non_bit_rejected_by_name(self):
+        p = build_ribbon_pair(RibbonPairSpec(s=1))
+        for chi in (chi_closed_form, chi_via_triangle):
+            with pytest.raises(InadmissibleBundleError, match=re.escape("only 0/1 bits, got (2, 1)")):
+                chi(p, BundleSpec((2, 1)))
+            with pytest.raises(InadmissibleBundleError, match="at least one 1"):
+                chi(p, BundleSpec((0, 0)))
+
     def test_wrong_length_rejected(self):
         p = build_ribbon_pair(RibbonPairSpec(s=1))
         with pytest.raises(InadmissibleBundleError):

@@ -98,6 +98,14 @@ class TestArithmetic:
         assert (Z - Z) == ZERO
         assert not (Z - Z)
 
+    def test_constant_hashes_as_its_number(self):
+        for c in (0, 1, -3, Fraction(1, 2)):
+            p = HalfLaurent({0: c})
+            assert p == c and hash(p) == hash(c), c
+            assert {p: "value"}.get(c) == "value", c
+        assert len({ONE, 1}) == len({ZERO, 0}) == 1
+        assert hash(HalfLaurent({0: 3})) == hash(3) and HalfLaurent({2: 3}) != 3
+
     def test_str(self):
         assert str(TREFOIL_POLY) == "t - 1 + t^-1"
         assert str(Z) == "t^1/2 - t^-1/2"
