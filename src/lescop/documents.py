@@ -4,7 +4,11 @@ Presentations encode exact mathematical objects, so the schema is strict:
 unknown or repeated fields are errors, every rational number is a string
 "a" or "a/b" with b > 0, and floating-point literals are rejected anywhere
 in the document.  An entry parses to an int when it is integral ("3", "-0",
-"2/2") and to a Fraction otherwise, by the rule of ring.exact.
+"2/2") and to a Fraction otherwise, by the rule of ring.exact.  Each
+distinct entry string is converted once per document: parse and
+parse_chain keep one dict, string -> value, for the call, so the 0, +-1
+and small entries that fill a document are read once each, and nothing
+is kept between calls.
 serialize() is canonical, so serialize(parse(text)) is byte-stable under
 further round trips.
 
@@ -74,16 +78,28 @@ def _rational(s):
         raise DocumentValueError(f"rational of {len(s)} characters is too long") from None
 
 
-def _parse_rationals(values, where):
+def _parse_rationals(values, where, memo):
     """The rationals of a list of strings.  where(k) names entry k in an
     error; it is called only when that entry fails, so valid input builds
-    no location text."""
+    no location text.  memo maps each string already converted in this
+    document to its value, and only a string not in it goes through
+    _rational; a list of known strings is looked up in one pass, and any
+    other list (new or bad strings, non-strings) takes the loop, where an
+    entry fails with its own location."""
+    try:
+        return tuple(map(memo.__getitem__, values))
+    except (KeyError, TypeError):
+        pass
     out = []
     for k, x in enumerate(values):
-        try:
-            out.append(_rational(x))
-        except DocumentError as e:
-            raise type(e)(f"{where(k)}: {e}") from None
+        value = memo.get(x) if type(x) is str else None
+        if value is None:
+            try:
+                value = _rational(x)
+            except DocumentError as e:
+                raise type(e)(f"{where(k)}: {e}") from None
+            memo[x] = value
+        out.append(value)
     return tuple(out)
 
 
@@ -157,8 +173,9 @@ class PresentationDocument(_Record):
         )
 
 
-def _parse_seifert(seifert, where, owner):
-    """Rows of an even-sized square Seifert matrix; owner names it in errors."""
+def _parse_seifert(seifert, where, owner, memo):
+    """Rows of an even-sized square Seifert matrix; owner names it in
+    errors, and memo is the document's (see _parse_rationals)."""
     if not isinstance(seifert, list):
         raise DocumentSchemaError(f"{where}: expected a list of rows")
     n = len(seifert)
@@ -170,11 +187,11 @@ def _parse_seifert(seifert, where, owner):
     for r, row in enumerate(seifert):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentSchemaError(f"{where}: {owner} matrix is not square")
-        rows.append(_parse_rationals(row, lambda c: f"{where}[{r}][{c}]"))
+        rows.append(_parse_rationals(row, lambda c: f"{where}[{r}][{c}]", memo))
     return tuple(rows)
 
 
-def _parse_component(obj, i):
+def _parse_component(obj, i, memo):
     where = f"components[{i}]"
     _require_keys(obj, ("name", "seifert", "linking"), (), where)
     name = obj["name"]
@@ -184,7 +201,7 @@ def _parse_component(obj, i):
         name.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate such as "\ud800"
         raise DocumentSchemaError(f"{where}.name: not valid text") from None
-    rows = _parse_seifert(obj["seifert"], f"{where}.seifert", f"component {name!r}")
+    rows = _parse_seifert(obj["seifert"], f"{where}.seifert", f"component {name!r}", memo)
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):
         raise DocumentSchemaError(f"{where}.linking: expected an object")
@@ -192,7 +209,8 @@ def _parse_component(obj, i):
     for other, vec in linking_obj.items():
         if not isinstance(vec, list):
             raise DocumentSchemaError(f"{where}.linking[{other!r}]: expected a list")
-        linking[other] = _parse_rationals(vec, lambda k: f"{where}.linking[{other!r}][{k}]")
+        linking[other] = _parse_rationals(vec, lambda k: f"{where}.linking[{other!r}][{k}]",
+                                          memo)
     return Component(name=name, seifert=rows, linking=linking)
 
 
@@ -215,8 +233,9 @@ def parse(text):
         raise DocumentSchemaError(f"base_order: must be positive, got {base_order}")
     if not isinstance(data["components"], list):
         raise DocumentSchemaError("components: expected a list")
+    memo = {}
     components = tuple(
-        _parse_component(obj, i) for i, obj in enumerate(data["components"])
+        _parse_component(obj, i, memo) for i, obj in enumerate(data["components"])
     )
     bundle_w2 = None
     if "bundle_w2" in data:
@@ -278,13 +297,14 @@ def parse_chain(text):
     if not isinstance(data, list):
         raise DocumentSchemaError("chain: expected a top-level list of steps")
     steps = []
+    memo = {}
     for i, obj in enumerate(data):
         where = f"steps[{i}]"
         _require_keys(obj, ("seifert", "sign"), (), where)
         sign = obj["sign"]
         if type(sign) is not int or sign not in (-1, 1):
             raise DocumentSchemaError(f"{where}.sign: expected -1 or 1, got {sign!r}")
-        steps.append((_parse_seifert(obj["seifert"], f"{where}.seifert", f"step {i}"), sign))
+        steps.append((_parse_seifert(obj["seifert"], f"{where}.seifert", f"step {i}", memo), sign))
     return SurgeryChain(steps=tuple(steps))
 
 

@@ -160,6 +160,8 @@ def _alexander(d, dv, h):
     half = [row[-1] // pivot for row in system]  # exact: the c_i are ints
     coeffs = half + [sign * c for c in reversed(half[: n - m])]  # c_(n-i) = (-1)^n c_i
     scale = d**n
+    if scale == 1:  # an integral V: the coefficients are the ints c h
+        return HalfLaurent({2 * i - n: c * h for i, c in enumerate(coeffs)})
     return HalfLaurent({2 * i - n: Fraction(c * h, scale) for i, c in enumerate(coeffs)})
 
 

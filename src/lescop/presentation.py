@@ -18,10 +18,12 @@ an int, any other as a Fraction, and a float, string or Decimal raises
 TypeError.  integral_form is the one function that turns the entries
 into ints: it scales V and the linking vectors E by their common
 denominator c to dV = c^2 V and cE, and every formula of the package
-runs on those.
+runs on those; for c = 1, the case of integral data, V and E are that
+form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
-for S = V - V^T from the same integer elimination.  A Component computes
-its integral form and its skew form on first use and keeps both.
+for S = V - V^T from the same integer elimination, ring._bareiss run on
+the rows it builds.  A Component computes its integral form and its skew
+form on first use and keeps both.
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
 its input at no further cost and shares one scaling and one elimination
@@ -34,7 +36,7 @@ import math
 from functools import cached_property
 from types import MappingProxyType
 
-from .ring import _Record, exact, scaled_inverse
+from .ring import _Record, _bareiss, exact
 
 
 class UnknownComponentError(KeyError):
@@ -68,15 +70,24 @@ def integral_form(seifert, linking=MappingProxyType({})):
 
     This is the one place where rational Seifert and linking data become
     ints; every formula downstream runs on its result.  d = c^2 so that
-    d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays integral.
+    d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays integral.  The
+    entries are exact (see ring.exact), so for c = 1 they are all ints
+    and are the form as they are: V and E are returned, not rebuilt,
+    with E behind a read-only mapping as always.
 
     >>> from fractions import Fraction
     >>> half, third = Fraction(1, 2), Fraction(1, 3)
     >>> integral_form(exact_matrix([[half, 1], [0, half]]), {"k": (third, 0)})
     (36, ((18, 36), (0, 18)), mappingproxy({'k': (2, 0)}))
+    >>> integral_form(exact_matrix([[-1, 1], [0, -1]]), {"k": (2, 0)})
+    (1, ((-1, 1), (0, -1)), mappingproxy({'k': (2, 0)}))
     """
     c = math.lcm(*(x.denominator for row in seifert for x in row),
                  *(x.denominator for e in linking.values() for x in e))
+    if c == 1:
+        if not isinstance(linking, MappingProxyType):
+            linking = MappingProxyType(dict(linking))
+        return 1, seifert, linking
     d = c * c
     return (
         d,
@@ -94,25 +105,28 @@ def skew_form(d, dv):
     Returns (S^-1, None) or (None, message).  V must be of even size, S
     must be integer valued (d divides dV - dV^T), and det S must equal 1
     (it is the intersection form of the surface in a symplectic basis).
-    One integer Gauss-Jordan (ring.scaled_inverse) gives d S^-1 with
-    d = +-det S, and S is skew, so det S = Pf(S)^2 = |d|: S^-1 is d
-    times the scaled inverse when |d| = 1, and otherwise |d| goes into
-    the message, 0 when S is singular.  S^-1 is returned as int rows.
+    One fraction-free Gauss-Jordan of [S | I], ring._bareiss run here on
+    the fresh int rows (ring.scaled_inverse is its checked entry point
+    for outside callers), leaves D S^-1 on the right, with D = +-det S
+    its last pivot.  S is skew, so det S = Pf(S)^2 = |D|: S^-1 is D
+    times the right half when |D| = 1, and otherwise |D| goes into the
+    message, 0 when S is singular.  S^-1 is returned as int rows.
     """
     n = len(dv)
     if n % 2 != 0:
         return None, f"seifert matrix has odd size {n}"
-    skew = [[dv[i][j] - dv[j][i] for j in range(n)] for i in range(n)]
-    if any(x % d for r in skew for x in r):
-        return None, "V - V^T has non-integer entries"
-    skew = [[x // d for x in r] for r in skew]
-    try:
-        det, scaled = scaled_inverse(skew)
-    except ArithmeticError:
-        det = 0
+    rows = [[a - b for a, b in zip(row, col)] for row, col in zip(dv, zip(*dv))]
+    if d != 1:
+        if any(x % d for r in rows for x in r):
+            return None, "V - V^T has non-integer entries"
+        rows = [[x // d for x in r] for r in rows]
+    for i, r in enumerate(rows):
+        r += [0] * n
+        r[n + i] = 1
+    det = _bareiss(rows, n, True)[1]
     if det not in (1, -1):
         return None, f"det(V - V^T) = {abs(det)}, expected 1"
-    return tuple(tuple(det * x for x in r) for r in scaled), None
+    return tuple(tuple(det * x for x in r[n:]) for r in rows), None
 
 
 def _valid_form(v, what):

@@ -20,18 +20,19 @@ permutation and its last pivot, ``(1, 1)`` for the 0x0 matrix and
 ``(0, 0)`` for a singular one.  The determinant is their product, and
 the last pivot of a Gauss-Jordan on [M | I] is the scale d of the
 inverse, so no caller treats any size apart.  ``determinant`` and
-``scaled_inverse`` are its checked entry points, which copy the rows a
-caller passes and check they are square with int entries.
-``scaled_inverse`` gives ``(d, d S^-1)`` with ``|d| = det S`` for
-``S = V - V^T``, so one elimination yields both the skew-form check
-``det S = 1`` and the integer ``S^-1`` of the jet formulas; its one
-caller is ``presentation.skew_form``.  ``invariants.knot_alexander``
-runs ``_bareiss`` itself on the int rows it builds: floor(n/2) + 1
-determinants, from which it interpolates the symmetrized Seifert
-determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a size-n matrix, and
-one Gauss-Jordan that solves for its free coefficients; the other half
-of its coefficients repeat these up to the sign (-1)^n, since
-transposing gives ``t^n P(1/t) = (-1)^n P(t)`` for
+``scaled_inverse`` are its checked entry points for outside callers,
+which copy the rows a caller passes and check they are square with int
+entries; no code in the package calls either.  The two callers of
+``_bareiss`` run it on int rows they build themselves.
+``presentation.skew_form`` eliminates [S | I] for ``S = V - V^T`` by
+one Gauss-Jordan, whose last pivot d has ``|d| = det S``, so one
+elimination yields both the skew-form check ``det S = 1`` and the
+integer ``S^-1`` of the jet formulas.  ``invariants.knot_alexander``
+runs it for floor(n/2) + 1 determinants, from which it interpolates the
+symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a
+size-n matrix, and for one Gauss-Jordan that solves for its free
+coefficients; the other half of its coefficients repeat these up to the
+sign (-1)^n, since transposing gives ``t^n P(1/t) = (-1)^n P(t)`` for
 ``P(t) = det(t V - V^T)``.  No elimination runs over the ring itself.
 
 The ring's only polynomial division is by z, in ``z_power_quotient``.  With
@@ -352,9 +353,9 @@ def determinant(rows):
     entry, a Fraction or a HalfLaurent included, raises TypeError.  It
     is the checked entry point of _bareiss, the package's one
     elimination, for rows a caller passes in; invariants.knot_alexander
-    runs _bareiss directly on the int rows it builds, since it interpolates
-    a polynomial determinant such as the Alexander polynomial from its
-    values at integers, never eliminating over the ring.  The 0x0 matrix
+    and presentation.skew_form run _bareiss directly on the int rows they
+    build.  The Alexander polynomial is interpolated from its values at
+    integers, never eliminated over the ring.  The 0x0 matrix
     has determinant 1 by the empty-product convention.
 
     >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
@@ -373,8 +374,9 @@ def scaled_inverse(rows):
     One fraction-free Gauss-Jordan elimination of [M | I] by _bareiss,
     after the checks determinant makes: it leaves d * I on the left and
     d * M^-1 on the right, where d is the last pivot.  A singular matrix
-    raises ArithmeticError.  Its one caller in the package is
-    presentation.skew_form, for S^-1 of the skew form S = V - V^T.
+    raises ArithmeticError.  No code in the package calls it:
+    presentation.skew_form runs the same Gauss-Jordan on the [S | I] rows
+    it builds for the skew form S = V - V^T.
 
     >>> scaled_inverse([[2, 1], [1, 3]])
     (5, [[3, -1], [-1, 2]])

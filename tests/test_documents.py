@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lescop import documents
 from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import (
@@ -12,14 +13,16 @@ from lescop.documents import (
     DocumentSchemaError,
     DocumentSyntaxError,
     DocumentValueError,
+    PresentationDocument,
     parse,
     parse_chain,
     serialize,
     serialize_chain,
 )
 from lescop.invariants import SurgeryChain
-from lescop.presentation import TREFOIL, validate
+from lescop.presentation import TREFOIL, Component, SurgeryPresentation, validate
 
+from conftest import dense_knot_document, random_seifert, seeded
 from test_golden_cli import fractional_documents
 
 MINIMAL = """
@@ -298,6 +301,88 @@ class TestParseErrors:
         for exc in (DocumentSyntaxError, DocumentSchemaError, DocumentValueError):
             assert issubclass(exc, DocumentError)
         assert issubclass(DocumentValueError, ValueError)
+
+
+def genus_one_document(components=9, seed=20):
+    """Text of a seeded presentation of genus-1 components, every linking
+    vector drawn from -3..3."""
+    rng = seeded(seed)
+    names = [f"l{i + 1}" for i in range(components)]
+    comps = [Component(name, random_seifert(rng, 1),
+                       {other: (rng.randint(-3, 3), rng.randint(-3, 3))
+                        for other in names if other != name})
+             for name in names]
+    return serialize(PresentationDocument(SurgeryPresentation(1, tuple(comps))))
+
+
+def entry_strings(text):
+    """Every Seifert and linking entry string of a document, in order."""
+    out = []
+    for c in json.loads(text)["components"]:
+        out += [x for row in c["seifert"] for x in row]
+        out += [x for vec in c["linking"].values() for x in vec]
+    return out
+
+
+class TestEntryMemo:
+    """parse converts each distinct entry string once per document, and
+    keeps nothing between calls."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+        rational = documents._rational
+
+        def counted(s):
+            calls.append(s)
+            return rational(s)
+
+        monkeypatch.setattr(documents, "_rational", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", [genus_one_document(), dense_knot_document(10)],
+                             ids=["9-components", "genus-10-knot"])
+    def test_one_conversion_per_distinct_string(self, text, conversions):
+        entries = entry_strings(text)
+        distinct = set(entries)
+        assert len(entries) > 2 * len(distinct)
+        first = parse(text)
+        assert sorted(conversions) == sorted(distinct)
+        # a second parse of the same text converts every string again
+        conversions.clear()
+        assert parse(text) == first
+        assert sorted(conversions) == sorted(distinct)
+
+    def test_chain_converts_each_string_once(self, conversions):
+        text = serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3))
+        parse_chain(text)
+        assert sorted(conversions) == ["-1", "0", "1"]
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ("1/0", DocumentValueError, "zero denominator in '1/0'"),
+        ("0.5", DocumentValueError, "malformed rational '0.5'"),
+        ("\u0663", DocumentValueError, "malformed rational '\u0663'"),
+    ], ids=["zero-denominator", "decimal", "arabic-indic"])
+    def test_repeated_bad_string_fails_at_its_first_location(self, bad, error, message):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = [["-1", "1"], ["0", bad]]
+        obj["components"][0]["linking"] = {"l2": [bad, "1"]}
+        with pytest.raises(error) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == f"components[0].seifert[1][1]: {message}"
+
+    @pytest.mark.parametrize("entry, shown", [(3, "3"), (True, "True"), (["3"], "['3']")],
+                             ids=["number", "true", "list"])
+    def test_non_string_after_a_known_string_fails_at_its_location(self, entry, shown):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = [["3", "3"], ["3", "3"]]
+        obj["components"][0]["linking"] = {"l2": ["3", entry]}
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == (
+            "components[0].linking['l2'][1]: "
+            f'rationals must be strings like "a" or "a/b", got {shown}'
+        )
 
 
 class TestChains:

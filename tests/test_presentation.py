@@ -1,10 +1,13 @@
+import math
 import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lescop.documents import PresentationDocument, parse, serialize
 from lescop.invariants import knot_alexander
 from lescop.presentation import (
     FIGURE_EIGHT,
@@ -19,10 +22,12 @@ from lescop.presentation import (
     build_triple,
     connected_sum_knot,
     drop_component,
+    integral_form,
     validate,
 )
 
-from conftest import random_presentation, random_seifert, seeded
+from conftest import random_presentation, random_seifert, rational_presentation, seeded
+from test_invariance import presentations
 
 
 def trefoil_presentation():
@@ -85,6 +90,59 @@ class TestValidate:
     def test_bad_base_order(self):
         msgs = validate(SurgeryPresentation(0, (Component("l1", TREFOIL, {}),)))
         assert any("base_order" in m for m in msgs)
+
+    def test_fractional_linking_alone_needs_torsion(self):
+        """The common denominator counts the linking vectors too, even
+        when the Seifert matrix is integral."""
+        c1 = Component("l1", TREFOIL, {"l2": (Fraction(1, 2), 0)})
+        c2 = Component("l2", (), {"l1": ()})
+        assert validate(SurgeryPresentation(1, (c1, c2))) == [
+            "component 'l1': non-integer entries require base_order > 1"
+        ]
+        assert validate(SurgeryPresentation(2, (c1, c2))) == []
+
+
+def defined_form(c):
+    """(d, dV, {name: cE}) from the definition, in Fraction arithmetic:
+    c the lcm of every entry's denominator and d = c^2."""
+    entries = [*(x for row in c.seifert for x in row),
+               *(x for vec in c.linking.values() for x in vec)]
+    lcm = math.lcm(*(Fraction(x).denominator for x in entries))
+    d = lcm * lcm
+    return (
+        d,
+        tuple(tuple(d * Fraction(x) for x in row) for row in c.seifert),
+        {k: tuple(lcm * Fraction(x) for x in vec) for k, vec in c.linking.items()},
+    )
+
+
+class TestIntegralForm:
+    def check(self, p):
+        for c in p.components:
+            d, dv, ce = c.integral_form
+            assert (d, dv, dict(ce)) == defined_form(c), c.name
+            assert type(ce) is MappingProxyType
+            entries = [d, *(x for row in dv for x in row), *(x for vec in ce.values() for x in vec)]
+            assert all(type(x) is int for x in entries), c.name
+
+    def test_seeded_presentations(self):
+        for p in presentations(seeded()):
+            self.check(p)
+
+    def test_rational_documents(self):
+        rng = seeded(21)
+        for k in range(40):
+            p = parse(serialize(PresentationDocument(rational_presentation(rng, k % 4 + 1))))
+            self.check(p.presentation)
+
+    def test_integral_data_is_the_form(self):
+        """For c = 1 the exact entries are returned as they are, with the
+        linking vectors behind a read-only mapping."""
+        linking = {"k": (2, 0)}
+        d, dv, ce = integral_form(TREFOIL, linking)
+        assert d == 1 and dv is TREFOIL and ce == linking
+        with pytest.raises(TypeError):
+            ce["k"] = (0, 0)
 
 
 class TestImmutability:
