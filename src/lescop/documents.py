@@ -83,13 +83,8 @@ def _parse_rationals(values, where, memo):
     error; it is called only when that entry fails, so valid input builds
     no location text.  memo maps each string already converted in this
     document to its value, and only a string not in it goes through
-    _rational; a list of known strings is looked up in one pass, and any
-    other list (new or bad strings, non-strings) takes the loop, where an
-    entry fails with its own location."""
-    try:
-        return tuple(map(memo.__getitem__, values))
-    except (KeyError, TypeError):
-        pass
+    _rational, so a bad string fails at its first location; a non-string
+    is never looked up and fails at its own."""
     out = []
     for k, x in enumerate(values):
         value = memo.get(x) if type(x) is str else None

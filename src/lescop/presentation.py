@@ -21,8 +21,8 @@ denominator c to dV = c^2 V and cE, and every formula of the package
 runs on those; for c = 1, the case of integral data, V and E are that
 form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
-for S = V - V^T from the same integer elimination, ring._bareiss run on
-the rows it builds.  A Component computes its integral form and its skew
+for S = V - V^T from the same integer elimination, ring._scaled_inverse
+run on the rows it builds.  A Component computes its integral form and its skew
 form on first use and keeps both.
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
@@ -36,7 +36,7 @@ import math
 from functools import cached_property
 from types import MappingProxyType
 
-from .ring import _Record, _bareiss, exact
+from .ring import _Record, _scaled_inverse, exact
 
 
 class UnknownComponentError(KeyError):
@@ -105,12 +105,12 @@ def skew_form(d, dv):
     Returns (S^-1, None) or (None, message).  V must be of even size, S
     must be integer valued (d divides dV - dV^T), and det S must equal 1
     (it is the intersection form of the surface in a symplectic basis).
-    One fraction-free Gauss-Jordan of [S | I], ring._bareiss run here on
-    the fresh int rows (ring.scaled_inverse is its checked entry point
-    for outside callers), leaves D S^-1 on the right, with D = +-det S
-    its last pivot.  S is skew, so det S = Pf(S)^2 = |D|: S^-1 is D
-    times the right half when |D| = 1, and otherwise |D| goes into the
-    message, 0 when S is singular.  S^-1 is returned as int rows.
+    One fraction-free Gauss-Jordan of [S | I], ring._scaled_inverse run
+    on the fresh int rows without ring.scaled_inverse's copy and checks,
+    gives D S^-1 with D = +-det S its last pivot.  S is skew, so
+    det S = Pf(S)^2 = |D|: S^-1 is D times D S^-1 when |D| = 1, and
+    otherwise |D| goes into the message, 0 when S is singular.  S^-1 is
+    returned as int rows.
     """
     n = len(dv)
     if n % 2 != 0:
@@ -120,13 +120,10 @@ def skew_form(d, dv):
         if any(x % d for r in rows for x in r):
             return None, "V - V^T has non-integer entries"
         rows = [[x // d for x in r] for r in rows]
-    for i, r in enumerate(rows):
-        r += [0] * n
-        r[n + i] = 1
-    det = _bareiss(rows, n, True)[1]
+    det, inverse = _scaled_inverse(rows)
     if det not in (1, -1):
         return None, f"det(V - V^T) = {abs(det)}, expected 1"
-    return tuple(tuple(det * x for x in r[n:]) for r in rows), None
+    return tuple(tuple(det * x for x in r) for r in inverse), None
 
 
 def _valid_form(v, what):

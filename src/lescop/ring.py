@@ -22,13 +22,14 @@ the last pivot of a Gauss-Jordan on [M | I] is the scale d of the
 inverse, so no caller treats any size apart.  ``determinant`` and
 ``scaled_inverse`` are its checked entry points for outside callers,
 which copy the rows a caller passes and check they are square with int
-entries; no code in the package calls either.  The two callers of
-``_bareiss`` run it on int rows they build themselves.
-``presentation.skew_form`` eliminates [S | I] for ``S = V - V^T`` by
-one Gauss-Jordan, whose last pivot d has ``|d| = det S``, so one
-elimination yields both the skew-form check ``det S = 1`` and the
-integer ``S^-1`` of the jet formulas.  ``invariants.knot_alexander``
-runs it for floor(n/2) + 1 determinants, from which it interpolates the
+entries; no code in the package calls either.  The package runs the
+elimination on int rows it builds itself.  ``presentation.skew_form``
+hands the rows of ``S = V - V^T`` to ``_scaled_inverse``, the unchecked
+Gauss-Jordan of [M | I] that ``scaled_inverse`` runs after its checks,
+whose last pivot d has ``|d| = det S``, so one elimination yields both
+the skew-form check ``det S = 1`` and the integer ``S^-1`` of the jet
+formulas.  ``invariants.knot_alexander`` calls ``_bareiss`` itself
+for floor(n/2) + 1 determinants, from which it interpolates the
 symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a
 size-n matrix, and for one Gauss-Jordan that solves for its free
 coefficients; the other half of its coefficients repeat these up to the
@@ -353,8 +354,7 @@ def determinant(rows):
     entry, a Fraction or a HalfLaurent included, raises TypeError.  It
     is the checked entry point of _bareiss, the package's one
     elimination, for rows a caller passes in; invariants.knot_alexander
-    and presentation.skew_form run _bareiss directly on the int rows they
-    build.  The Alexander polynomial is interpolated from its values at
+    runs _bareiss directly on the int rows it builds.  The Alexander polynomial is interpolated from its values at
     integers, never eliminated over the ring.  The 0x0 matrix
     has determinant 1 by the empty-product convention.
 
@@ -375,7 +375,7 @@ def scaled_inverse(rows):
     after the checks determinant makes: it leaves d * I on the left and
     d * M^-1 on the right, where d is the last pivot.  A singular matrix
     raises ArithmeticError.  No code in the package calls it:
-    presentation.skew_form runs the same Gauss-Jordan on the [S | I] rows
+    presentation.skew_form calls the same _scaled_inverse on the rows
     it builds for the skew form S = V - V^T.
 
     >>> scaled_inverse([[2, 1], [1, 3]])
@@ -383,12 +383,24 @@ def scaled_inverse(rows):
     >>> scaled_inverse([])
     (1, [])
     """
-    a = _square(rows)
+    d, inverse = _scaled_inverse(_square(rows))
+    if not d:
+        raise ArithmeticError("matrix is singular")
+    return d, inverse
+
+
+def _scaled_inverse(a):
+    """(d, d * M^-1) for the int rows a of a square matrix M, unchecked.
+
+    The Gauss-Jordan of scaled_inverse without its copy and checks: a
+    must be a fresh list of int lists, which it extends in place to
+    [M | I] and eliminates by _bareiss.  d is the last pivot, 0 when M
+    is singular, and d * M^-1 is then meaningless.
+    """
     n = len(a)
     for i, r in enumerate(a):
-        r.extend(int(i == j) for j in range(n))
-    sign, d = _bareiss(a, n, jordan=True)
-    if not sign:
-        raise ArithmeticError("matrix is singular")
+        r += [0] * n
+        r[n + i] = 1
+    d = _bareiss(a, n, True)[1]
     return d, [r[n:] for r in a]
 

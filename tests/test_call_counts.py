@@ -39,23 +39,10 @@ class Counter:
                     monkeypatch.setattr(module, attr, counted)
 
 
-class SkewEliminations:
-    """Counts the eliminations of S = V - V^T: the Gauss-Jordan calls of
-    ring._bareiss as presentation binds them, with their callers."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        self.callers = []
-        bareiss = ring._bareiss
-
-        def counted(rows, n, jordan):
-            if jordan:
-                self.calls += 1
-                caller = sys._getframe(1)
-                self.callers.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
-            return bareiss(rows, n, jordan)
-
-        monkeypatch.setattr(presentation, "_bareiss", counted)
+def skew_eliminations(monkeypatch):
+    """Counts the eliminations of S = V - V^T: the package's calls of
+    ring._scaled_inverse, all of which presentation.skew_form makes."""
+    return Counter(monkeypatch, ring._scaled_inverse)
 
 
 class Interpolation:
@@ -81,7 +68,7 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     validate = Counter(monkeypatch, presentation.validate)
     alexander = Counter(monkeypatch, invariants._alexander)
     interpolation = Interpolation(monkeypatch)
-    inverse = SkewEliminations(monkeypatch)
+    inverse = skew_eliminations(monkeypatch)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     assert len(files) == 19
     assert run(["verify", *files]) == 0
@@ -102,18 +89,14 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
 
 
 def test_only_skew_form_inverts(corpus_dir, tmp_path, monkeypatch, capsys):
-    """Every elimination of S comes from presentation.skew_form, which runs
-    ring._bareiss itself; the Alexander interpolation solves its own
-    system, and no code in the package calls ring.scaled_inverse."""
-
-    def binding(fn):
-        return {name for name, module in sys.modules.items()
-                if name.startswith("lescop") and fn in vars(module).values()}
-
-    assert binding(ring.scaled_inverse) == {"lescop.ring"}
-    assert binding(ring._bareiss) == {"lescop.ring", "lescop.invariants", "lescop.presentation"}
+    """ring._scaled_inverse has one caller, presentation.skew_form; the
+    Alexander interpolation solves its own system, and no code in the
+    package calls the checked ring.scaled_inverse."""
+    bound = {name for name, module in sys.modules.items()
+             if name.startswith("lescop") and ring._scaled_inverse in vars(module).values()}
+    assert bound == {"lescop.ring", "lescop.presentation"}
     checked = Counter(monkeypatch, ring.scaled_inverse)
-    inverse = SkewEliminations(monkeypatch)
+    inverse = skew_eliminations(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
@@ -133,7 +116,7 @@ def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys
     skew_form alone: validation and every route share that one result,
     and a valid form takes no determinant."""
     determinant = Counter(monkeypatch, ring.determinant)
-    inverse = SkewEliminations(monkeypatch)
+    inverse = skew_eliminations(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
     runs = [
@@ -154,7 +137,7 @@ def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys
 def test_an_invalid_form_takes_one_elimination(monkeypatch):
     """det S for the message comes from the elimination that would give S^-1."""
     determinant = Counter(monkeypatch, ring.determinant)
-    inverse = SkewEliminations(monkeypatch)
+    inverse = skew_eliminations(monkeypatch)
     forms = (((0, 0), (0, 0)), ((0, 2), (0, 0)), ((0, 1), (0, 0)))
     assert [presentation.skew_form(1, dv) for dv in forms] == [
         (None, "det(V - V^T) = 0, expected 1"),
