@@ -16,10 +16,15 @@ no arithmetic of HalfLaurent drops a zero term itself.
 ``_bareiss`` is the package's one exact elimination, a fraction-free
 Bareiss step over int rows.  It runs all n steps, with or without
 Gauss-Jordan, and returns ``(sign, last pivot)``: the sign of its row
-permutation and its last pivot, ``(1, 1)`` for the 0x0 matrix and
-``(0, 0)`` for a singular one.  The determinant is their product, and
-the last pivot of a Gauss-Jordan on [M | I] is the scale d of the
-inverse, so no caller treats any size apart.  ``determinant`` and
+swaps and negations and its last pivot, ``(1, 1)`` for the 0x0 matrix
+and ``(0, 0)`` for a singular one.  It skips the arithmetic that leaves
+a number unchanged: a pivot equal to minus the previous one is made
+equal to it by negating the pivot row, which no other row has used yet,
+and flipping the sign, and a row whose multiplier is 0 is then left
+alone, so a symplectic-basis skew form costs O(n^2) row work.  The
+determinant is the product of sign and last pivot, and the last pivot
+of a Gauss-Jordan on [M | I] is the scale d of the inverse, so no
+caller treats any size apart.  ``determinant`` and
 ``scaled_inverse`` are its checked entry points for outside callers,
 which copy the rows a caller passes and check they are square with int
 entries; no code in the package calls either.  The package runs the
@@ -28,7 +33,7 @@ hands the rows of ``S = V - V^T`` to ``_scaled_inverse``, the unchecked
 Gauss-Jordan of [M | I] that ``scaled_inverse`` runs after its checks,
 whose last pivot d has ``|d| = det S``, so one elimination yields both
 the skew-form check ``det S = 1`` and the integer ``S^-1`` of the jet
-formulas.  ``invariants.knot_alexander`` calls ``_bareiss`` itself
+formulas.  ``invariants._alexander`` calls ``_bareiss`` itself
 for floor(n/2) + 1 determinants, from which it interpolates the
 symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a
 size-n matrix, and for one Gauss-Jordan that solves for its free
@@ -319,14 +324,29 @@ def _square(rows):
 def _bareiss(a, n, jordan):
     """Fraction-free elimination of the first n columns of the rows a, in place.
 
-    a holds int rows.  Step k clears column k below the pivot, or in every
-    other row when jordan is true, and updates only the columns after k;
-    columns before it are left stale.  Each update divides the previous
-    pivot out with //, exact by Sylvester's identity.  This keeps
-    coefficient growth polynomial instead of exponential.  Returns
-    (sign, last pivot) for the sign of the row permutation, (1, 1) when
-    n is 0, or (0, 0) when a column has no pivot, that is when the matrix
-    is singular.  The last pivot is the determinant up to that sign.
+    a holds int rows.  Step k clears column k below the pivot p, or in
+    every other row when jordan is true, and updates only the columns
+    after k; columns before it are left stale.  Each update
+    x -> (p x - q y) // prev, for the row's multiplier q = a[i][k] and the
+    pivot row's entry y, divides the previous pivot out with //, exact by
+    Sylvester's identity.  This keeps coefficient growth polynomial
+    instead of exponential.
+
+    The kernel skips the arithmetic that leaves a number unchanged.  When
+    p = -prev it first negates the pivot row from column k on and flips
+    the sign, so that p = prev; a row with q = 0 is then left untouched,
+    since its update is x itself, and such a row is only scaled by p / prev
+    when |p| != |prev|.  The negation is exact: row k is used by no other
+    row before step k, so negating it now is negating row k of the input,
+    every later quotient is still a minor and // still exact.  Row
+    operations keep L M = D I, so a Gauss-Jordan of [M | I] still ends
+    with D M^-1 on the right for its last pivot D.  On a skew form in a
+    symplectic basis, one nonzero per row, this is O(n^2) row work in
+    place of the n^3 updates of the plain elimination.
+
+    Returns (sign, last pivot), whose product is the determinant: the
+    sign of the row swaps and negations, (1, 1) when n is 0, or (0, 0)
+    when a column has no pivot, that is when the matrix is singular.
     """
     sign = 1
     prev = 1
@@ -338,12 +358,21 @@ def _bareiss(a, n, jordan):
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         pk = a[k]
+        p = pk[k]
+        if p == -prev:
+            pk[k:] = [-x for x in pk[k:]]
+            p = prev
+            sign = -sign
+        width = len(pk)
         for i in range(0 if jordan else k + 1, n):
-            if i != k:
-                ai = a[i]
-                for j in range(k + 1, len(pk)):
-                    ai[j] = (pk[k] * ai[j] - ai[k] * pk[j]) // prev
-        prev = pk[k]
+            if i == k:
+                continue
+            ai = a[i]
+            q = ai[k]
+            if q or p != prev:
+                for j in range(k + 1, width):
+                    ai[j] = (p * ai[j] - q * pk[j]) // prev
+        prev = p
     return sign, prev
 
 
@@ -353,10 +382,11 @@ def determinant(rows):
     rows is a sequence of equal-length rows of int entries; any other
     entry, a Fraction or a HalfLaurent included, raises TypeError.  It
     is the checked entry point of _bareiss, the package's one
-    elimination, for rows a caller passes in; invariants.knot_alexander
-    runs _bareiss directly on the int rows it builds.  The Alexander polynomial is interpolated from its values at
-    integers, never eliminated over the ring.  The 0x0 matrix
-    has determinant 1 by the empty-product convention.
+    elimination, for rows a caller passes in; invariants._alexander runs
+    _bareiss directly on the int rows it builds.  The Alexander
+    polynomial is interpolated from its values at integers, never
+    eliminated over the ring.  The 0x0 matrix has determinant 1 by the
+    empty-product convention.
 
     >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
     -3

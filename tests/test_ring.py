@@ -1,3 +1,4 @@
+import collections
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lescop.invariants import knot_alexander
+from lescop.presentation import skew_form
 from lescop.ring import (
     ONE,
     T,
@@ -16,6 +18,7 @@ from lescop.ring import (
     determinant,
     divides_z_power,
     exact,
+    _scaled_inverse,
     scaled_inverse,
     z_power_quotient,
 )
@@ -33,13 +36,15 @@ polys = st.dictionaries(st.integers(-6, 6), coefficients, max_size=6).map(HalfLa
 
 
 def cofactor_det(rows):
-    """Naive first-row cofactor expansion; the independent determinant oracle."""
+    """Naive first-row cofactor expansion; the independent determinant oracle.
+    Zero entries add no term, which keeps sparse matrices of size 8 cheap."""
     if not rows:
         return 1
     total = 0
     for j, x in enumerate(rows[0]):
-        term = x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        total = total + (term if j % 2 == 0 else -term)
+        if x:
+            term = x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total + (term if j % 2 == 0 else -term)
     return total
 
 
@@ -224,6 +229,41 @@ class TestZDivision:
             assert divides_z_power(x, k) == (not any(moments))
 
 
+def sparse_cases(rng, count):
+    """Seeded sparse int matrices of sizes 1 to 8, mostly 0 with the other
+    entries in +-1, +-2 and 3.  Their eliminations meet rows with multiplier
+    0, which ring._bareiss leaves alone or scales."""
+    entries = (0,) * 7 + (1, -1, 2, -2, 3)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        yield [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+
+
+def zero_multiplier_steps(rows):
+    """For each step of a plain Bareiss elimination of rows that meets a row
+    below the pivot with multiplier 0, how its pivot p compares with the
+    previous pivot: "p == prev", "p == -prev" or "|p| != |prev|".  ring._bareiss
+    leaves that row alone in the first two cases, after negating the pivot
+    row in the second, and scales it in the third; p / prev is the same in
+    both eliminations."""
+    a = [list(r) for r in rows]
+    n, prev, kinds = len(a), 1, []
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            break
+        a[k], a[pivot] = a[pivot], a[k]
+        p = a[k][k]
+        if any(not a[i][k] for i in range(k + 1, n)):
+            kinds.append("p == prev" if p == prev
+                         else "p == -prev" if p == -prev
+                         else "|p| != |prev|")
+        for i in range(k + 1, n):
+            a[i] = [(p * x - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return kinds
+
+
 class TestDeterminant:
     """ring.determinant on int rows, and the polynomial determinant
     det(t^(1/2) V - t^(-1/2) V^T) that knot_alexander interpolates from int
@@ -289,14 +329,20 @@ class TestDeterminant:
                     assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
     def test_integer_matrices_match_cofactor_oracle(self):
-        """Every matrix is also checked with a zero leading pivot and made singular."""
+        """Every matrix is also checked with a zero leading pivot and made singular.
+        The sparse ones meet zero multipliers at each kind of pivot step."""
         rng = seeded(13)
-        swaps = singular = 0
+        cases = []
         for _ in range(200):
             n = rng.randint(1, 5)
-            m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            cases.append([[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                          for _ in range(n)])
+        sparse = list(sparse_cases(seeded(17), 300))
+        swaps = singular = 0
+        kinds = collections.Counter()
+        for m in cases + sparse:
             variants = [m, [[0] + m[0][1:]] + m[1:]]
-            if n > 1:
+            if len(m) > 1:
                 variants.append(m[:-1] + [list(m[0])])
             for rows in variants:
                 expected = cofactor_det(rows)
@@ -304,7 +350,10 @@ class TestDeterminant:
                 assert type(got) is int and got == expected, rows
                 swaps += rows[0][0] == 0 and expected != 0
                 singular += expected == 0
+        for m in sparse:
+            kinds.update(zero_multiplier_steps(m))
         assert swaps > 20 and singular > 100
+        assert min(kinds[k] for k in ("p == prev", "p == -prev", "|p| != |prev|")) > 50, kinds
 
     def test_multiplicative(self):
         rng = seeded(12)
@@ -360,22 +409,28 @@ class TestInverse:
         assert scaled_inverse([]) == (1, [])
 
     def test_scaled_inverse_of_any_nonsingular_matrix(self):
-        """d M^-1 in ints with d = +-det M; a singular matrix raises."""
+        """d M^-1 in ints with d = +-det M; a singular matrix raises.  The
+        sparse matrices of TestDeterminant are among them."""
         rng = seeded(16)
-        nonsingular = 0
+        cases = []
         for _ in range(200):
             n = rng.randint(1, 6)
-            m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            cases.append([[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
+                          for _ in range(n)])
+        singular = nonsingular = 0
+        for m in cases + list(sparse_cases(seeded(17), 300)):
             det = determinant(m)
             if not det:
+                singular += 1
                 with pytest.raises(ArithmeticError):
                     scaled_inverse(m)
                 continue
             nonsingular += 1
             d, r = scaled_inverse(m)
-            assert d in (det, -det)
-            assert mat_mul(m, r) == [[d * x for x in row] for row in identity(n)] == mat_mul(r, m)
-        assert 50 < nonsingular < 200
+            assert d in (det, -det), m
+            scaled_identity = [[d * x for x in row] for row in identity(len(m))]
+            assert mat_mul(m, r) == scaled_identity == mat_mul(r, m), m
+        assert singular > 50 and nonsingular > 50
 
     def test_only_unimodular_int_matrices(self):
         """The scale d is a unit, so the inverse is integral, only for a
@@ -390,3 +445,42 @@ class TestInverse:
         for entry in (Fraction(1), ONE, 1.0, True):
             with pytest.raises(TypeError):
                 scaled_inverse([[entry]])
+
+
+def symplectic(n):
+    """The standard symplectic form J of even size n, one nonzero per row."""
+    j = [[0] * n for _ in range(n)]
+    for m in range(0, n, 2):
+        j[m][m + 1], j[m + 1][m] = 1, -1
+    return j
+
+
+class TestSparseKernel:
+    """The skip of ring._bareiss on the symplectic form J, one nonzero per row."""
+
+    def test_skew_form_of_the_symplectic_form(self):
+        for n in range(2, 41, 2):
+            j = symplectic(n)
+            v = [[max(x, 0) for x in row] for row in j]  # V - V^T = J
+            assert skew_form(1, v) == (tuple(tuple(-x for x in row) for row in j), None)
+
+    def test_symplectic_inverse_writes_at_most_n_squared_entries(self):
+        """The plain elimination writes 92 860 entries here; a symplectic
+        form has one nonzero per row, so almost every update is skipped."""
+        n = 40
+        written = 0
+
+        class Row(list):
+            def __setitem__(self, index, value):
+                nonlocal written
+                if isinstance(index, slice):
+                    value = list(value)
+                    written += len(value)
+                else:
+                    written += 1
+                super().__setitem__(index, value)
+
+        j = symplectic(n)
+        d, inverse = _scaled_inverse([Row(r) for r in j])
+        assert [[d * x for x in row] for row in inverse] == [[-x for x in row] for row in j]
+        assert written <= n * n, written
