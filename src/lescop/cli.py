@@ -257,6 +257,9 @@ def _verify_checks(doc):
             "pass" if at_one == h else "fail",
             f"{at_one} (expected {h})",
         )
+        jet, d2 = invariants.delta2(p, c.name), poly.second_derivative_at_one()
+        detail = f"polynomial = {d2}, jet = {jet}"
+        yield f"delta2-agreement[{c.name}]", "pass" if d2 == jet else "fail", detail
 
     if n == 2:
         c1, c2 = p.components

@@ -3,8 +3,9 @@
 Presentations encode exact mathematical objects, so the schema is strict:
 unknown or repeated fields are errors, every rational number is a string
 "a" or "a/b" with b > 0, and floating-point literals are rejected anywhere
-in the document.  An entry parses to an int when it is integral ("3", "-0",
-"2/2") and to a Fraction otherwise, by the rule of ring.exact.  Each
+in the document.  An entry "a/b" parses to a Fraction and "a" to an int;
+Component and SurgeryChain then apply the rule of ring.exact to every
+value, so an integral entry ("3", "-0", "2/2") is stored as an int.  Each
 distinct entry string is converted once per document: parse and
 parse_chain keep one dict, string -> value, for the call, so the 0, +-1
 and small entries that fill a document are read once each, and nothing
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
 from .presentation import Component, SurgeryPresentation
-from .ring import _Record, exact
+from .ring import _Record
 
 FORMAT_VERSION = 1
 
@@ -62,8 +63,8 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
 def _rational(s):
-    """The exact number a string "a" or "a/b" denotes, an int when it is
-    integral (see ring.exact); errors name no location."""
+    """The number a string "a" or "a/b" denotes, an int or a Fraction;
+    errors name no location."""
     if not isinstance(s, str):
         raise DocumentSchemaError(f"rationals must be strings like \"a\" or \"a/b\", got {s!r}")
     match = _RATIONAL_RE.fullmatch(s)
@@ -71,7 +72,7 @@ def _rational(s):
         raise DocumentValueError(f"malformed rational {s!r}")
     num, den = match.groups()
     try:
-        return int(num) if den is None else exact(Fraction(int(num), int(den)))
+        return int(num) if den is None else Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise DocumentValueError(f"zero denominator in {s!r}") from None
     except ValueError:  # more digits than int() converts

@@ -137,14 +137,14 @@ def _alexander(d, dv, h):
     P(t) = det(t dV - dV^T) is sum c_i b_i over i <= m = n // 2, with
     b_i = t^i + (-1)^n t^(n-i) for i < n/2 and b_(n/2) = t^(n/2).  At
     each node x, P(x) is the sign times the last pivot of ring._bareiss
-    on the int rows x dV - dV^T, built here, so they skip the copy and
-    type check of ring.determinant.  Appended to the row b_0(x) .. b_m(x),
-    it gives one equation of an (m + 1) x (m + 2) system, and one
-    fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) leaves
-    D c in the last column, D the last pivot; c = that column // D,
-    exactly, since c is integral.  The nodes 0, -1, 2, -2, 3, ... make
-    the system invertible: x = 0 gives c_0, and x + 1/x is distinct on
-    the others.  t = 1 is avoided, where every b_i vanishes when n is odd.
+    on the int rows x dV - dV^T built here.  Appended to the row
+    b_0(x) .. b_m(x), it gives one equation of an (m + 1) x (m + 2)
+    system, and one fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22,
+    1968) leaves D c in the last column, D the last pivot; c = that
+    column // D, exactly, since c is integral.  The nodes 0, -1, 2, -2,
+    3, ... make the system invertible: x = 0 gives c_0, and x + 1/x is
+    distinct on the others.  t = 1 is avoided, where every b_i vanishes
+    when n is odd.
     """
     n = len(dv)
     m = n // 2

@@ -21,9 +21,9 @@ denominator c to dV = c^2 V and cE, and every formula of the package
 runs on those; for c = 1, the case of integral data, V and E are that
 form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
-for S = V - V^T from the same integer elimination, ring._scaled_inverse
-run on the rows it builds.  A Component computes its integral form and its skew
-form on first use and keeps both.
+for S = V - V^T from the same integer elimination, ring._scaled_inverse.
+A Component computes its integral form and its skew form on first use
+and keeps both.
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
 its input at no further cost and shares one scaling and one elimination
@@ -105,12 +105,11 @@ def skew_form(d, dv):
     Returns (S^-1, None) or (None, message).  V must be of even size, S
     must be integer valued (d divides dV - dV^T), and det S must equal 1
     (it is the intersection form of the surface in a symplectic basis).
-    One fraction-free Gauss-Jordan of [S | I], ring._scaled_inverse run
-    on the fresh int rows without ring.scaled_inverse's copy and checks,
-    gives D S^-1 with D = +-det S its last pivot.  S is skew, so
-    det S = Pf(S)^2 = |D|: S^-1 is D times D S^-1 when |D| = 1, and
-    otherwise |D| goes into the message, 0 when S is singular.  S^-1 is
-    returned as int rows.
+    One fraction-free Gauss-Jordan of [S | I], ring._scaled_inverse on
+    the int rows built here, gives D S^-1 with D = +-det S its last
+    pivot.  S is skew, so det S = Pf(S)^2 = |D|: S^-1 is D times D S^-1
+    when |D| = 1, and otherwise |D| goes into the message, 0 when S is
+    singular.  S^-1 is returned as int rows.
     """
     n = len(dv)
     if n % 2 != 0:

@@ -14,32 +14,12 @@ one place that applies it to a coefficient and drops the zero terms, so
 no arithmetic of HalfLaurent drops a zero term itself.
 
 ``_bareiss`` is the package's one exact elimination, a fraction-free
-Bareiss step over int rows.  It runs all n steps, with or without
-Gauss-Jordan, and returns ``(sign, last pivot)``: the sign of its row
-swaps and negations and its last pivot, ``(1, 1)`` for the 0x0 matrix
-and ``(0, 0)`` for a singular one.  It skips the arithmetic that leaves
-a number unchanged: a pivot equal to minus the previous one is made
-equal to it by negating the pivot row, which no other row has used yet,
-and flipping the sign, and a row whose multiplier is 0 is then left
-alone, so a symplectic-basis skew form costs O(n^2) row work.  The
-determinant is the product of sign and last pivot, and the last pivot
-of a Gauss-Jordan on [M | I] is the scale d of the inverse, so no
-caller treats any size apart.  ``determinant`` and
-``scaled_inverse`` are its checked entry points for outside callers,
-which copy the rows a caller passes and check they are square with int
-entries; no code in the package calls either.  The package runs the
-elimination on int rows it builds itself.  ``presentation.skew_form``
-hands the rows of ``S = V - V^T`` to ``_scaled_inverse``, the unchecked
-Gauss-Jordan of [M | I] that ``scaled_inverse`` runs after its checks,
-whose last pivot d has ``|d| = det S``, so one elimination yields both
-the skew-form check ``det S = 1`` and the integer ``S^-1`` of the jet
-formulas.  ``invariants._alexander`` calls ``_bareiss`` itself
-for floor(n/2) + 1 determinants, from which it interpolates the
-symmetrized Seifert determinant ``det(t^(1/2) V - t^(-1/2) V^T)`` of a
-size-n matrix, and for one Gauss-Jordan that solves for its free
-coefficients; the other half of its coefficients repeat these up to the
-sign (-1)^n, since transposing gives ``t^n P(1/t) = (-1)^n P(t)`` for
-``P(t) = det(t V - V^T)``.  No elimination runs over the ring itself.
+Bareiss step over int rows, and its docstring states its contract.  Each
+elimination job has one function: ``determinant`` checks the rows a
+caller passes in, ``_scaled_inverse`` is the Gauss-Jordan of [M | I] on
+int rows the package builds, and ``invariants._alexander`` runs
+``_bareiss`` on its own int rows.  No elimination runs over the ring
+itself.
 
 The ring's only polynomial division is by z, in ``z_power_quotient``.  With
 u = t^(1/2), p = z * q means q_(e-1) = p_e + q_(e+1) on the coefficients
@@ -308,25 +288,14 @@ def divides_z_power(p, k):
     return z_power_quotient(p, k) is not None
 
 
-def _square(rows):
-    """rows as a list of lists, after checking it is square with int entries."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    for r in a:
-        if len(r) != n:
-            raise NonSquareError(f"matrix has {n} rows and a row of length {len(r)}")
-        for x in r:
-            if type(x) is not int:
-                raise TypeError(f"entries must be int, got {type(x).__name__}")
-    return a
-
-
 def _bareiss(a, n, jordan):
     """Fraction-free elimination of the first n columns of the rows a, in place.
 
-    a holds int rows.  Step k clears column k below the pivot p, or in
-    every other row when jordan is true, and updates only the columns
-    after k; columns before it are left stale.  Each update
+    The package's one exact elimination (Bareiss, Math. Comp. 22, 1968).
+    a holds at least n int rows, each at least n long, and is changed, so
+    the caller passes rows of its own.  Step k clears column k below the
+    pivot p, or in every other row when jordan is true, and updates only
+    the columns after k; columns before it are left stale.  Each update
     x -> (p x - q y) // prev, for the row's multiplier q = a[i][k] and the
     pivot row's entry y, divides the previous pivot out with //, exact by
     Sylvester's identity.  This keeps coefficient growth polynomial
@@ -338,15 +307,16 @@ def _bareiss(a, n, jordan):
     since its update is x itself, and such a row is only scaled by p / prev
     when |p| != |prev|.  The negation is exact: row k is used by no other
     row before step k, so negating it now is negating row k of the input,
-    every later quotient is still a minor and // still exact.  Row
-    operations keep L M = D I, so a Gauss-Jordan of [M | I] still ends
-    with D M^-1 on the right for its last pivot D.  On a skew form in a
-    symplectic basis, one nonzero per row, this is O(n^2) row work in
-    place of the n^3 updates of the plain elimination.
+    every later quotient is still a minor and // still exact.  On a skew
+    form in a symplectic basis, one nonzero per row, this is O(n^2) row
+    work in place of the n^3 updates of the plain elimination.
 
-    Returns (sign, last pivot), whose product is the determinant: the
-    sign of the row swaps and negations, (1, 1) when n is 0, or (0, 0)
-    when a column has no pivot, that is when the matrix is singular.
+    Returns (sign, last pivot).  Their product is the determinant of the
+    first n columns: sign is that of the row swaps and negations, and the
+    pair is (1, 1) when n is 0 and (0, 0) when a column has no pivot, that
+    is when those columns are singular.  Row operations keep L M = D I,
+    so a Gauss-Jordan of [M | I] ends with D M^-1 in the columns after n
+    for its last pivot D = +-det M, and no caller treats any size apart.
     """
     sign = 1
     prev = 1
@@ -377,55 +347,40 @@ def _bareiss(a, n, jordan):
 
 
 def determinant(rows):
-    """Exact determinant of a square matrix by fraction-free (Bareiss) elimination.
+    """Exact determinant of a square matrix of int entries, by _bareiss.
 
-    rows is a sequence of equal-length rows of int entries; any other
-    entry, a Fraction or a HalfLaurent included, raises TypeError.  It
-    is the checked entry point of _bareiss, the package's one
-    elimination, for rows a caller passes in; invariants._alexander runs
-    _bareiss directly on the int rows it builds.  The Alexander
-    polynomial is interpolated from its values at integers, never
-    eliminated over the ring.  The 0x0 matrix has determinant 1 by the
-    empty-product convention.
+    rows is a sequence of equal-length rows; it is copied, never changed.
+    A row of another length raises NonSquareError, and any entry that is
+    not an int, a Fraction or a HalfLaurent included, raises TypeError.
+    The 0x0 matrix has determinant 1 by the empty-product convention.
 
     >>> determinant([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
     -3
     >>> determinant([])
     1
     """
-    a = _square(rows)
-    sign, last = _bareiss(a, len(a), jordan=False)
+    a = [list(r) for r in rows]
+    n = len(a)
+    for r in a:
+        if len(r) != n:
+            raise NonSquareError(f"matrix has {n} rows and a row of length {len(r)}")
+        for x in r:
+            if type(x) is not int:
+                raise TypeError(f"entries must be int, got {type(x).__name__}")
+    sign, last = _bareiss(a, n, jordan=False)
     return sign * last
-
-
-def scaled_inverse(rows):
-    """(d, d * M^-1) in ints for a nonsingular square int matrix M, d = +-det M.
-
-    One fraction-free Gauss-Jordan elimination of [M | I] by _bareiss,
-    after the checks determinant makes: it leaves d * I on the left and
-    d * M^-1 on the right, where d is the last pivot.  A singular matrix
-    raises ArithmeticError.  No code in the package calls it:
-    presentation.skew_form calls the same _scaled_inverse on the rows
-    it builds for the skew form S = V - V^T.
-
-    >>> scaled_inverse([[2, 1], [1, 3]])
-    (5, [[3, -1], [-1, 2]])
-    >>> scaled_inverse([])
-    (1, [])
-    """
-    d, inverse = _scaled_inverse(_square(rows))
-    if not d:
-        raise ArithmeticError("matrix is singular")
-    return d, inverse
 
 
 def _scaled_inverse(a):
     """(d, d * M^-1) for the int rows a of a square matrix M, unchecked.
 
-    The Gauss-Jordan of scaled_inverse without its copy and checks: a
-    must be a fresh list of int lists, which it extends in place to
-    [M | I] and eliminates by _bareiss.  d is the last pivot, 0 when M
-    is singular, and d * M^-1 is then meaningless.
+    a must be a fresh list of int lists, which it extends in place to
+    [M | I] and eliminates by _bareiss as a Gauss-Jordan.  d is the last
+    pivot, +-det M; it is 0 when M is singular, and d * M^-1 is then
+    meaningless.
+
+    >>> _scaled_inverse([[2, 1], [1, 3]])
+    (5, [[3, -1], [-1, 2]])
     """
     n = len(a)
     for i, r in enumerate(a):
@@ -433,4 +388,3 @@ def _scaled_inverse(a):
         r[n + i] = 1
     d = _bareiss(a, n, True)[1]
     return d, [r[n:] for r in a]
-

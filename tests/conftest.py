@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the presentation builders
+that several test modules use.
 
 All randomness is seeded (`random.Random(seed)`), so failures reproduce.
 Random Seifert matrices are built with V - V^T equal to the standard
@@ -60,6 +61,29 @@ def random_presentation(rng, n_components, h=1, gmax=3, bound=3):
         }
         comps.append(Component(name=name, seifert=seifert, linking=linking))
     return SurgeryPresentation(base_order=h, components=tuple(comps))
+
+
+def knot_surgery(v, h=1):
+    """A presentation of one 0-framed component with Seifert matrix v, base order h."""
+    return SurgeryPresentation(h, (Component("l1", v, {}),))
+
+
+def with_extra_unknots(p, count):
+    """Append 0-framed unknotted components that link nothing."""
+    comps = list(p.components)
+    extra = [f"x{i}" for i in range(count)]
+    comps = [
+        Component(
+            c.name,
+            c.seifert,
+            {**c.linking, **{e: (Fraction(0),) * c.size for e in extra}},
+        )
+        for c in comps
+    ]
+    all_names = [c.name for c in comps] + extra
+    for e in extra:
+        comps.append(Component(e, (), {o: () for o in all_names if o != e}))
+    return SurgeryPresentation(p.base_order, tuple(comps))
 
 
 def random_ribbon_spec(rng, s=None, gmax=3, bound=3, h=1):

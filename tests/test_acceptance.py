@@ -32,9 +32,7 @@ from lescop.floer import (
 from lescop.invariants import alexander, knot_alexander, lescop, sato_levine
 from lescop.lens import rep_classes
 from lescop.presentation import (
-    Component,
     RibbonPairSpec,
-    SurgeryPresentation,
     blow_down,
     build_ribbon_pair,
     build_triple,
@@ -43,10 +41,12 @@ from lescop.presentation import (
 from lescop.ring import ONE, Z, HalfLaurent, divides_z_power
 
 from conftest import (
+    knot_surgery,
     random_presentation,
     random_ribbon_spec,
     random_seifert,
     seeded,
+    with_extra_unknots,
 )
 
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})  # t - 1 + t^-1
@@ -61,27 +61,6 @@ def criterion(num, desc):
         print(f"criterion {num:02d}: FAIL  {desc}")
         raise
     print(f"criterion {num:02d}: PASS  {desc}")
-
-
-def knot_surgery(v, h=1):
-    return SurgeryPresentation(h, (Component("l1", v, {}),))
-
-
-def with_extra_unknots(p, count):
-    comps = list(p.components)
-    extra = [f"x{i}" for i in range(count)]
-    comps = [
-        Component(
-            c.name,
-            c.seifert,
-            {**c.linking, **{e: (Fraction(0),) * c.size for e in extra}},
-        )
-        for c in comps
-    ]
-    all_names = [c.name for c in comps] + extra
-    for e in extra:
-        comps.append(Component(e, (), {o: () for o in all_names if o != e}))
-    return SurgeryPresentation(p.base_order, tuple(comps))
 
 
 def test_criterion_01_alexander_exactness():

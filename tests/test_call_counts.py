@@ -90,12 +90,10 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
 
 def test_only_skew_form_inverts(corpus_dir, tmp_path, monkeypatch, capsys):
     """ring._scaled_inverse has one caller, presentation.skew_form; the
-    Alexander interpolation solves its own system, and no code in the
-    package calls the checked ring.scaled_inverse."""
+    Alexander interpolation solves its own system."""
     bound = {name for name, module in sys.modules.items()
              if name.startswith("lescop") and ring._scaled_inverse in vars(module).values()}
     assert bound == {"lescop.ring", "lescop.presentation"}
-    checked = Counter(monkeypatch, ring.scaled_inverse)
     inverse = skew_eliminations(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
@@ -108,7 +106,6 @@ def test_only_skew_form_inverts(corpus_dir, tmp_path, monkeypatch, capsys):
     presentation.blow_down(corpus()["km-trefoil"].presentation, "l3")
     assert inverse.calls > 40
     assert set(inverse.callers) == {"lescop.presentation.skew_form"}
-    assert checked.calls == 0
 
 
 def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys):

@@ -35,7 +35,6 @@ from lescop.invariants import (
 from lescop.presentation import (
     FIGURE_EIGHT,
     TREFOIL,
-    Component,
     RibbonPairSpec,
     SurgeryPresentation,
     build_ribbon_pair,
@@ -45,34 +44,14 @@ from lescop.presentation import (
 
 from conftest import (
     fractional_presentation,
+    knot_surgery,
     random_presentation,
     rational_presentation,
     random_ribbon_spec,
     random_seifert,
     seeded,
+    with_extra_unknots,
 )
-
-
-def knot_surgery(v, h=1):
-    return SurgeryPresentation(h, (Component("l1", v, {}),))
-
-
-def with_extra_unknots(p, count):
-    """Append 0-framed unknotted components that link nothing."""
-    comps = list(p.components)
-    extra = [f"x{i}" for i in range(count)]
-    comps = [
-        Component(
-            c.name,
-            c.seifert,
-            {**c.linking, **{e: (Fraction(0),) * c.size for e in extra}},
-        )
-        for c in comps
-    ]
-    all_names = [c.name for c in comps] + extra
-    for e in extra:
-        comps.append(Component(e, (), {o: () for o in all_names if o != e}))
-    return SurgeryPresentation(p.base_order, tuple(comps))
 
 
 class TestBundles:

@@ -36,6 +36,7 @@ from lescop.ring import ONE, Z, HalfLaurent, determinant, divides_z_power
 
 from conftest import (
     dense_knot_document,
+    knot_surgery,
     random_presentation,
     random_ribbon_spec,
     random_seifert,
@@ -45,10 +46,6 @@ from conftest import (
 
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})
 FIG8_POLY = HalfLaurent({2: -1, 0: 3, -2: -1})
-
-
-def knot_surgery(v, h=1):
-    return SurgeryPresentation(h, (Component("l1", v, {}),))
 
 
 def full_interpolation(v, h):
