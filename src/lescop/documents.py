@@ -3,13 +3,18 @@
 Presentations encode exact mathematical objects, so the schema is strict:
 unknown or repeated fields are errors, every rational number is a string
 "a" or "a/b" with b > 0, and floating-point literals are rejected anywhere
-in the document.  An entry "a/b" parses to a Fraction and "a" to an int;
-Component and SurgeryChain then apply the rule of ring.exact to every
-value, so an integral entry ("3", "-0", "2/2") is stored as an int.  Each
-distinct entry string is converted once per document: parse and
-parse_chain keep one dict, string -> value, for the call, so the 0, +-1
-and small entries that fill a document are read once each, and nothing
-is kept between calls.
+in the document.  An entry parses by the rule of ring.exact: an integral
+one ("3", "-0", "2/2") to an int, any other ("4/6") to a reduced
+Fraction.  Each distinct entry string is converted once per document:
+parse and parse_chain keep one dict, string -> value, for the call, so
+the 0, +-1 and small entries that fill a document are read once each,
+and nothing is kept between calls.  Between text and validate an entry
+of a presentation thus passes one check, the pattern match of its first
+occurrence, and one conversion; a repeat is one dict lookup.  parse
+builds each component by presentation.Component._trusted, which stores
+those values as they are; the public Component(...) checks every value
+it is given by ring.exact.  A chain's steps still go through
+SurgeryChain, which checks each value that second time.
 serialize() is canonical, so serialize(parse(text)) is byte-stable under
 further round trips.
 
@@ -63,8 +68,9 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 
 def _rational(s):
-    """The number a string "a" or "a/b" denotes, an int or a Fraction;
-    errors name no location."""
+    """The number a string "a" or "a/b" denotes, by the rule of ring.exact:
+    an int when it is integral ("-0", "2/2"), else a Fraction; errors
+    name no location."""
     if not isinstance(s, str):
         raise DocumentSchemaError(f"rationals must be strings like \"a\" or \"a/b\", got {s!r}")
     match = _RATIONAL_RE.fullmatch(s)
@@ -72,11 +78,14 @@ def _rational(s):
         raise DocumentValueError(f"malformed rational {s!r}")
     num, den = match.groups()
     try:
-        return int(num) if den is None else Fraction(int(num), int(den))
+        if den is None:
+            return int(num)
+        value = Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise DocumentValueError(f"zero denominator in {s!r}") from None
     except ValueError:  # more digits than int() converts
         raise DocumentValueError(f"rational of {len(s)} characters is too long") from None
+    return value.numerator if value.denominator == 1 else value  # ring.exact's rule
 
 
 def _parse_rationals(values, where, memo):
@@ -207,7 +216,7 @@ def _parse_component(obj, i, memo):
             raise DocumentSchemaError(f"{where}.linking[{other!r}]: expected a list")
         linking[other] = _parse_rationals(vec, lambda k: f"{where}.linking[{other!r}][{k}]",
                                           memo)
-    return Component(name=name, seifert=rows, linking=linking)
+    return Component._trusted(name, rows, linking)
 
 
 def parse(text):

@@ -37,14 +37,22 @@ or restored (sigma = -1), and the sign alternates.  That step adds
 
     tr((S^-1 dB')^2) = tr((S^-1 dB)^2) - 4 sigma y^T dB y,   y = S^-1 (cE),
 
-and the walk keeps that form for every vector: flipping cE_i adds
-2 sigma (cE_i . y_j)^2 to y_j^T dB y_j, y_j = S^-1 (cE_j), for each j,
-so the first leaf costs one O(g^3) trace and k O(g^2) forms, and every
-other leaf k int additions.  Each leaf's Delta''(1) is still formed on
-its own.  It is quadratic in the indicator vector of J, which is why
-chi = 0 for b1 >= 4: the sum over k >= 3 vectors is a k-th difference,
-and it kills every quadratic.  The route deliberately does not sum that
-quadratic in closed form, which would make it the closed form again.
+and flipping cE_i adds 2 sigma (cE_i . y_j)^2 to y_j^T dB y_j,
+y_j = S^-1 (cE_j), for each j.  So the trace of leaf J is quadratic in
+the indicator vector of J, which is why chi = 0 for b1 >= 4: the sum
+over k >= 3 vectors is a k-th difference, and it kills every quadratic.
+The walk takes one O(g^3) trace and k O(g^2) forms, then yields the leaves
+in Gray-ordered blocks of 2^b, b = min(k, 10).  One table of the
+quadratic part over the first b vectors serves every block; each block
+adds it to a linear table built from the current trace and forms, both
+by reflected doubling, one int addition per entry; and between blocks
+the walk steps one of the other k - b vectors in k int additions.  A
+leaf thus costs about four int additions (its linear-table entry, the
+quadratic part, its numerator and the signed sum), a block k more, and
+no list the route holds has more than 2^10 ints, whatever k is (each of
+them has about twice the digits of d).  Each leaf's Delta''(1) is still
+formed on its own: the route deliberately does not sum the quadratic in
+closed form, which would make it the closed form again.
 The two routes agreeing on every input is the principal cross-check of
 this package.
 
@@ -75,6 +83,10 @@ from .invariants import (
     casson,
 )
 from .ring import _Record, exact
+
+# The triangle walk's leaves come in blocks of at most 2^_LOW, the bound on
+# the length of every list it holds, whatever the number of components.
+_LOW = 10
 
 
 class InadmissibleBundleError(Exception):
@@ -184,31 +196,57 @@ def chi_closed_form(p, bundle=None):
     return _report(p, value, CLOSED_FORM, bundle)
 
 
-def _leaf_traces(dv, s_inv, vectors):
-    """tr((S^-1 dB_J)^2) for every leaf J, dB_J = dB + 2 sum_J (cE)(cE)^T.
+def _gray_sums(start, deltas):
+    """start + sum of deltas[i] over i in L, for the 2^len(deltas) subsets L
+    in Gray-code order: the m-th is for the L whose indicator bits are
+    those of m ^ (m >> 1), built by reflected doubling."""
+    t = [start]
+    for s in deltas:
+        t += [x + s for x in reversed(t)]
+    return t
 
-    Yields the 2^k ints in Gray-code order: the m-th is for the J whose
-    indicator bits are those of m ^ (m >> 1).  Step m flips vector
-    i = ctz(m), blowing it down (sigma = +1) or restoring it (sigma = -1),
-    which moves the trace by -4 sigma forms[i].  The walk keeps
-    forms[j] = y_j^T dB_J y_j, y_j = S^-1 (cE_j), for every j: the flip
-    adds 2 sigma (cE_i)(cE_i)^T to dB_J, so forms[j] by
-    2 sigma (cE_i . y_j)^2 = sigma steps[i][j], and a step takes k int
-    additions.
+
+def _leaf_blocks(dv, s_inv, vectors):
+    """tr((S^-1 dB_J)^2) for every leaf J, dB_J = dB + 2 sum_J (cE)(cE)^T,
+    in blocks of 2^b for the k vectors cE and b = min(k, _LOW).
+
+    The blocks, concatenated, are the 2^k ints in Gray-code order: the
+    m-th is for the J whose indicator bits are those of m ^ (m >> 1).
+    Block h holds the leaves whose J has high part H (the vectors from b
+    on) given by the bits of h ^ (h >> 1), and over the low part L
+
+        t_J = t_H - 4 sum_{i in L} forms[i] - 8 sum_{i<j in L} (cE_i . y_j)^2,
+
+    for forms[i] = y_i^T dB_H y_i, y_i = S^-1 (cE_i).  The quadratic part
+    does not depend on H: one table of it, over the first b vectors,
+    serves every block, and each block adds it to a linear table built
+    from t_H and forms[:b], reversed on odd h, where the reflected Gray
+    code runs its low bits backwards.  Between blocks the walk steps one
+    high vector i, blowing it down (sigma = +1) or restoring it
+    (sigma = -1), which moves t_H by -4 sigma forms[i] and each forms[j]
+    by 2 sigma (cE_i . y_j)^2 = sigma steps[i][j].
     """
     n = len(dv)
     db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
     trace = _jet_trace(s_inv, db)
-    yield trace
     ys = [[sum(map(mul, row, e)) for row in s_inv] for e in vectors]
     forms = [_form(y, db, y) for y in ys]
     steps = [[2 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors]
-    for m in range(1, 1 << len(vectors)):
-        i = (m & -m).bit_length() - 1
-        op, sigma = (add, 1) if (m ^ (m >> 1)) >> i & 1 else (sub, -1)
-        trace -= 4 * sigma * forms[i]
-        forms = list(map(op, forms, steps[i]))
-        yield trace
+    b = min(len(vectors), _LOW)
+    quad = [0]
+    for i in range(b):
+        cross = _gray_sums(0, [-4 * x for x in steps[i][:i]])
+        quad += [q + x for q, x in zip(reversed(quad), reversed(cross))]
+    for h in range(1 << (len(vectors) - b)):
+        if h:
+            j = (h & -h).bit_length() - 1
+            op, sigma = (add, 1) if (h ^ (h >> 1)) >> j & 1 else (sub, -1)
+            trace -= 4 * sigma * forms[b + j]
+            forms = list(map(op, forms, steps[b + j]))
+        block = list(map(add, _gray_sums(trace, [-4 * f for f in forms[:b]]), quad))
+        if h & 1:
+            block.reverse()
+        yield block
 
 
 def chi_via_triangle(p, bundle=None):
@@ -216,10 +254,13 @@ def chi_via_triangle(p, bundle=None):
 
     Leaf J, a subset of the k = n - 1 other components, contributes
     (-1)^(k - |J|) * -Delta''_J(1), with
-    Delta''_J(1) = h (2g d^2 - t_J) / (4 d^2) for t_J from _leaf_traces;
-    the signs alternate along the Gray-code walk, the int numerators are
-    summed and divided once.  The result does not depend on the order of
-    the components, which the test suite checks rather than assumes.
+    Delta''_J(1) = h (2g d^2 - t_J) / (4 d^2) for t_J from _leaf_blocks.
+    The signs alternate along the Gray-code walk and every block has
+    even length (or is the one leaf of k = 0), so each block starts on
+    the sign (-1)^k: its int numerators are formed leaf by leaf, summed
+    with alternating signs in two slices, and the total is divided once.
+    The result does not depend on the order of the components, which the
+    test suite checks rather than assumes.
     """
     bundle = _check(p, bundle)
     first, *others = p.components
@@ -228,9 +269,9 @@ def chi_via_triangle(p, bundle=None):
     scaled_2g = len(dv) * d * d
     sign = (-1) ** len(vectors)
     total = 0
-    for trace in _leaf_traces(dv, first.skew_form[0], vectors):
-        total += sign * (scaled_2g - trace)
-        sign = -sign
+    for block in _leaf_blocks(dv, first.skew_form[0], vectors):
+        nums = [scaled_2g - t for t in block]
+        total += sign * (sum(nums[::2]) - sum(nums[1::2]))
     return _report(p, Fraction(-p.base_order * total, 4 * d * d), TRIANGLE, bundle)
 
 

@@ -15,11 +15,13 @@ nothing can change a value after it is built.  Seifert and linking entries are
 exact rationals, checked once when a value is built by ring.exact
 (through exact_vector and exact_matrix): an integral entry is stored as
 an int, any other as a Fraction, and a float, string or Decimal raises
-TypeError.  integral_form is the one function that turns the entries
-into ints: it scales V and the linking vectors E by their common
-denominator c to dV = c^2 V and cE, and every formula of the package
-runs on those; for c = 1, the case of integral data, V and E are that
-form as they are.
+TypeError.  The one exception is the private constructor
+Component._trusted, which documents.parse uses: the parser has applied
+that rule to every entry already, so the values are stored unchecked.
+integral_form is the one function that turns the entries into ints: it
+scales V and the linking vectors E by their common denominator c to
+dV = c^2 V and cE, and every formula of the package runs on those; for
+c = 1, the case of integral data, V and E are that form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
 for S = V - V^T from the same integer elimination, ring._scaled_inverse.
 A Component computes its integral form and its skew form on first use
@@ -149,6 +151,15 @@ class Component(_Record):
             # other component name -> length-2g vector of exact numbers
             linking=MappingProxyType({str(k): exact_vector(v) for k, v in dict(linking).items()}),
         )
+
+    @classmethod
+    def _trusted(cls, name, seifert, linking):
+        """A Component of values that are exact and shaped as __init__
+        stores them already (a tuple of square tuple rows, and a dict of
+        str to tuple), as documents.parse builds them: stored unchecked."""
+        self = cls.__new__(cls)
+        vars(self).update(name=name, seifert=seifert, linking=MappingProxyType(linking))
+        return self
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled, so rebuild from a plain dict

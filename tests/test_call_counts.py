@@ -240,22 +240,22 @@ def test_public_functions_share_one_validation(monkeypatch):
 
 def test_triangle_builds_no_presentations(monkeypatch):
     """2^k leaves for k = n - 1, from one O(g^3) trace and k bilinear forms
-    taken before the walk: each further leaf costs k int additions, and no
-    leaf builds a presentation."""
+    taken before the walk: after them a block of leaves costs int additions
+    only, and no leaf builds a presentation."""
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)
     cubic = Counter(monkeypatch, invariants._jet_trace)
     form = Counter(monkeypatch, invariants._form, modules=[floer])
-    walk = floer._leaf_traces
+    walk = floer._leaf_blocks
     leaves = 0
 
     def counted(*args):
         nonlocal leaves
-        for trace in walk(*args):
-            leaves += 1
-            yield trace
+        for block in walk(*args):
+            leaves += len(block)
+            yield block
 
-    monkeypatch.setattr(floer, "_leaf_traces", counted)
+    monkeypatch.setattr(floer, "_leaf_blocks", counted)
     cases = {name: doc.presentation for name, doc in corpus().items()}
     cases["random-6"] = random_presentation(seeded(50), 6, gmax=2)
     for name, p in cases.items():

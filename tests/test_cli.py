@@ -429,14 +429,15 @@ class TestOutputPath:
             for flag in ([], ["--json"]):
                 calls.clear()
                 assert run(argv + flag) == 0 and len(calls) == 1, argv + flag
-        leaf_traces = floer._leaf_traces
+        leaf_blocks = floer._leaf_blocks
 
         def shifted(*args):
-            traces = leaf_traces(*args)
-            yield next(traces) + 4
-            yield from traces
+            blocks = leaf_blocks(*args)
+            first = next(blocks)
+            yield [first[0] + 4, *first[1:]]
+            yield from blocks
 
-        monkeypatch.setattr(floer, "_leaf_traces", shifted)
+        monkeypatch.setattr(floer, "_leaf_blocks", shifted)
         calls.clear()
         assert run(["chi", ribbon]) == 1 and len(calls) == 1  # the routes disagree
         calls.clear()

@@ -22,7 +22,7 @@ from lescop.documents import (
 from lescop.invariants import SurgeryChain
 from lescop.presentation import TREFOIL, Component, SurgeryPresentation, validate
 
-from conftest import dense_knot_document, random_seifert, seeded
+from conftest import dense_knot_document, random_seifert, rational_presentation, seeded
 from test_golden_cli import fractional_documents
 
 MINIMAL = """
@@ -383,6 +383,54 @@ class TestEntryMemo:
             "components[0].linking['l2'][1]: "
             f'rationals must be strings like "a" or "a/b", got {shown}'
         )
+
+
+def public_components(text):
+    """The components of a document built by the public, checking
+    Component constructor from Fraction(s) of its entry strings."""
+    return tuple(
+        Component(c["name"], [[Fraction(x) for x in row] for row in c["seifert"]],
+                  {other: [Fraction(x) for x in vec] for other, vec in c["linking"].items()})
+        for c in json.loads(text)["components"]
+    )
+
+
+class TestOneExactnessPass:
+    """parse stores its entries unchecked, and they are what the public,
+    checking Component would store: equal values of equal types."""
+
+    def assert_as_public(self, text):
+        parsed = parse(text).presentation.components
+        public = public_components(text)
+        assert parsed == public
+        assert repr(parsed) == repr(public)
+
+    def test_corpus(self):
+        for doc in corpus().values():
+            self.assert_as_public(serialize(doc))
+
+    def test_seeded_rational_documents(self):
+        rng = seeded(23)
+        for n in range(1, 6):
+            for _ in range(4):
+                self.assert_as_public(serialize(PresentationDocument(rational_presentation(rng, n))))
+
+    def test_integral_and_reduced_entries(self):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = [["2/2", "4/6"], ["-0", "-3/1"]]
+        obj["components"][0]["linking"] = {"l2": ["-3/1", "2/2"]}
+        text = json.dumps(obj)
+        self.assert_as_public(text)
+        c = parse(text).presentation.components[0]
+        assert [(type(x), x) for row in c.seifert for x in row] == [
+            (int, 1), (Fraction, Fraction(2, 3)), (int, 0), (int, -3)]
+        assert [(type(x), x) for x in c.linking["l2"]] == [(int, -3), (int, 1)]
+
+    def test_public_component_still_checks(self):
+        with pytest.raises(TypeError, match="got float"):
+            Component("l1", [[0.5, 1], [0, -1]], {})
+        with pytest.raises(TypeError, match="got float"):
+            Component("l1", TREFOIL, {"l2": (1.0, 0)})
 
 
 class TestChains:

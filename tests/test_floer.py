@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from lescop import floer
 from lescop.corpus import corpus
 from lescop.floer import (
     CLOSED_FORM,
@@ -19,7 +20,6 @@ from lescop.floer import (
     chi_via_triangle,
     lescop_to_chi,
     reduced_knot_chi,
-    _leaf_traces,
     taubes_chi,
 )
 from lescop.invariants import (
@@ -217,54 +217,98 @@ def direct_trace(dv, s_inv, vectors, subset):
     return sum(a[r][k] * a[k][r] for r in range(n) for k in range(n))
 
 
-class TestLeafWalk:
-    def test_every_leaf_trace_is_the_direct_trace(self):
-        """The Gray-code walk yields 2^k traces, the m-th for the subset
-        given by the bits of m ^ (m >> 1), each equal to its O(g^3) trace."""
-        rng = seeded(48)
-        nontrivial = 0
-        for _ in range(300):
-            p = fractional_presentation(rng)
+def leaf_traces(dv, s_inv, vectors):
+    """The traces of floer._leaf_blocks, its blocks concatenated, after
+    checking that each block holds 2^min(k, _LOW) of them."""
+    blocks = list(floer._leaf_blocks(dv, s_inv, vectors))
+    size = 1 << min(len(vectors), floer._LOW)
+    assert [len(block) for block in blocks] == [size] * (2 ** len(vectors) // size)
+    return [t for block in blocks for t in block]
+
+
+def check_direct_traces():
+    """The Gray-code walk yields 2^k traces, the m-th for the subset given
+    by the bits of m ^ (m >> 1), each equal to its O(g^3) trace."""
+    rng = seeded(48)
+    nontrivial = 0
+    for _ in range(300):
+        p = fractional_presentation(rng)
+        first, *others = p.components
+        _, dv, ce = first.integral_form
+        vectors = [ce[c.name] for c in others]
+        s_inv = first.skew_form[0]
+        traces = leaf_traces(dv, s_inv, vectors)
+        assert len(traces) == 2 ** len(vectors), p
+        for m, trace in enumerate(traces):
+            gray = m ^ (m >> 1)
+            subset = [i for i in range(len(vectors)) if gray >> i & 1]
+            assert trace == direct_trace(dv, s_inv, vectors, subset), (p, subset)
+        nontrivial += len(vectors) >= 2 and len(dv) > 0 and len(set(traces)) > 1
+    assert nontrivial >= 50
+
+
+def check_jet_traces():
+    """The m-th trace equals _jet_trace of dB_J built afresh for the J given
+    by the bits of m ^ (m >> 1), on rational presentations of genus 0 to 3
+    with k = 0 to 6 vectors."""
+    rng = seeded(49)
+    genera, scaled = set(), 0
+    for k in range(7):
+        for _ in range(10):
+            p = rational_presentation(rng, k + 1)
+            assert p.violations == (), p
             first, *others = p.components
-            _, dv, ce = first.integral_form
+            d, dv, ce = first.integral_form
             vectors = [ce[c.name] for c in others]
             s_inv = first.skew_form[0]
-            traces = list(_leaf_traces(dv, s_inv, vectors))
-            assert len(traces) == 2 ** len(vectors), p
+            n = len(dv)
+            traces = leaf_traces(dv, s_inv, vectors)
+            assert len(traces) == 2 ** k, p
             for m, trace in enumerate(traces):
-                gray = m ^ (m >> 1)
-                subset = [i for i in range(len(vectors)) if gray >> i & 1]
-                assert trace == direct_trace(dv, s_inv, vectors, subset), (p, subset)
-            nontrivial += len(vectors) >= 2 and len(dv) > 0 and len(set(traces)) > 1
-        assert nontrivial >= 50
+                blown = [e for i, e in enumerate(vectors) if (m ^ (m >> 1)) >> i & 1]
+                db = [[dv[r][c] + dv[c][r] + 2 * sum(e[r] * e[c] for e in blown)
+                       for c in range(n)] for r in range(n)]
+                assert trace == _jet_trace(s_inv, db), (p, m)
+            genera.add(n // 2)
+            scaled += d > 1 and k >= 2 and len(set(traces)) > 2
+    assert genera == {0, 1, 2, 3}
+    assert scaled >= 25
+
+
+class TestLeafWalk:
+    def test_every_leaf_trace_is_the_direct_trace(self):
+        check_direct_traces()
 
     def test_each_leaf_trace_is_the_jet_trace_of_its_rebuilt_form(self):
-        """The m-th trace equals _jet_trace of dB_J built afresh for the J
-        given by the bits of m ^ (m >> 1), on rational presentations of
-        genus 0 to 3 with k = 0 to 6 vectors: the k-addition step of the
-        walk against the definition of its leaves."""
-        rng = seeded(49)
-        genera, scaled = set(), 0
-        for k in range(7):
-            for _ in range(10):
-                p = rational_presentation(rng, k + 1)
-                assert p.violations == (), p
-                first, *others = p.components
-                d, dv, ce = first.integral_form
-                vectors = [ce[c.name] for c in others]
-                s_inv = first.skew_form[0]
-                n = len(dv)
-                traces = list(_leaf_traces(dv, s_inv, vectors))
-                assert len(traces) == 2 ** k, p
-                for m, trace in enumerate(traces):
-                    blown = [e for i, e in enumerate(vectors) if (m ^ (m >> 1)) >> i & 1]
-                    db = [[dv[r][c] + dv[c][r] + 2 * sum(e[r] * e[c] for e in blown)
-                           for c in range(n)] for r in range(n)]
-                    assert trace == _jet_trace(s_inv, db), (p, m)
-                genera.add(n // 2)
-                scaled += d > 1 and k >= 2 and len(set(traces)) > 2
-        assert genera == {0, 1, 2, 3}
-        assert scaled >= 25
+        """The block walk against the definition of its leaves."""
+        check_jet_traces()
+
+    @pytest.mark.parametrize("low", [1, 2, 3])
+    def test_walks_across_reflected_blocks(self, monkeypatch, low):
+        """Both checks above with blocks of 2^low leaves, so that walks over
+        up to 6 vectors step between blocks and reverse the odd ones."""
+        monkeypatch.setattr(floer, "_LOW", low)
+        check_direct_traces()
+        check_jet_traces()
+
+    def test_twelve_vectors_at_the_real_block_size(self):
+        """A walk over k = 12 vectors crosses 2^(12 - _LOW) blocks; every
+        one of its 4096 traces is the direct trace of its subset."""
+        rng = seeded(50)
+        while True:
+            p = rational_presentation(rng, 13, gmax=2)
+            first, *others = p.components
+            if first.size and p.violations == ():
+                break
+        _, dv, ce = first.integral_form
+        vectors = [ce[c.name] for c in others]
+        s_inv = first.skew_form[0]
+        traces = leaf_traces(dv, s_inv, vectors)
+        assert len(traces) == 2 ** 12 and len(set(traces)) > 2 ** floer._LOW
+        for m, trace in enumerate(traces):
+            gray = m ^ (m >> 1)
+            subset = [i for i in range(12) if gray >> i & 1]
+            assert trace == direct_trace(dv, s_inv, vectors, subset), subset
 
 
 class TestTaubes:

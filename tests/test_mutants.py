@@ -37,16 +37,18 @@ def test_alexander_coefficient(corpus_dir, capsys, monkeypatch):
 
 
 def test_leaf_traces(corpus_dir, capsys, monkeypatch):
-    """Every triangle leaf after the first shifted by 4."""
-    leaf_traces = floer._leaf_traces
+    """Every triangle leaf after the first shifted by 4, in the blocks
+    that the walk yields."""
+    leaf_blocks = floer._leaf_blocks
 
     def shifted(*args):
-        traces = leaf_traces(*args)
-        yield next(traces)
-        for trace in traces:
-            yield trace + 4
+        blocks = leaf_blocks(*args)
+        first = next(blocks)
+        yield [first[0], *(trace + 4 for trace in first[1:])]
+        for block in blocks:
+            yield [trace + 4 for trace in block]
 
-    monkeypatch.setattr(floer, "_leaf_traces", shifted)
+    monkeypatch.setattr(floer, "_leaf_blocks", shifted)
     code, failed = failed_checks(corpus_dir, capsys)
     assert (code, failed) == (1, {"route-agreement"})
 
