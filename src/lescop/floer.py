@@ -41,18 +41,21 @@ and flipping cE_i adds 2 sigma (cE_i . y_j)^2 to y_j^T dB y_j,
 y_j = S^-1 (cE_j), for each j.  So the trace of leaf J is quadratic in
 the indicator vector of J, which is why chi = 0 for b1 >= 4: the sum
 over k >= 3 vectors is a k-th difference, and it kills every quadratic.
-The walk takes one O(g^3) trace and k O(g^2) forms, then yields the leaves
-in Gray-ordered blocks of 2^b, b = min(k, 10).  One table of the
-quadratic part over the first b vectors serves every block; each block
-adds it to a linear table built from the current trace and forms, both
-by reflected doubling, one int addition per entry; and between blocks
-the walk steps one of the other k - b vectors in k int additions.  A
-leaf thus costs about four int additions (its linear-table entry, the
-quadratic part, its numerator and the signed sum), a block k more, and
-no list the route holds has more than 2^10 ints, whatever k is (each of
-them has about twice the digits of d).  Each leaf's Delta''(1) is still
-formed on its own: the route deliberately does not sum the quadratic in
-closed form, which would make it the closed form again.
+The walk takes one O(g^3) trace and k O(g^2) forms, carrying the
+factors once as 4 y^T dB y and 8 (cE_i . y_j)^2, then yields the leaves in
+Gray-ordered blocks of 2^b, b = min(k, 10).  Each of the first b vectors
+has one list of its cross terms with the vectors before it, built once by
+reflected doubling; each block is one reflected doubling from the current
+trace, subtracting a vector's form and adding its cross term; and between
+blocks the walk steps one of the other k - b vectors in k int additions.
+A leaf thus costs about four int additions (its form and its cross term
+in the doubling, its numerator and the signed sum in the caller), a block
+k more, and no list the route holds has more than 2^10 ints, whatever k
+is (each of them has about twice the digits of d); at its peak the route
+holds about three blocks' worth of them: the cross lists, the block being
+built and the numerators of the block before.  Each leaf's Delta''(1) is
+still formed on its own: the route deliberately does not sum the
+quadratic in closed form, which would make it the closed form again.
 The two routes agreeing on every input is the principal cross-check of
 this package.
 
@@ -159,7 +162,7 @@ def _check(p, bundle):
         )
     if any(b not in (0, 1) for b in bundle.w2):
         raise InadmissibleBundleError(f"w2 must hold only 0/1 bits, got {bundle.w2}")
-    if not bundle.is_admissible():
+    if not any(bundle.w2):
         raise InadmissibleBundleError("w2 must contain at least one 1")
     return bundle
 
@@ -215,35 +218,37 @@ def _leaf_blocks(dv, s_inv, vectors):
     Block h holds the leaves whose J has high part H (the vectors from b
     on) given by the bits of h ^ (h >> 1), and over the low part L
 
-        t_J = t_H - 4 sum_{i in L} forms[i] - 8 sum_{i<j in L} (cE_i . y_j)^2,
+        t_J = t_H - sum_{i in L} forms[i] - sum_{j<i in L} steps[i][j],
 
-    for forms[i] = y_i^T dB_H y_i, y_i = S^-1 (cE_i).  The quadratic part
-    does not depend on H: one table of it, over the first b vectors,
-    serves every block, and each block adds it to a linear table built
-    from t_H and forms[:b], reversed on odd h, where the reflected Gray
-    code runs its low bits backwards.  Between blocks the walk steps one
-    high vector i, blowing it down (sigma = +1) or restoring it
-    (sigma = -1), which moves t_H by -4 sigma forms[i] and each forms[j]
-    by 2 sigma (cE_i . y_j)^2 = sigma steps[i][j].
+    for forms[i] = 4 y_i^T dB_H y_i, y_i = S^-1 (cE_i), and
+    steps[i][j] = 8 (cE_i . y_j)^2, the factors carried once.  The cross
+    terms do not depend on H: cross[i] holds minus the sum of steps[i][j]
+    over each subset of the vectors j < i, in Gray order, one list per
+    low vector and call.  Each block starts as [t_H] and doubles once per
+    low vector i, appending its own reversal with forms[i] subtracted and
+    the reversed cross[i] added; odd blocks are then reversed, where the
+    reflected Gray code runs its low bits backwards.  Between blocks the
+    walk steps one high vector i, blowing it down (sigma = +1) or
+    restoring it (sigma = -1), which moves t_H by -sigma forms[i] and
+    each forms[j] by sigma steps[i][j].
     """
     n = len(dv)
     db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
     trace = _jet_trace(s_inv, db)
     ys = [[sum(map(mul, row, e)) for row in s_inv] for e in vectors]
-    forms = [_form(y, db, y) for y in ys]
-    steps = [[2 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors]
+    forms = [4 * _form(y, db, y) for y in ys]
+    steps = [[8 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors]
     b = min(len(vectors), _LOW)
-    quad = [0]
-    for i in range(b):
-        cross = _gray_sums(0, [-4 * x for x in steps[i][:i]])
-        quad += [q + x for q, x in zip(reversed(quad), reversed(cross))]
+    cross = [_gray_sums(0, [-x for x in steps[i][:i]]) for i in range(b)]
     for h in range(1 << (len(vectors) - b)):
         if h:
             j = (h & -h).bit_length() - 1
             op, sigma = (add, 1) if (h ^ (h >> 1)) >> j & 1 else (sub, -1)
-            trace -= 4 * sigma * forms[b + j]
+            trace -= sigma * forms[b + j]
             forms = list(map(op, forms, steps[b + j]))
-        block = list(map(add, _gray_sums(trace, [-4 * f for f in forms[:b]]), quad))
+        block = [trace]
+        for f, c in zip(forms, cross):
+            block += [t - f + x for t, x in zip(reversed(block), reversed(c))]
         if h & 1:
             block.reverse()
         yield block
@@ -257,8 +262,10 @@ def chi_via_triangle(p, bundle=None):
     Delta''_J(1) = h (2g d^2 - t_J) / (4 d^2) for t_J from _leaf_blocks.
     The signs alternate along the Gray-code walk and every block has
     even length (or is the one leaf of k = 0), so each block starts on
-    the sign (-1)^k: its int numerators are formed leaf by leaf, summed
-    with alternating signs in two slices, and the total is divided once.
+    the sign (-1)^k: its int numerators are formed leaf by leaf into one
+    list that takes the block's place, so the caller keeps one list per
+    block; they are summed with alternating signs in two slices, and the
+    total is divided once.
     The result does not depend on the order of the components, which the
     test suite checks rather than assumes.
     """
@@ -270,8 +277,8 @@ def chi_via_triangle(p, bundle=None):
     sign = (-1) ** len(vectors)
     total = 0
     for block in _leaf_blocks(dv, first.skew_form[0], vectors):
-        nums = [scaled_2g - t for t in block]
-        total += sign * (sum(nums[::2]) - sum(nums[1::2]))
+        block = [scaled_2g - t for t in block]
+        total += sign * (sum(block[::2]) - sum(block[1::2]))
     return _report(p, Fraction(-p.base_order * total, 4 * d * d), TRIANGLE, bundle)
 
 

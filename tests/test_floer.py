@@ -1,11 +1,14 @@
 from fractions import Fraction
 from itertools import product
 import re
+import sys
+import tracemalloc
 
 import pytest
 
 from lescop import floer
 from lescop.corpus import corpus
+from lescop.documents import parse
 from lescop.floer import (
     CLOSED_FORM,
     EXT_AMBIGUOUS,
@@ -44,6 +47,7 @@ from lescop.presentation import (
 
 from conftest import (
     fractional_presentation,
+    hostile_rational_document,
     knot_surgery,
     random_presentation,
     rational_presentation,
@@ -309,6 +313,27 @@ class TestLeafWalk:
             gray = m ^ (m >> 1)
             subset = [i for i in range(12) if gray >> i & 1]
             assert trace == direct_trace(dv, s_inv, vectors, subset), subset
+
+    def test_peak_memory_on_hostile_rationals(self):
+        """On the 12-component hostile document, whose traces have about
+        146,000 bits, chi_via_triangle allocates at its peak less than 3.5
+        blocks of 2^_LOW ints the size of the walk's first trace: the cross
+        lists, the block being built and the caller's numerators of the
+        block before, which take that block's place."""
+        p = parse(hostile_rational_document(12)).presentation
+        assert p.violations == ()
+        first, *others = p.components
+        _, dv, ce = first.integral_form
+        vectors = [ce[c.name] for c in others]
+        t0 = next(floer._leaf_blocks(dv, first.skew_form[0], vectors))[0]
+        block = 2 ** floer._LOW * sys.getsizeof(t0)
+        tracemalloc.start()
+        try:
+            chi_via_triangle(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * block, peak / block
 
 
 class TestTaubes:
