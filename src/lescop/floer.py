@@ -41,19 +41,26 @@ and flipping cE_i adds 2 sigma (cE_i . y_j)^2 to y_j^T dB y_j,
 y_j = S^-1 (cE_j), for each j.  So the trace of leaf J is quadratic in
 the indicator vector of J, which is why chi = 0 for b1 >= 4: the sum
 over k >= 3 vectors is a k-th difference, and it kills every quadratic.
-The walk takes one O(g^3) trace and k O(g^2) forms, carrying the
-factors once as 4 y^T dB y and 8 (cE_i . y_j)^2, then yields the leaves in
-Gray-ordered blocks of 2^b, b = min(k, 10).  Each of the first b vectors
-has one list of its cross terms with the vectors before it, built once by
-reflected doubling; each block is one reflected doubling from the current
-trace, subtracting a vector's form and adding its cross term; and between
-blocks the walk steps one of the other k - b vectors in k int additions.
-A leaf thus costs about four int additions (its form and its cross term
-in the doubling, its numerator and the signed sum in the caller), a block
-k more, and no list the route holds has more than 2^10 ints, whatever k
-is (each of them has about twice the digits of d); at its peak the route
-holds about three blocks' worth of them: the cross lists, the block being
-built and the numerators of the block before.  Each leaf's Delta''(1) is
+The walk starts from the first leaf's trace, tr((S^-1 dB)^2) with every
+vector dropped, which is the component's kept jet trace (see
+presentation.Component, which takes that O(g^3) trace once for
+invariants.delta2, the closed form and this route alike).  It takes k
+O(g^2) forms, carrying the factors once as 4 y^T dB y = 8 y^T dV y and
+8 (cE_i . y_j)^2, then yields the leaves in Gray-ordered blocks of 2^b,
+b = min(k, 10).  Each of the first b vectors has one list of its cross
+terms with the vectors before it, built by reflected doubling; each
+block is one reflected doubling from the current trace, subtracting a
+vector's form and adding its cross term; and between blocks the walk
+steps one of the other k - b vectors in k int additions.  A leaf thus
+costs about four int additions (its form and its cross term in the
+doubling, its numerator and the signed sum in the caller), a block k
+more, and no list the route holds has more than 2^10 ints, whatever k
+is (each of them has about twice the digits of d).  A walk of one block
+builds each cross list for its doubling alone, so at its peak the route
+holds about two blocks' worth of ints: the block and its numerators.  A
+longer walk keeps the cross lists for every block, about three blocks'
+worth: the cross lists, the block being built and the numerators of the
+block before.  Each leaf's Delta''(1) is
 still formed on its own: the route deliberately does not sum the
 quadratic in closed form, which would make it the closed form again.
 The two routes agreeing on every input is the principal cross-check of
@@ -81,7 +88,6 @@ from .invariants import (
     WrongComponentCountError,
     _case,
     _form,
-    _jet_trace,
     _require_valid,
     casson,
 )
@@ -209,9 +215,10 @@ def _gray_sums(start, deltas):
     return t
 
 
-def _leaf_blocks(dv, s_inv, vectors):
+def _leaf_blocks(dv, s_inv, trace, vectors):
     """tr((S^-1 dB_J)^2) for every leaf J, dB_J = dB + 2 sum_J (cE)(cE)^T,
-    in blocks of 2^b for the k vectors cE and b = min(k, _LOW).
+    in blocks of 2^b for the k vectors cE and b = min(k, _LOW), starting
+    from trace = tr((S^-1 dB)^2), the leaf with every vector dropped.
 
     The blocks, concatenated, are the 2^k ints in Gray-code order: the
     m-th is for the J whose indicator bits are those of m ^ (m >> 1).
@@ -220,38 +227,49 @@ def _leaf_blocks(dv, s_inv, vectors):
 
         t_J = t_H - sum_{i in L} forms[i] - sum_{j<i in L} steps[i][j],
 
-    for forms[i] = 4 y_i^T dB_H y_i, y_i = S^-1 (cE_i), and
+    for forms[i] = 4 y_i^T dB_H y_i, y_i = S^-1 (cE_i), taken at the
+    first leaf as 8 y_i^T dV y_i since dB = dV + dV^T, and
     steps[i][j] = 8 (cE_i . y_j)^2, the factors carried once.  The cross
     terms do not depend on H: cross[i] holds minus the sum of steps[i][j]
     over each subset of the vectors j < i, in Gray order, one list per
-    low vector and call.  Each block starts as [t_H] and doubles once per
-    low vector i, appending its own reversal with forms[i] subtracted and
-    the reversed cross[i] added; odd blocks are then reversed, where the
-    reflected Gray code runs its low bits backwards.  Between blocks the
-    walk steps one high vector i, blowing it down (sigma = +1) or
-    restoring it (sigma = -1), which moves t_H by -sigma forms[i] and
-    each forms[j] by sigma steps[i][j].
+    low vector.  Each block starts as [t_H] and doubles once per low
+    vector i, and odd blocks are then reversed, where the reflected Gray
+    code runs its low bits backwards (see _block).  A walk of one
+    block (k <= _LOW) builds each cross list when its doubling needs it
+    and drops it after; a longer walk keeps all b of them for every
+    block.  Between blocks the walk steps one high vector i, blowing it
+    down (sigma = +1) or restoring it (sigma = -1), which moves t_H by
+    -sigma forms[i] and each forms[j] by sigma steps[i][j].
     """
-    n = len(dv)
-    db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
-    trace = _jet_trace(s_inv, db)
     ys = [[sum(map(mul, row, e)) for row in s_inv] for e in vectors]
-    forms = [4 * _form(y, db, y) for y in ys]
+    forms = [8 * _form(y, dv, y) for y in ys]
     steps = [[8 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors]
     b = min(len(vectors), _LOW)
-    cross = [_gray_sums(0, [-x for x in steps[i][:i]]) for i in range(b)]
+    cross = (_gray_sums(0, [-x for x in steps[i][:i]]) for i in range(b))
+    if b < len(vectors):
+        cross = list(cross)
     for h in range(1 << (len(vectors) - b)):
         if h:
             j = (h & -h).bit_length() - 1
             op, sigma = (add, 1) if (h ^ (h >> 1)) >> j & 1 else (sub, -1)
             trace -= sigma * forms[b + j]
             forms = list(map(op, forms, steps[b + j]))
-        block = [trace]
-        for f, c in zip(forms, cross):
-            block += [t - f + x for t, x in zip(reversed(block), reversed(c))]
-        if h & 1:
-            block.reverse()
-        yield block
+        yield _block(trace, forms, cross, h & 1)
+
+
+def _block(trace, forms, cross, backwards):
+    """The block [trace] doubled once per cross list c, appending its own
+    reversal with the form f of c's vector subtracted and the reversed c
+    added, then reversed if backwards.  Every list the call makes but the
+    block dies with it: when cross is a generator, each cross list it
+    builds is dropped by the next doubling or the return, and the walk
+    holds no block while it builds the next."""
+    block = [trace]
+    for f, c in zip(forms, cross):
+        block += [t - f + x for t, x in zip(reversed(block), reversed(c))]
+    if backwards:
+        block.reverse()
+    return block
 
 
 def chi_via_triangle(p, bundle=None):
@@ -276,7 +294,7 @@ def chi_via_triangle(p, bundle=None):
     scaled_2g = len(dv) * d * d
     sign = (-1) ** len(vectors)
     total = 0
-    for block in _leaf_blocks(dv, first.skew_form[0], vectors):
+    for block in _leaf_blocks(dv, first.skew_form[0], first.jet_trace, vectors):
         block = [scaled_2g - t for t in block]
         total += sign * (sum(block[::2]) - sum(block[1::2]))
     return _report(p, Fraction(-p.base_order * total, 4 * d * d), TRIANGLE, bundle)

@@ -33,9 +33,13 @@ denominator c, so d (V + E E^T) = dV + (cE)(cE)^T stays integral under
 blow-down.  S^-1 comes from presentation.skew_form on that form, one
 integer Gauss-Jordan per component that validation already ran and the
 Component keeps.  The jet, s and mu are int products and bilinear forms,
-divided by a power of d once at the end; alexander interpolates from
-the kept form, casson scales each chain step once, and knot_alexander
-each bare matrix it is given.
+divided by a power of d once at the end.  The jet's O(g^3) part, the int
+tr((S^-1 dB)^2) with dB = dV + dV^T, is presentation._jet_trace, which
+each Component takes once and keeps as its jet_trace: delta2 and _case
+(for b1 = 1) read that, as the triangle route of floer does.  alexander
+interpolates from the kept form, casson scales each chain step once and
+takes its trace once, and knot_alexander scales each bare matrix it is
+given.
 
 The first Betti number b1 of the presented manifold is the number of
 components, and the case formulas of lescop and of floer.chi_closed_form
@@ -58,7 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .presentation import InvalidSpecError, _valid_form, exact_matrix, integral_form
+from .presentation import InvalidSpecError, _jet_trace, _valid_form, exact_matrix, integral_form
 from .ring import HalfLaurent, _Record, _bareiss, exact
 
 
@@ -165,22 +169,11 @@ def _alexander(d, dv, h):
     return HalfLaurent({2 * i - n: Fraction(c * h, scale) for i, c in enumerate(coeffs)})
 
 
-def _delta2_jet(d, dv, s_inv, h):
-    """Delta''(1) = h (2g - tr((S^-1 B)^2)) / 4 for the int matrices dV and S^-1.
-
-    The O(g^3) product runs on ints, with dB = dV + dV^T in place of B;
-    d^2 is divided out once at the end.
-    """
-    n = len(dv)
-    db = [[dv[i][j] + dv[j][i] for j in range(n)] for i in range(n)]
-    return Fraction(h * (n * d * d - _jet_trace(s_inv, db)), 4 * d * d)
-
-
-def _jet_trace(s_inv, db):
-    """The int tr((S^-1 dB)^2), O(g^3), for a symmetric int matrix dB."""
-    # db is symmetric, so its rows are its columns
-    a = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
-    return sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*a)))
+def _delta2_jet(n, d, trace, h):
+    """Delta''(1) = h (2g - tr((S^-1 B)^2)) / 4 for a Seifert matrix of size
+    n = 2g, from the int trace tr((S^-1 dB)^2) with dB = dV + dV^T in
+    place of B; d^2 is divided out once at the end."""
+    return Fraction(h * (n * d * d - trace), 4 * d * d)
 
 
 def _form(u, m, v):
@@ -208,7 +201,7 @@ def delta2(p, comp):
     _require_valid(p)
     c = p.component(comp)
     d, dv, _ = c.integral_form
-    return _delta2_jet(d, dv, c.skew_form[0], p.base_order)
+    return _delta2_jet(len(dv), d, c.jet_trace, p.base_order)
 
 
 def casson(chain):
@@ -242,7 +235,7 @@ def casson(chain):
                 f"step {i}: non-integer entries require base_order > 1, "
                 "and a chain starts from S^3"
             )
-        total += sign * _delta2_jet(d, dv, s_inv, 1) / 2
+        total += sign * _delta2_jet(len(dv), d, _jet_trace(s_inv, dv), 1) / 2
     return total
 
 
@@ -268,9 +261,9 @@ def _case(p):
     b1 = len(p.components)
     first = p.components[0]
     d, dv, ce = first.integral_form
-    s_inv = first.skew_form[0]
     if b1 == 1:
-        return b1, _delta2_jet(d, dv, s_inv, p.base_order)
+        return b1, _delta2_jet(len(dv), d, first.jet_trace, p.base_order)
+    s_inv = first.skew_form[0]
     if b1 == 2:
         x = [sum(map(mul, row, ce[p.components[1].name])) for row in s_inv]  # c S^-1 E
         return b1, Fraction(_form(x, dv, x), d * d)

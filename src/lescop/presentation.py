@@ -24,18 +24,21 @@ dV = c^2 V and cE, and every formula of the package runs on those; for
 c = 1, the case of integral data, V and E are that form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
 for S = V - V^T from the same integer elimination, ring._scaled_inverse.
-A Component computes its integral form and its skew form on first use
-and keeps both.
+_jet_trace gives the int tr((S^-1 dB)^2), dB = dV + dV^T, from which
+the jet of the Alexander polynomial at t = 1 reads Delta''(1).
+A Component computes its integral form, its skew form and, once it is
+valid, its jet trace on first use and keeps all three.
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
-its input at no further cost and shares one scaling and one elimination
-per component.
+its input at no further cost and shares one scaling, one elimination and
+one trace per component.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 from types import MappingProxyType
 
 from .ring import _Record, _scaled_inverse, exact
@@ -127,6 +130,14 @@ def skew_form(d, dv):
     return tuple(tuple(det * x for x in r) for r in inverse), None
 
 
+def _jet_trace(s_inv, dv):
+    """The int tr((S^-1 dB)^2), O(g^3), for dB = dV + dV^T."""
+    db = [[a + b for a, b in zip(row, col)] for row, col in zip(dv, zip(*dv))]
+    # db is symmetric, so its rows are its columns
+    a = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
+    return sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*a)))
+
+
 def _valid_form(v, what):
     """(d, dV, S^-1) for an exact square matrix v, by integral_form and
     skew_form; an invalid Seifert form raises InvalidSpecError("what: why")."""
@@ -179,6 +190,12 @@ class Component(_Record):
         """skew_form of the component's integral form, computed on first use and then kept."""
         d, dv, _ = self.integral_form
         return skew_form(d, dv)
+
+    @cached_property
+    def jet_trace(self):
+        """The int tr((S^-1 dB)^2) for dB = dV + dV^T, of a component whose
+        skew form is valid, computed on first use and then kept."""
+        return _jet_trace(self.skew_form[0], self.integral_form[1])
 
 
 class SurgeryPresentation(_Record):

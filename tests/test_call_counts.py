@@ -220,6 +220,30 @@ def test_only_alexander_and_verify_compute_the_polynomial(
     assert (alexander.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 4, 2)
 
 
+def test_each_component_takes_one_jet_trace(corpus_dir, monkeypatch, capsys):
+    """tr((S^-1 dB)^2) is taken at most once per component whose jet a
+    command reads, and the component keeps it: verify reads every
+    component's for delta2-agreement and the first one's again for both
+    chi routes and lescop, and chi --route both the first one's for both
+    routes."""
+    trace = Counter(monkeypatch, presentation._jet_trace)
+    runs = [
+        (["verify", "trefoil-0"], 1),
+        (["verify", "ribbon-s1"], 2),
+        (["verify", "triple-mu1"], 3),
+        (["chi", "--route", "both", "trefoil-0"], 1),
+        (["lescop", "trefoil-0"], 1),
+        (["chi", "--route", "both", "km-trefoil"], 1),
+        (["alexander", "trefoil-0"], 0),
+    ]
+    for (command, *flags, name), traces in runs:
+        before = trace.calls
+        assert run([command, *flags, str(corpus_dir / f"{name}.json")]) == 0, (command, name)
+        assert trace.calls - before == traces, (command, name)
+    capsys.readouterr()
+    assert set(trace.callers) == {"lescop.presentation.jet_trace"}
+
+
 def test_mu_squared_validates_once(monkeypatch):
     validate = Counter(monkeypatch, presentation.validate)
     assert invariants.milnor_mu_squared(corpus()["km-trefoil"].presentation) == 1
@@ -244,7 +268,7 @@ def test_triangle_builds_no_presentations(monkeypatch):
     only, and no leaf builds a presentation."""
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)
-    cubic = Counter(monkeypatch, invariants._jet_trace)
+    cubic = Counter(monkeypatch, presentation._jet_trace)
     form = Counter(monkeypatch, invariants._form, modules=[floer])
     walk = floer._leaf_blocks
     leaves = 0

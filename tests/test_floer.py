@@ -28,7 +28,6 @@ from lescop.floer import (
 from lescop.invariants import (
     SurgeryChain,
     WrongComponentCountError,
-    _jet_trace,
     delta2,
     knot_alexander,
     lescop,
@@ -40,6 +39,7 @@ from lescop.presentation import (
     TREFOIL,
     RibbonPairSpec,
     SurgeryPresentation,
+    _jet_trace,
     build_ribbon_pair,
     build_triple,
     rank_one_update,
@@ -221,10 +221,10 @@ def direct_trace(dv, s_inv, vectors, subset):
     return sum(a[r][k] * a[k][r] for r in range(n) for k in range(n))
 
 
-def leaf_traces(dv, s_inv, vectors):
+def leaf_traces(dv, s_inv, trace, vectors):
     """The traces of floer._leaf_blocks, its blocks concatenated, after
     checking that each block holds 2^min(k, _LOW) of them."""
-    blocks = list(floer._leaf_blocks(dv, s_inv, vectors))
+    blocks = list(floer._leaf_blocks(dv, s_inv, trace, vectors))
     size = 1 << min(len(vectors), floer._LOW)
     assert [len(block) for block in blocks] == [size] * (2 ** len(vectors) // size)
     return [t for block in blocks for t in block]
@@ -241,7 +241,7 @@ def check_direct_traces():
         _, dv, ce = first.integral_form
         vectors = [ce[c.name] for c in others]
         s_inv = first.skew_form[0]
-        traces = leaf_traces(dv, s_inv, vectors)
+        traces = leaf_traces(dv, s_inv, first.jet_trace, vectors)
         assert len(traces) == 2 ** len(vectors), p
         for m, trace in enumerate(traces):
             gray = m ^ (m >> 1)
@@ -252,7 +252,7 @@ def check_direct_traces():
 
 
 def check_jet_traces():
-    """The m-th trace equals _jet_trace of dB_J built afresh for the J given
+    """The m-th trace equals _jet_trace of dV_J built afresh for the J given
     by the bits of m ^ (m >> 1), on rational presentations of genus 0 to 3
     with k = 0 to 6 vectors."""
     rng = seeded(49)
@@ -266,13 +266,13 @@ def check_jet_traces():
             vectors = [ce[c.name] for c in others]
             s_inv = first.skew_form[0]
             n = len(dv)
-            traces = leaf_traces(dv, s_inv, vectors)
+            traces = leaf_traces(dv, s_inv, first.jet_trace, vectors)
             assert len(traces) == 2 ** k, p
             for m, trace in enumerate(traces):
                 blown = [e for i, e in enumerate(vectors) if (m ^ (m >> 1)) >> i & 1]
-                db = [[dv[r][c] + dv[c][r] + 2 * sum(e[r] * e[c] for e in blown)
-                       for c in range(n)] for r in range(n)]
-                assert trace == _jet_trace(s_inv, db), (p, m)
+                dv_j = [[dv[r][c] + sum(e[r] * e[c] for e in blown)
+                         for c in range(n)] for r in range(n)]
+                assert trace == _jet_trace(s_inv, dv_j), (p, m)
             genera.add(n // 2)
             scaled += d > 1 and k >= 2 and len(set(traces)) > 2
     assert genera == {0, 1, 2, 3}
@@ -307,7 +307,7 @@ class TestLeafWalk:
         _, dv, ce = first.integral_form
         vectors = [ce[c.name] for c in others]
         s_inv = first.skew_form[0]
-        traces = leaf_traces(dv, s_inv, vectors)
+        traces = leaf_traces(dv, s_inv, first.jet_trace, vectors)
         assert len(traces) == 2 ** 12 and len(set(traces)) > 2 ** floer._LOW
         for m, trace in enumerate(traces):
             gray = m ^ (m >> 1)
@@ -320,20 +320,32 @@ class TestLeafWalk:
         blocks of 2^_LOW ints the size of the walk's first trace: the cross
         lists, the block being built and the caller's numerators of the
         block before, which take that block's place."""
-        p = parse(hostile_rational_document(12)).presentation
-        assert p.violations == ()
-        first, *others = p.components
-        _, dv, ce = first.integral_form
-        vectors = [ce[c.name] for c in others]
-        t0 = next(floer._leaf_blocks(dv, first.skew_form[0], vectors))[0]
-        block = 2 ** floer._LOW * sys.getsizeof(t0)
-        tracemalloc.start()
-        try:
-            chi_via_triangle(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * block, peak / block
+        peak = peak_blocks(hostile_rational_document(12))
+        assert peak < 3.5, peak
+
+    def test_peak_memory_on_a_one_block_walk(self):
+        """On the 11-component hostile document, k = _LOW vectors make one
+        block, and chi_via_triangle allocates at its peak less than 2.5
+        blocks: the block and the caller's numerators, each cross list
+        being built for its doubling and dropped after it."""
+        assert floer._LOW == 10
+        peak = peak_blocks(hostile_rational_document(11))
+        assert peak < 2.5, peak
+
+
+def peak_blocks(document):
+    """The tracemalloc peak of chi_via_triangle on a valid document, in
+    blocks of 2^_LOW ints the size of the walk's first trace."""
+    p = parse(document).presentation
+    assert p.violations == ()
+    block = 2 ** floer._LOW * sys.getsizeof(p.components[0].jet_trace)
+    tracemalloc.start()
+    try:
+        chi_via_triangle(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / block
 
 
 class TestTaubes:

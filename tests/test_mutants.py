@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from lescop import floer, invariants, ring
+from lescop import floer, invariants, presentation, ring
 from lescop.cli import run
 
 
@@ -93,14 +93,15 @@ def test_case_quantity(corpus_dir, capsys, monkeypatch):
 
 
 def jet_trace_plus_eight(monkeypatch):
-    """+8 on the jet trace, as both chi routes and invariants.delta2 read it."""
-    jet_trace = invariants._jet_trace
+    """+8 on the jet trace, as each component keeps it for both chi routes
+    and invariants.delta2, and as casson takes it for each chain step."""
+    jet_trace = presentation._jet_trace
 
     def mutant(*args):
         return jet_trace(*args) + 8
 
+    monkeypatch.setattr(presentation, "_jet_trace", mutant)
     monkeypatch.setattr(invariants, "_jet_trace", mutant)
-    monkeypatch.setattr(floer, "_jet_trace", mutant)
 
 
 def test_jet_trace_against_the_polynomial(corpus_dir, capsys, monkeypatch):

@@ -175,7 +175,8 @@ def test_no_attribute_can_be_assigned_or_deleted(name):
 
 def test_kept_results_cannot_be_assigned():
     c, p = component(), presentation()
-    for value, attr in ((c, "integral_form"), (c, "skew_form"), (p, "violations")):
+    for value, attr in ((c, "integral_form"), (c, "skew_form"), (c, "jet_trace"),
+                        (p, "violations")):
         with pytest.raises(AttributeError):
             setattr(value, attr, None)
     assert p.violations == () and c.skew_form[1] is None
