@@ -63,6 +63,10 @@ worth: the cross lists, the block being built and the numerators of the
 block before.  Each leaf's Delta''(1) is
 still formed on its own: the route deliberately does not sum the
 quadratic in closed form, which would make it the closed form again.
+It does use the triangle's own cancellation: when some vector cE is
+zero, blowing its component down changes nothing, the two terms of its
+triangle are equal, and the route returns 0 without a walk, so a split
+link costs nothing however many components it has.
 The two routes agreeing on every input is the principal cross-check of
 this package.
 
@@ -284,6 +288,11 @@ def chi_via_triangle(p, bundle=None):
     list that takes the block's place, so the caller keeps one list per
     block; they are summed with alternating signs in two slices, and the
     total is divided once.
+    When some other component's vector cE is zero, the route walks no
+    leaf: blowing that component down adds (cE)(cE)^T = 0 to dV, so the
+    leaves J and J + {c} have one trace and opposite signs, and the sum
+    is 0.  That is the triangle's own relation, chi(blow_down) =
+    chi(drop), and reads no S^-1, form or trace.
     The result does not depend on the order of the components, which the
     test suite checks rather than assumes.
     """
@@ -294,9 +303,10 @@ def chi_via_triangle(p, bundle=None):
     scaled_2g = len(dv) * d * d
     sign = (-1) ** len(vectors)
     total = 0
-    for block in _leaf_blocks(dv, first.skew_form[0], first.jet_trace, vectors):
-        block = [scaled_2g - t for t in block]
-        total += sign * (sum(block[::2]) - sum(block[1::2]))
+    if all(map(any, vectors)):  # a zero cE cancels leaves J and J + {c}
+        for block in _leaf_blocks(dv, first.skew_form[0], first.jet_trace, vectors):
+            block = [scaled_2g - t for t in block]
+            total += sign * (sum(block[::2]) - sum(block[1::2]))
     return _report(p, Fraction(-p.base_order * total, 4 * d * d), TRIANGLE, bundle)
 
 

@@ -18,8 +18,10 @@ Bareiss step over int rows, and its docstring states its contract.  Each
 elimination job has one function: ``determinant`` checks the rows a
 caller passes in, ``_scaled_inverse`` is the Gauss-Jordan of [M | I] on
 int rows the package builds, and ``invariants._alexander`` runs
-``_bareiss`` on its own int rows.  No elimination runs over the ring
-itself.
+``_bareiss`` on its own int rows: once, on the rows of
+det(t dV - dV^T) at t = 2^K, whose digits are the Alexander
+coefficients, or, for long entries, once per interpolation node and once
+for the solve.  No elimination runs over the ring itself.
 
 The ring's only polynomial division is by z, in ``z_power_quotient``.  With
 u = t^(1/2), p = z * q means q_(e-1) = p_e + q_(e+1) on the coefficients

@@ -170,6 +170,32 @@ def split_link_document(components, genus, seed=24):
     names = [f"l{i + 1}" for i in range(components)]
     first = Component("l1", random_seifert(seeded(seed), genus),
                       {other: (0,) * (2 * genus) for other in names[1:]})
+    return knot_and_unknots_document(first, names)
+
+
+def linked_link_document(components, genus, seed=24):
+    """Document text of a random genus-`genus` knot l1 and components - 1
+    unknots, with every linking vector of l1 random and nonzero.
+
+    Unlike on a split link, where a zero vector lets the triangle route
+    skip its walk, the route visits all 2^(components - 1) leaves here.
+    Run as `python tests/conftest.py linked N G` it prints that document
+    for N components.
+    """
+    rng = seeded(seed)
+    names = [f"l{i + 1}" for i in range(components)]
+    vectors = {}
+    for other in names[1:]:
+        e = [0] * (2 * genus)
+        while genus and not any(e):
+            e = [rng.randint(-3, 3) for _ in e]
+        vectors[other] = tuple(e)
+    return knot_and_unknots_document(Component("l1", random_seifert(rng, genus), vectors), names)
+
+
+def knot_and_unknots_document(first, names):
+    """Document text of the component first, named names[0], and unknots
+    named names[1:] that link nothing, over h = 1."""
     unknots = [Component(name, (), {other: () for other in names if other != name})
                for name in names[1:]]
     return serialize(PresentationDocument(SurgeryPresentation(1, (first, *unknots))))
@@ -232,6 +258,8 @@ if __name__ == "__main__":
 
     if sys.argv[1] == "hostile":
         print(hostile_rational_document(int(sys.argv[2])), end="")
+    elif sys.argv[1] == "linked":
+        print(linked_link_document(int(sys.argv[2]), int(sys.argv[3])), end="")
     else:
         sizes = [int(x) for x in sys.argv[1:]]
         print(split_link_document(*sizes) if len(sizes) == 2 else dense_knot_document(*sizes), end="")

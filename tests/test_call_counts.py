@@ -46,9 +46,10 @@ def skew_eliminations(monkeypatch):
 
 
 class Interpolation:
-    """Counts the eliminations of the Alexander interpolation: the calls of
-    ring._bareiss as invariants binds it, split into the node
-    determinants (rows, n) and the Gauss-Jordan solves (rows, n)."""
+    """Counts the eliminations of the Alexander polynomial: the calls of
+    ring._bareiss as invariants binds it, split into the determinants
+    (rows, n), packed or at the nodes, and the Gauss-Jordan solves of the
+    node path (rows, n)."""
 
     def __init__(self, monkeypatch):
         self.nodes = []
@@ -75,16 +76,15 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     capsys.readouterr()
     assert validate.calls == len(files)
     assert alexander.calls == 49
-    # floor(n/2) + 1 eliminations of n x n int rows for each Alexander
-    # polynomial of a size-n matrix, never of HalfLaurent entries, and one
-    # (floor(n/2) + 1)-row solve; one elimination of V - V^T per
-    # component, which the routes reuse
+    # every corpus matrix is below the packing threshold: one packed
+    # elimination of n x n int rows for each Alexander polynomial of a
+    # size-n matrix, never of HalfLaurent entries, and no solve; one
+    # elimination of V - V^T per component, which the routes reuse
     sizes = [len(dv) for _, dv, _ in alexander.args]
-    assert [n for _, n in interpolation.nodes] == [n for n in sizes for _ in range(n // 2 + 1)]
-    assert len(interpolation.nodes) == 77
+    assert [n for _, n in interpolation.nodes] == sizes
     assert all(len(rows) == n and len(row) == n and type(x) is int
                for rows, n in interpolation.nodes for row in rows for x in row)
-    assert [n for _, n in interpolation.solves] == [n // 2 + 1 for n in sizes]
+    assert interpolation.solves == []
     assert inverse.calls == components
 
 
@@ -216,8 +216,8 @@ def test_only_alexander_and_verify_compute_the_polynomial(
     assert alexander.calls == len(interpolation.nodes) == len(interpolation.solves) == 0
     assert run(["verify", str(corpus_dir / "trefoil-0.json")]) == 0
     assert run(["alexander", str(corpus_dir / "trefoil-0.json")]) == 0
-    # the trefoil's 2 x 2 form takes 2 determinants and one solve per polynomial
-    assert (alexander.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 4, 2)
+    # the trefoil's 2 x 2 form takes one packed determinant per polynomial
+    assert (alexander.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 2, 0)
 
 
 def test_each_component_takes_one_jet_trace(corpus_dir, monkeypatch, capsys):
@@ -265,7 +265,9 @@ def test_public_functions_share_one_validation(monkeypatch):
 def test_triangle_builds_no_presentations(monkeypatch):
     """2^k leaves for k = n - 1, from one O(g^3) trace and k bilinear forms
     taken before the walk: after them a block of leaves costs int additions
-    only, and no leaf builds a presentation."""
+    only, and no leaf builds a presentation.  When one of the k vectors is
+    zero, its leaves cancel in pairs and there is no walk at all: no leaf,
+    form or trace."""
     blow_down = Counter(monkeypatch, presentation.blow_down)
     drop = Counter(monkeypatch, presentation.drop_component)
     cubic = Counter(monkeypatch, presentation._jet_trace)
@@ -282,9 +284,15 @@ def test_triangle_builds_no_presentations(monkeypatch):
     monkeypatch.setattr(floer, "_leaf_blocks", counted)
     cases = {name: doc.presentation for name, doc in corpus().items()}
     cases["random-6"] = random_presentation(seeded(50), 6, gmax=2)
+    walked = set()
     for name, p in cases.items():
-        k = len(p.components) - 1
+        first, *others = p.components
+        k = len(others)
+        nonzero = all(any(first.linking[c.name]) for c in others)
         before = leaves, form.calls, cubic.calls
         floer.chi_via_triangle(p)
-        assert (leaves - before[0], form.calls - before[1], cubic.calls - before[2]) == (2 ** k, k, 1), name
+        counts = leaves - before[0], form.calls - before[1], cubic.calls - before[2]
+        assert counts == ((2 ** k, k, 1) if nonzero else (0, 0, 0)), name
+        walked.add(nonzero)
+    assert walked == {True, False}
     assert blow_down.calls == drop.calls == 0

@@ -37,6 +37,7 @@ from lescop.invariants import (
 from lescop.presentation import (
     FIGURE_EIGHT,
     TREFOIL,
+    Component,
     RibbonPairSpec,
     SurgeryPresentation,
     _jet_trace,
@@ -49,6 +50,7 @@ from conftest import (
     fractional_presentation,
     hostile_rational_document,
     knot_surgery,
+    linked_link_document,
     random_presentation,
     rational_presentation,
     random_ribbon_spec,
@@ -164,6 +166,36 @@ class TestTriangle:
     def test_route_agreement_with_torsion(self):
         p = build_ribbon_pair(RibbonPairSpec(s=1, base_order=3))
         assert chi_closed_form(p).chi == chi_via_triangle(p).chi == -6
+
+    def test_route_agreement_with_one_zero_vector(self):
+        """b1 = 2 to 6, one of the first component's vectors zero among
+        nonzero ones: the triangle, which then walks no leaf, agrees with
+        the closed form and with the polynomial leaves, which walk them all."""
+        rng = seeded(48)
+        for b1 in range(2, 7):
+            for _ in range(6):
+                p = with_one_zero_vector(rng, b1)
+                expected = polynomial_triangle(p)
+                assert chi_via_triangle(p).chi == chi_closed_form(p).chi == expected, p
+
+    def test_linked_link_walks_every_leaf(self):
+        """The generator of the CI's walk bound gives l1 no zero vector."""
+        p = parse(linked_link_document(8, 1)).presentation
+        first, *others = p.components
+        assert all(any(first.linking[c.name]) for c in others)
+        assert chi_via_triangle(p).chi == chi_closed_form(p).chi
+
+
+def with_one_zero_vector(rng, b1):
+    """A random presentation of b1 components whose first has genus 1 or 2
+    and exactly one zero linking vector, the one against a random other."""
+    while True:
+        p = random_presentation(rng, b1, h=rng.choice((1, 2, 3)), gmax=2)
+        first, *others = p.components
+        if first.size and all(any(first.linking[c.name]) for c in others):
+            break
+    linking = {**first.linking, rng.choice(others).name: (0,) * first.size}
+    return SurgeryPresentation(p.base_order, (Component(first.name, first.seifert, linking), *others))
 
 
 def polynomial_triangle(p):

@@ -44,6 +44,9 @@ from conftest import (
     unimodular,
 )
 
+# thresholds of _alexander that force each of its paths
+PATHS = {"packed": 10**9, "nodes": -1}
+
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})
 FIG8_POLY = HalfLaurent({2: -1, 0: 3, -2: -1})
 
@@ -70,6 +73,20 @@ def full_interpolation(v, h):
     return HalfLaurent({2 * i - n: Fraction(c * h, d**n) for i, c in enumerate(poly)})
 
 
+class Eliminations:
+    """Records (rows, n, jordan) for each ring._bareiss call of invariants."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        bareiss = invariants._bareiss
+
+        def counted(rows, n, jordan):
+            self.calls.append((len(rows), n, jordan))
+            return bareiss(rows, n, jordan)
+
+        monkeypatch.setattr(invariants, "_bareiss", counted)
+
+
 class TestAlexander:
     def test_trefoil(self):
         assert alexander(knot_surgery(TREFOIL), "l1") == TREFOIL_POLY
@@ -90,9 +107,9 @@ class TestAlexander:
         singular = knot_alexander([[0, 0], [0, 0]])
         assert isinstance(singular, HalfLaurent) and not singular
 
-    def test_matches_sympy(self):
+    def test_matches_sympy(self, monkeypatch):
         """Up to genus 8 against det(x V - V^T) in a symbol x, expanded by sympy:
-        its coefficient of x^i is that of t^((2i - n)/2)."""
+        its coefficient of x^i is that of t^((2i - n)/2).  On each path."""
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = seeded(33)
@@ -103,12 +120,14 @@ class TestAlexander:
             m = sympy.Matrix(n, n, lambda i, j: x * v[i][j] - v[j][i])
             coeffs = sympy.Poly(m.det(method="domain-ge"), x).all_coeffs()[::-1]
             expected = {2 * i - n: h * Fraction(int(c.p), int(c.q)) for i, c in enumerate(coeffs)}
-            assert knot_alexander(v, h) == HalfLaurent(expected), (g, h, v)
+            for path, bits in PATHS.items():
+                monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+                assert knot_alexander(v, h) == HalfLaurent(expected), (path, g, h, v)
 
-    def test_matches_full_interpolation(self):
+    def test_matches_full_interpolation(self, monkeypatch):
         """Bare matrices of sizes 0 to 24, odd, singular and fractional ones
         included, against n + 1 nodes interpolated without the symmetry;
-        h = 1 and 4 as well up to size 12."""
+        h = 1 and 4 as well up to size 12.  On each path."""
         rng = seeded(37)
         for n in range(25):
             for kind in ("integral", "fractional", "singular"):
@@ -118,33 +137,75 @@ class TestAlexander:
                 if kind == "singular" and n:
                     v[-1] = [3 * x for x in v[0]]
                 for h in (1, 3, 4) if n <= 12 else (3,):
-                    assert knot_alexander(v, h) == full_interpolation(v, h), (v, h)
+                    expected = full_interpolation(v, h)
+                    for path, bits in PATHS.items():
+                        monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+                        assert knot_alexander(v, h) == expected, (path, v, h)
+
+    def test_digits_fit_the_bound(self):
+        """Every coefficient c_i of det(t dV - dV^T) is a balanced digit
+        below 2^(K - 1), for the K of _digit_bits: on random matrices of
+        sizes 0 to 16 with entries up to 10^12, fractional and singular
+        ones included, and on +-7^n (t - 1)^n from a diagonal dV of +-7,
+        whose middle coefficient comes within a factor of about
+        (15/14)^n sqrt(n) of the bound 15^n."""
+        rng = seeded(39)
+        cases = []
+        for n in range(17):
+            for bound in (1, 4, 10**3, 10**12):
+                v = [[Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
+                      for _ in range(n)] for _ in range(n)]
+                cases.append(v)
+            if n > 1:
+                cases.append([*v[:-1], [3 * x for x in v[0]]])  # singular
+            cases.append([[rng.choice((-1, 1)) * 7 * (i == j) for j in range(n)] for i in range(n)])
+        for v in cases:
+            d, dv, _ = integral_form(exact_matrix(v))
+            k = invariants._digit_bits(dv, tuple(zip(*dv)))
+            coeffs = [c * d ** len(dv) for c in full_interpolation(v, 1).terms.values()]
+            assert max(map(abs, coeffs), default=0) < 2 ** (k - 1), v
 
     def test_half_the_determinants(self, monkeypatch):
-        """floor(n/2) + 1 eliminations of n x n int rows per polynomial,
-        then one Gauss-Jordan solve of floor(n/2) + 1 rows, for bare
-        matrices and for components alike."""
-        calls = []
-        bareiss = invariants._bareiss
+        """Below the threshold, one elimination of n x n int rows per
+        polynomial and no solve, for bare matrices and for components
+        alike; the node path takes floor(n/2) + 1 of them, then one
+        Gauss-Jordan solve of floor(n/2) + 1 rows."""
+        bareiss = Eliminations(monkeypatch)
 
-        def counted(rows, n, jordan):
-            calls.append((len(rows), n, jordan))
-            return bareiss(rows, n, jordan)
-
-        def expected(n):
+        def nodes(n):
             m = n // 2 + 1
             return [(n, n, False)] * m + [(m, m, True)]
 
-        monkeypatch.setattr(invariants, "_bareiss", counted)
+        default = invariants._PACKED_BITS
         rng = seeded(38)
         for n in range(11):
-            calls.clear()
-            knot_alexander([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            assert calls == expected(n), n
+            v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            for bits, expected in ((default, [(n, n, False)]), (-1, nodes(n))):
+                monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+                bareiss.calls.clear()
+                knot_alexander(v)
+                assert bareiss.calls == expected, (n, bits)
         for g in range(5):
-            calls.clear()
-            alexander(knot_surgery(random_seifert(rng, g)), "l1")
-            assert calls == expected(2 * g), g
+            p = knot_surgery(random_seifert(rng, g))
+            for bits, expected in ((default, [(2 * g, 2 * g, False)]), (-1, nodes(2 * g))):
+                monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+                bareiss.calls.clear()
+                alexander(p, "l1")
+                assert bareiss.calls == expected, (g, bits)
+
+    def test_long_entries_take_the_nodes(self, monkeypatch):
+        """A 16 x 16 matrix of 100-digit entries, where one packed
+        determinant is about 17x slower than the nodes, and the CI's
+        genus-24 and genus-40 knots take the node path."""
+        bareiss = Eliminations(monkeypatch)
+        rng = seeded(40)
+        v = [[rng.randint(10**99, 10**100) * rng.choice((-1, 1)) for _ in range(16)]
+             for _ in range(16)]
+        assert knot_alexander(v) == full_interpolation(v, 1)
+        assert bareiss.calls == [(16, 16, False)] * 9 + [(9, 9, True)]
+        for g in (24, 40):
+            _, dv, _ = parse(dense_knot_document(g)).presentation.components[0].integral_form
+            assert 2 * g * invariants._digit_bits(dv, tuple(zip(*dv))) > invariants._PACKED_BITS
 
     def test_genus_24_knot(self):
         """The 48 x 48 form of the knot the CI smoke test runs: symmetric,

@@ -7,6 +7,7 @@ cannot fail: it stays here as a strict xfail until a check catches it.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -34,6 +35,29 @@ def test_alexander_coefficient(corpus_dir, capsys, monkeypatch):
     monkeypatch.setattr(invariants, "_alexander", lambda *args: alexander(*args) + 1)
     code, failed = failed_checks(corpus_dir, capsys)
     assert code == 1 and "alexander-at-one" in failed
+
+
+def test_packed_last_pivot(corpus_dir, capsys, monkeypatch):
+    """+1 on the last pivot of the packed determinant P(2^K), which every
+    corpus polynomial takes: its digits are read, not mirrored, so the
+    polynomial is no longer symmetric, and its value and second
+    derivative at 1 move too."""
+    bareiss = invariants._bareiss
+    packed = []
+
+    def mutant(rows, n, jordan):
+        sign, last = bareiss(rows, n, jordan)
+        if sys._getframe(1).f_code is invariants._packed.__code__:
+            packed.append(n)
+            last += 1
+        return sign, last
+
+    monkeypatch.setattr(invariants, "_bareiss", mutant)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert packed
+    assert (code, failed) == (
+        1, {"alexander-symmetry", "alexander-at-one", "delta2-agreement", "z3-structure"}
+    )
 
 
 def test_leaf_traces(corpus_dir, capsys, monkeypatch):
