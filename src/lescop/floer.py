@@ -43,7 +43,7 @@ the indicator vector of J, which is why chi = 0 for b1 >= 4: the sum
 over k >= 3 vectors is a k-th difference, and it kills every quadratic.
 The walk starts from the first leaf's trace, tr((S^-1 dB)^2) with every
 vector dropped, which is the component's kept jet trace (see
-presentation.Component, which takes that O(g^3) trace once for
+presentation.Component, which takes that trace once for
 invariants.delta2, the closed form and this route alike).  It takes k
 O(g^2) forms, carrying the factors once as 4 y^T dB y = 8 y^T dV y and
 8 (cE_i . y_j)^2, then yields the leaves in Gray-ordered blocks of 2^b,

@@ -36,10 +36,11 @@ denominator c, so d (V + E E^T) = dV + (cE)(cE)^T stays integral under
 blow-down.  S^-1 comes from presentation.skew_form on that form, one
 integer Gauss-Jordan per component that validation already ran and the
 Component keeps.  The jet, s and mu are int products and bilinear forms,
-divided by a power of d once at the end.  The jet's O(g^3) part, the int
-tr((S^-1 dB)^2) with dB = dV + dV^T, is presentation._jet_trace, which
-each Component takes once and keeps as its jet_trace: delta2 and _case
-(for b1 = 1) read that, as the triangle route of floer does.  alexander
+divided by a power of d once at the end.  The jet's one matrix product,
+the int tr((S^-1 dB)^2) with dB = dV + dV^T, is presentation._jet_trace
+(O(g^2) on a symplectic basis, O(g^3) for a dense S^-1), which each
+Component takes once and keeps as its jet_trace: delta2 and _case (for
+b1 = 1) read that, as the triangle route of floer does.  alexander
 computes from the kept form, casson scales each chain step once and
 takes its trace once, and knot_alexander scales each bare matrix it is
 given.

@@ -263,7 +263,7 @@ def test_public_functions_share_one_validation(monkeypatch):
 
 
 def test_triangle_builds_no_presentations(monkeypatch):
-    """2^k leaves for k = n - 1, from one O(g^3) trace and k bilinear forms
+    """2^k leaves for k = n - 1, from one jet trace and k bilinear forms
     taken before the walk: after them a block of leaves costs int additions
     only, and no leaf builds a presentation.  When one of the k vectors is
     zero, its leaves cancel in pairs and there is no walk at all: no leaf,

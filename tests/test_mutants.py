@@ -8,6 +8,7 @@ cannot fail: it stays here as a strict xfail until a check catches it.
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,18 +16,25 @@ from lescop import floer, invariants, presentation, ring
 from lescop.cli import run
 
 
-def failed_checks(corpus_dir, capsys):
-    """The exit code of `verify --json` on the corpus, and the names of the
-    checks that failed, without their [component] suffix."""
+def failures(corpus_dir, capsys):
+    """The exit code of `verify --json` on the corpus, and the (document,
+    check) pairs that failed, each check without its [component] suffix."""
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     code = run(["verify", "--json", *files])
     results = json.loads(capsys.readouterr().out)["results"]
     return code, {
-        c["name"].split("[")[0]
+        (Path(r["file"]).stem, c["name"].split("[")[0])
         for r in results
         for c in r["checks"]
         if c["status"] == "fail"
     }
+
+
+def failed_checks(corpus_dir, capsys):
+    """The exit code of `verify --json` on the corpus, and the names of the
+    checks that failed, without their [component] suffix."""
+    code, failed = failures(corpus_dir, capsys)
+    return code, {name for _, name in failed}
 
 
 def test_alexander_coefficient(corpus_dir, capsys, monkeypatch):
@@ -133,6 +141,27 @@ def test_jet_trace_against_the_polynomial(corpus_dir, capsys, monkeypatch):
     jet_trace_plus_eight(monkeypatch)
     code, failed = failed_checks(corpus_dir, capsys)
     assert (code, failed) == (1, {"delta2-agreement"})
+
+
+def test_row_product(corpus_dir, capsys, monkeypatch):
+    """One nonzero term of the first row of S^-1 dropped from S^-1 dB on
+    the jet trace's row path.  Only km-trefoil and km-figure8 take that
+    path (n = 4, one nonzero per row of S^-1); every other corpus form has
+    n <= 2."""
+    row_product = presentation._row_product
+
+    def mutant(s_inv, db):
+        x = row_product(s_inv, db)
+        if x:
+            j = next(j for j, s in enumerate(s_inv[0]) if s)
+            x[0] = [a - s_inv[0][j] * b for a, b in zip(x[0], db[j])]
+        return x
+
+    monkeypatch.setattr(presentation, "_row_product", mutant)
+    code, failed = failures(corpus_dir, capsys)
+    assert (code, failed) == (
+        1, {("km-trefoil", "delta2-agreement"), ("km-figure8", "delta2-agreement")}
+    )
 
 
 @pytest.mark.xfail(

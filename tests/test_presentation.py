@@ -1,6 +1,7 @@
 import math
 import pickle
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 import pytest
@@ -17,6 +18,8 @@ from lescop.presentation import (
     RibbonPairSpec,
     SurgeryPresentation,
     UnknownComponentError,
+    _by_rows,
+    _jet_trace,
     blow_down,
     build_ribbon_pair,
     build_triple,
@@ -26,7 +29,14 @@ from lescop.presentation import (
     validate,
 )
 
-from conftest import random_presentation, random_seifert, rational_presentation, seeded
+from conftest import (
+    random_presentation,
+    random_seifert,
+    rational_presentation,
+    seeded,
+    unimodular,
+    with_fractional_symmetric_part,
+)
 from test_invariance import presentations
 
 
@@ -143,6 +153,72 @@ class TestIntegralForm:
         assert d == 1 and dv is TREFOIL and ce == linking
         with pytest.raises(TypeError):
             ce["k"] = (0, 0)
+
+
+def conjugated(v, u):
+    """U^T V U for an integral V: the Seifert matrix of the same surface in
+    the basis U."""
+    vu = [[sum(map(mul, map(int, row), col)) for col in zip(*u)] for row in v]
+    return [[sum(map(mul, row, col)) for col in zip(*vu)] for row in zip(*u)]
+
+
+def shear(n, pairs):
+    """I plus a 1 at each (i, j) of pairs, i < j: a unimodular basis change."""
+    return [[int(i == j or (i, j) in pairs) for j in range(n)] for i in range(n)]
+
+
+class TestJetTrace:
+    """_jet_trace against a Fraction triple loop, on both sides of its
+    choice between the rows of S^-1 and dot products (_by_rows)."""
+
+    def check(self, v, by_rows):
+        """_jet_trace on the form v is d^2 tr((S^-1 B)^2), B = V + V^T, and
+        takes the rows of S^-1 exactly when by_rows is true."""
+        c = Component("k", v, {})
+        d, dv, _ = c.integral_form
+        s_inv, msg = c.skew_form
+        assert msg is None
+        n = len(v)
+        b = [[Fraction(v[i][j]) + v[j][i] for j in range(n)] for i in range(n)]
+        m = [[sum(map(mul, row, col)) for col in zip(*b)] for row in s_inv]
+        expected = d * d * sum(m[i][j] * m[j][i] for i in range(n) for j in range(n))
+        assert _by_rows(s_inv) is by_rows
+        assert _jet_trace(s_inv, dv) == expected
+
+    # random_seifert forms of genus 0 to 12: V - V^T is the standard
+    # symplectic form, so S^-1 has one nonzero per row
+    FORMS = [random_seifert(seeded(g), g) for g in range(13)]
+
+    def test_symplectic_basis(self):
+        """Rows from genus 2 on (and on the empty form), dot products at
+        genus 1, where 2 nonzeros are more than 4/4."""
+        for g, v in enumerate(self.FORMS):
+            self.check(v, g != 1)
+
+    def test_dense_inverse(self):
+        """The same forms in a random basis: S^-1 is dense."""
+        for g, v in enumerate(self.FORMS[1:], 1):
+            self.check(conjugated(v, unimodular(seeded(g), 2 * g, 6 * g)), False)
+
+    def test_fractional_forms(self):
+        """The same forms plus a fractional symmetric part: d > 1, and S^-1
+        as before."""
+        for g, v in enumerate(self.FORMS[1:], 1):
+            v = with_fractional_symmetric_part(seeded(g), v)
+            assert Component("k", v, {}).integral_form[0] > 1
+            self.check(v, g != 1)
+
+    def test_at_the_threshold(self):
+        """n = 8: S^-1 with 16 = n^2/4 nonzeros, some rows of two or three
+        and some entries 2, takes the rows; with 18, the next count a skew
+        matrix can have, it takes dot products."""
+        v = random_seifert(seeded(1), 4)
+        for pairs, count, by_rows in (({(0, 2), (1, 3), (2, 4)}, 16, True),
+                                      ({(0, 1), (1, 2), (2, 4)}, 18, False)):
+            w = conjugated(v, shear(8, pairs))
+            s_inv = Component("k", w, {}).skew_form[0]
+            assert 64 - sum(row.count(0) for row in s_inv) == count
+            self.check(w, by_rows)
 
 
 class TestImmutability:
