@@ -25,10 +25,9 @@ c = 1, the case of integral data, V and E are that form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
 for S = V - V^T from the same integer elimination, ring._scaled_inverse.
 _jet_trace gives the int tr((S^-1 dB)^2), dB = dV + dV^T, from which
-the jet of the Alexander polynomial at t = 1 reads Delta''(1): O(g^2)
-when S^-1 has at most n^2/4 nonzeros, as on a symplectic basis of
-genus 2 or more, where it forms S^-1 dB by the rows of S^-1, and O(g^3)
-by dot products otherwise.
+the jet of the Alexander polynomial at t = 1 reads Delta''(1).  It forms
+S^-1 dB by the nonzeros of each row of S^-1: O(g^2) on a symplectic
+basis, where every row has one, and O(g^3) for a dense S^-1.
 A Component computes its integral form, its skew form and, once it is
 valid, its jet trace on first use and keeps all three.
 Likewise a SurgeryPresentation runs validate on first reading its
@@ -134,16 +133,11 @@ def skew_form(d, dv):
     return tuple(tuple(det * x for x in r) for r in inverse), None
 
 
-def _by_rows(s_inv):
-    """Whether S^-1 has at most n^2/4 nonzeros, from one count of its
-    zeros: then _jet_trace forms S^-1 dB by the rows of S^-1."""
-    n = len(s_inv)
-    return 4 * sum(row.count(0) for row in s_inv) >= 3 * n * n
-
-
 def _row_product(s_inv, db):
     """S^-1 dB with row i the sum of s dB[j] over the nonzeros s = S^-1[i][j]
-    (S^-1 is invertible, so every row has one)."""
+    (S^-1 is invertible, so every row has one).  A term s = 1 is dB[j]
+    itself and a row of one term is that term, so X shares those rows
+    with dB; _jet_trace only reads them."""
     cols = range(len(db))
     x = []
     for row in s_inv:
@@ -156,24 +150,21 @@ def _row_product(s_inv, db):
 def _jet_trace(s_inv, dv):
     """The int tr((S^-1 dB)^2) for dB = dV + dV^T.
 
-    X = S^-1 dB is formed by the rows of S^-1 when it has at most n^2/4
-    nonzeros (_by_rows), and by n^2 dot products of length n otherwise;
-    then tr(X^2) is the sum of X_ij X_ji, O(n^2).  On a symplectic basis
-    S^-1 has one nonzero per row, so from genus 2 on the trace is O(n^2)
-    instead of O(n^3): 583 -> 138 us at g = 10 and 22.7 -> 1.42 ms at
-    g = 40 against the dot products.  A dense S^-1, and every genus-1
-    form (2 nonzeros of 4), keep the dot products, at 0.99-1.05 times
-    their former speed for g = 1-40; taking the rows of a dense S^-1 ran
-    at 0.69 and 0.82 times that speed at g = 2 and 5.  (Medians of 11 to
-    15 interleaved timeit rounds, on a shared 2-core x86_64 host with
-    CPython 3.11.)
+    X = S^-1 dB is formed by the rows of S^-1 (_row_product), and tr(X^2)
+    is the sum of X_ij X_ji, O(n^2).  On a symplectic basis S^-1 has one
+    nonzero per row, so the trace is O(n^2); a dense S^-1 takes O(n^3).
+    Against the n^2 dot products of length n it replaced (medians of 15
+    interleaved timeit rounds, on a shared 2-core x86_64 host with CPython
+    3.11): symplectic S^-1, 1.02 times their speed at g = 1, 377 -> 85 us
+    at g = 10 and 19.4 -> 1.23 ms at g = 40; S^-1 made dense by a random
+    unimodular change of basis, 0.74 and 0.87 times their speed at g = 2
+    and 5 and 1.04-1.43 times at g = 10-40.  The two shortcuts of
+    _row_product are measured: without the reuse of dB[j] for s = 1 the
+    symplectic trace at g = 10 took 1.22 times as long, and without the
+    row of one term 1.55 times.
     """
     db = [list(map(add, row, col)) for row, col in zip(dv, zip(*dv))]
-    if _by_rows(s_inv):
-        x = _row_product(s_inv, db)
-    else:
-        # db is symmetric, so its rows are its columns
-        x = [[sum(map(mul, row, col)) for col in db] for row in s_inv]
+    x = _row_product(s_inv, db)
     return sum(map(mul, chain.from_iterable(x), chain.from_iterable(zip(*x))))
 
 

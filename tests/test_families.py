@@ -18,8 +18,8 @@ Lickorish, An Introduction to Knot Theory, ch. 6 and 8; Akbulut and
 McCarthy, Casson's Invariant for Oriented Homology 3-Spheres).
 
 S^-1 of a torus knot has 26-50% of its entries nonzero, so its jet trace
-takes the dot products at every genus; a sum of g twist knots has one
-nonzero per row of S^-1, so from g = 2 on its trace takes the rows.
+sums many terms per row of S^-1; a sum of g twist knots has one nonzero
+per row of S^-1.
 """
 
 from fractions import Fraction

@@ -14,6 +14,7 @@ import pytest
 
 from lescop import floer, invariants, presentation, ring
 from lescop.cli import run
+from lescop.corpus import corpus
 
 
 def failures(corpus_dir, capsys):
@@ -144,10 +145,11 @@ def test_jet_trace_against_the_polynomial(corpus_dir, capsys, monkeypatch):
 
 
 def test_row_product(corpus_dir, capsys, monkeypatch):
-    """One nonzero term of the first row of S^-1 dropped from S^-1 dB on
-    the jet trace's row path.  Only km-trefoil and km-figure8 take that
-    path (n = 4, one nonzero per row of S^-1); every other corpus form has
-    n <= 2."""
+    """One nonzero term of the first row of S^-1 dropped from S^-1 dB in the
+    jet trace.  Every document with a component of genus >= 1 fails
+    delta2-agreement; on the two knots with b1 = 1, trefoil-0 and
+    figure8-0, chi reads the changed trace, is no longer an integer and
+    fails route-agreement too."""
     row_product = presentation._row_product
 
     def mutant(s_inv, db):
@@ -159,8 +161,16 @@ def test_row_product(corpus_dir, capsys, monkeypatch):
 
     monkeypatch.setattr(presentation, "_row_product", mutant)
     code, failed = failures(corpus_dir, capsys)
+    with_genus = {
+        name
+        for name, doc in corpus().items()
+        if any(c.size for c in doc.presentation.components)
+    }
+    assert len(with_genus) == 17
     assert (code, failed) == (
-        1, {("km-trefoil", "delta2-agreement"), ("km-figure8", "delta2-agreement")}
+        1,
+        {(name, "delta2-agreement") for name in with_genus}
+        | {("trefoil-0", "route-agreement"), ("figure8-0", "route-agreement")},
     )
 
 

@@ -1,6 +1,7 @@
 import math
 import pickle
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from types import MappingProxyType
 
@@ -18,7 +19,6 @@ from lescop.presentation import (
     RibbonPairSpec,
     SurgeryPresentation,
     UnknownComponentError,
-    _by_rows,
     _jet_trace,
     blow_down,
     build_ribbon_pair,
@@ -167,13 +167,17 @@ def shear(n, pairs):
     return [[int(i == j or (i, j) in pairs) for j in range(n)] for i in range(n)]
 
 
-class TestJetTrace:
-    """_jet_trace against a Fraction triple loop, on both sides of its
-    choice between the rows of S^-1 and dot products (_by_rows)."""
+def nonzeros(v):
+    """The number of nonzeros in each row of S^-1 for the form v."""
+    return [len(list(filter(None, row))) for row in Component("k", v, {}).skew_form[0]]
 
-    def check(self, v, by_rows):
-        """_jet_trace on the form v is d^2 tr((S^-1 B)^2), B = V + V^T, and
-        takes the rows of S^-1 exactly when by_rows is true."""
+
+class TestJetTrace:
+    """_jet_trace against a Fraction triple loop, on S^-1 of one nonzero
+    per row and on S^-1 whose rows have several."""
+
+    def check(self, v):
+        """_jet_trace on the form v is d^2 tr((S^-1 B)^2), B = V + V^T."""
         c = Component("k", v, {})
         d, dv, _ = c.integral_form
         s_inv, msg = c.skew_form
@@ -182,7 +186,6 @@ class TestJetTrace:
         b = [[Fraction(v[i][j]) + v[j][i] for j in range(n)] for i in range(n)]
         m = [[sum(map(mul, row, col)) for col in zip(*b)] for row in s_inv]
         expected = d * d * sum(m[i][j] * m[j][i] for i in range(n) for j in range(n))
-        assert _by_rows(s_inv) is by_rows
         assert _jet_trace(s_inv, dv) == expected
 
     # random_seifert forms of genus 0 to 12: V - V^T is the standard
@@ -190,15 +193,17 @@ class TestJetTrace:
     FORMS = [random_seifert(seeded(g), g) for g in range(13)]
 
     def test_symplectic_basis(self):
-        """Rows from genus 2 on (and on the empty form), dot products at
-        genus 1, where 2 nonzeros are more than 4/4."""
-        for g, v in enumerate(self.FORMS):
-            self.check(v, g != 1)
+        for v in self.FORMS:
+            assert set(nonzeros(v)) <= {1}
+            self.check(v)
 
     def test_dense_inverse(self):
-        """The same forms in a random basis: S^-1 is dense."""
+        """The same forms in a random basis: from genus 2 on, S^-1 has rows
+        of several nonzeros."""
         for g, v in enumerate(self.FORMS[1:], 1):
-            self.check(conjugated(v, unimodular(seeded(g), 2 * g, 6 * g)), False)
+            w = conjugated(v, unimodular(seeded(g), 2 * g, 6 * g))
+            assert g < 2 or max(nonzeros(w)) > 2
+            self.check(w)
 
     def test_fractional_forms(self):
         """The same forms plus a fractional symmetric part: d > 1, and S^-1
@@ -206,19 +211,19 @@ class TestJetTrace:
         for g, v in enumerate(self.FORMS[1:], 1):
             v = with_fractional_symmetric_part(seeded(g), v)
             assert Component("k", v, {}).integral_form[0] > 1
-            self.check(v, g != 1)
+            self.check(v)
 
-    def test_at_the_threshold(self):
-        """n = 8: S^-1 with 16 = n^2/4 nonzeros, some rows of two or three
-        and some entries 2, takes the rows; with 18, the next count a skew
-        matrix can have, it takes dot products."""
+    def test_sheared_basis(self):
+        """n = 8 forms whose S^-1 mixes rows of one, two and three
+        nonzeros, some of them 2."""
         v = random_seifert(seeded(1), 4)
-        for pairs, count, by_rows in (({(0, 2), (1, 3), (2, 4)}, 16, True),
-                                      ({(0, 1), (1, 2), (2, 4)}, 18, False)):
+        entries = set()
+        for pairs in ({(0, 2), (1, 3), (2, 4)}, {(0, 1), (1, 2), (2, 4)}):
             w = conjugated(v, shear(8, pairs))
-            s_inv = Component("k", w, {}).skew_form[0]
-            assert 64 - sum(row.count(0) for row in s_inv) == count
-            self.check(w, by_rows)
+            entries.update(map(abs, chain.from_iterable(Component("k", w, {}).skew_form[0])))
+            assert {1, 2, 3} <= set(nonzeros(w))
+            self.check(w)
+        assert 2 in entries
 
 
 class TestImmutability:
