@@ -14,7 +14,10 @@ differs (alexander, sato-levine, lens, chi, verify and examples)
 passes its lines beside the payload.  Only `examples NAME` writes
 something else: a document, which is not a payload.
 
-The parser is built once per process, and each subcommand is dispatched
+The parser is built once per process.  run parses argv[1:] by the named
+subcommand's own parser, and argv by the top-level one only when argv[0]
+names no command or arguments are left over: the help, usage and errors
+of the two-level parse at half its cost.  Each subcommand is dispatched
 by name to the module's cmd_* function at call time, so rebinding one
 (as a tracer or a test does) takes effect on the next run.
 
@@ -422,11 +425,17 @@ def _build_parser():
     sp.add_argument("name", nargs="?", help="print this example document")
     sp.add_argument("--write", metavar="DIR", help="write all examples into DIR")
 
+    parser.commands = sub.choices  # name -> the subcommand's parser, for run
     return parser
 
 
 def run(argv):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or rest:
+        args = parser.parse_args(argv)
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)

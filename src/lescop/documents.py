@@ -6,15 +6,18 @@ unknown or repeated fields are errors, every rational number is a string
 in the document.  An entry parses by the rule of ring.exact: an integral
 one ("3", "-0", "2/2") to an int, any other ("4/6") to a reduced
 Fraction.  Each distinct entry string is converted once per document:
-parse and parse_chain keep one dict, string -> value, for the call, so
+parse and parse_chain keep one _Memo, string -> value, for the call, so
 the 0, +-1 and small entries that fill a document are read once each,
-and nothing is kept between calls.  Between text and validate an entry
-of a presentation thus passes one check, the pattern match of its first
-occurrence, and one conversion; a repeat is one dict lookup.  parse
-builds each component by presentation.Component._trusted, which stores
-those values as they are; the public Component(...) checks every value
-it is given by ring.exact.  A chain's steps still go through
-SurgeryChain, which checks each value that second time.
+and nothing is kept between calls.  A row or vector, once known to be a
+list, is read in C as tuple(map(memo.__getitem__, row)); only when that
+raises does _locate go over it again to name the failing entry.  Between
+text and validate an entry of a presentation thus passes one check, the
+pattern match of its first occurrence, and one conversion; a repeat is
+one dict lookup.  parse builds each component by
+presentation.Component._trusted, which stores those values as they are;
+the public Component(...) checks every value it is given by ring.exact.
+A chain's steps still go through SurgeryChain, which checks each value
+that second time.
 serialize() is canonical, so serialize(parse(text)) is byte-stable under
 further round trips.
 
@@ -88,24 +91,23 @@ def _rational(s):
     return value.numerator if value.denominator == 1 else value  # ring.exact's rule
 
 
-def _parse_rationals(values, where, memo):
-    """The rationals of a list of strings.  where(k) names entry k in an
-    error; it is called only when that entry fails, so valid input builds
-    no location text.  memo maps each string already converted in this
-    document to its value, and only a string not in it goes through
-    _rational, so a bad string fails at its first location; a non-string
-    is never looked up and fails at its own."""
-    out = []
+class _Memo(dict):
+    """Entry string -> value, for one document: memo[s] converts and keeps
+    a string it lacks by _rational, where anything else fails too."""
+
+    def __missing__(self, s):
+        value = self[s] = _rational(s)
+        return value
+
+
+def _locate(values, where, memo):
+    """Raise, as at where[k], the error of the first entry k of values that
+    does not convert; a non-string never reaches memo, so fails at its own."""
     for k, x in enumerate(values):
-        value = memo.get(x) if type(x) is str else None
-        if value is None:
-            try:
-                value = _rational(x)
-            except DocumentError as e:
-                raise type(e)(f"{where(k)}: {e}") from None
-            memo[x] = value
-        out.append(value)
-    return tuple(out)
+        try:
+            memo[x] if type(x) is str else _rational(x)
+        except DocumentError as e:
+            raise type(e)(f"{where}[{k}]: {e}") from None
 
 
 class _LongInteger:
@@ -153,6 +155,8 @@ def _loads(text):
 def _require_keys(obj, required, optional, where):
     if not isinstance(obj, dict):
         raise DocumentSchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    if obj.keys() == set(required):  # every required field and no other
+        return
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise DocumentSchemaError(f"{where}: unknown fields {unknown}")
@@ -180,7 +184,7 @@ class PresentationDocument(_Record):
 
 def _parse_seifert(seifert, where, owner, memo):
     """Rows of an even-sized square Seifert matrix; owner names it in
-    errors, and memo is the document's (see _parse_rationals)."""
+    errors, and memo is the document's _Memo."""
     if not isinstance(seifert, list):
         raise DocumentSchemaError(f"{where}: expected a list of rows")
     n = len(seifert)
@@ -188,12 +192,15 @@ def _parse_seifert(seifert, where, owner, memo):
         raise DocumentSchemaError(
             f"{where}: {owner} has odd size {n}; Seifert matrices have even size"
         )
-    rows = []
+    if all(type(row) is list and len(row) == n for row in seifert):
+        try:
+            return tuple([tuple(map(memo.__getitem__, row)) for row in seifert])
+        except (DocumentError, TypeError):
+            pass  # the loop below names the entry
     for r, row in enumerate(seifert):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentSchemaError(f"{where}: {owner} matrix is not square")
-        rows.append(_parse_rationals(row, lambda c: f"{where}[{r}][{c}]", memo))
-    return tuple(rows)
+        _locate(row, f"{where}[{r}]", memo)
 
 
 def _parse_component(obj, i, memo):
@@ -210,13 +217,17 @@ def _parse_component(obj, i, memo):
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):
         raise DocumentSchemaError(f"{where}.linking: expected an object")
-    linking = {}
+    if all(type(vec) is list for vec in linking_obj.values()):
+        try:
+            linking = {o: tuple(map(memo.__getitem__, v)) for o, v in linking_obj.items()}
+        except (DocumentError, TypeError):
+            pass  # the loop below names the entry
+        else:
+            return Component._trusted(name, rows, linking)
     for other, vec in linking_obj.items():
         if not isinstance(vec, list):
             raise DocumentSchemaError(f"{where}.linking[{other!r}]: expected a list")
-        linking[other] = _parse_rationals(vec, lambda k: f"{where}.linking[{other!r}][{k}]",
-                                          memo)
-    return Component._trusted(name, rows, linking)
+        _locate(vec, f"{where}.linking[{other!r}]", memo)
 
 
 def parse(text):
@@ -238,7 +249,7 @@ def parse(text):
         raise DocumentSchemaError(f"base_order: must be positive, got {base_order}")
     if not isinstance(data["components"], list):
         raise DocumentSchemaError("components: expected a list")
-    memo = {}
+    memo = _Memo()
     components = tuple(
         _parse_component(obj, i, memo) for i, obj in enumerate(data["components"])
     )
@@ -302,7 +313,7 @@ def parse_chain(text):
     if not isinstance(data, list):
         raise DocumentSchemaError("chain: expected a top-level list of steps")
     steps = []
-    memo = {}
+    memo = _Memo()
     for i, obj in enumerate(data):
         where = f"steps[{i}]"
         _require_keys(obj, ("seifert", "sign"), (), where)

@@ -29,7 +29,7 @@ the jet of the Alexander polynomial at t = 1 reads Delta''(1).  It forms
 S^-1 dB by the nonzeros of each row of S^-1: O(g^2) on a symplectic
 basis, where every row has one, and O(g^3) for a dense S^-1.
 A Component computes its integral form, its skew form and, once it is
-valid, its jet trace on first use and keeps all three.
+valid, its jet trace on first use and keeps all three (ring._kept).
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
 its input at no further cost and shares one scaling, one elimination and
@@ -39,12 +39,11 @@ one trace per component.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import chain, compress
 from operator import add, mul
 from types import MappingProxyType
 
-from .ring import _Record, _scaled_inverse, exact
+from .ring import _Record, _kept, _scaled_inverse, exact
 
 
 class UnknownComponentError(KeyError):
@@ -79,8 +78,9 @@ def integral_form(seifert, linking=MappingProxyType({})):
     This is the one place where rational Seifert and linking data become
     ints; every formula downstream runs on its result.  d = c^2 so that
     d (V + E E^T) = dV + (cE)(cE)^T: blowing down stays integral.  The
-    entries are exact (see ring.exact), so for c = 1 they are all ints
-    and are the form as they are: V and E are returned, not rebuilt,
+    entries are exact (see ring.exact), so c = 1 when one scan of their
+    types finds only ints, and only a Fraction makes it take the lcm; then
+    they are the form as they are: V and E are returned, not rebuilt,
     with E behind a read-only mapping as always.
 
     >>> from fractions import Fraction
@@ -90,8 +90,10 @@ def integral_form(seifert, linking=MappingProxyType({})):
     >>> integral_form(exact_matrix([[-1, 1], [0, -1]]), {"k": (2, 0)})
     (1, ((-1, 1), (0, -1)), mappingproxy({'k': (2, 0)}))
     """
-    c = math.lcm(*(x.denominator for row in seifert for x in row),
-                 *(x.denominator for e in linking.values() for x in e))
+    c = 1
+    if not set(map(type, chain(*seifert, *linking.values()))) <= {int}:
+        c = math.lcm(*(x.denominator for row in seifert for x in row),
+                     *(x.denominator for e in linking.values() for x in e))
     if c == 1:
         if not isinstance(linking, MappingProxyType):
             linking = MappingProxyType(dict(linking))
@@ -210,18 +212,18 @@ class Component(_Record):
     def size(self):
         return len(self.seifert)
 
-    @cached_property
+    @_kept
     def integral_form(self):
         """integral_form(self.seifert, self.linking), computed on first use and then kept."""
         return integral_form(self.seifert, self.linking)
 
-    @cached_property
+    @_kept
     def skew_form(self):
         """skew_form of the component's integral form, computed on first use and then kept."""
         d, dv, _ = self.integral_form
         return skew_form(d, dv)
 
-    @cached_property
+    @_kept
     def jet_trace(self):
         """The int tr((S^-1 dB)^2) for dB = dV + dV^T, of a component whose
         skew form is valid, computed on first use and then kept."""
@@ -247,7 +249,7 @@ class SurgeryPresentation(_Record):
     def names(self):
         return [c.name for c in self.components]
 
-    @cached_property
+    @_kept
     def violations(self):
         """tuple(validate(self)), computed on first use and then kept."""
         return tuple(validate(self))
@@ -289,7 +291,9 @@ def validate(p):
     """All invariant violations of a presentation, as human-readable strings.
 
     An empty list means the presentation is valid.  Violations are data,
-    not exceptions, so callers can report all of them at once.
+    not exceptions, so callers can report all of them at once.  Linking
+    names are compared with the other names as sets, and lengths in one
+    any(); the loops that name each defect run only when one fails.
     """
     out = []
     if type(p.base_order) is not int or p.base_order < 1:
@@ -304,19 +308,19 @@ def validate(p):
         msg = c.skew_form[1]
         if msg is not None:
             out.append(f"component {c.name!r}: {msg}")
-        expected = set(names) - {c.name}
-        missing = expected - set(c.linking)
-        unknown = set(c.linking) - expected
-        for other in sorted(missing):
-            out.append(f"component {c.name!r}: missing linking vector against {other!r}")
-        for other in sorted(unknown):
-            out.append(f"component {c.name!r}: linking vector against unknown component {other!r}")
-        for other, vec in c.linking.items():
-            if other in expected and len(vec) != c.size:
-                out.append(
-                    f"component {c.name!r}: linking vector against {other!r} "
-                    f"has length {len(vec)}, expected {c.size}"
-                )
+        expected = seen - {c.name}
+        keys, size = c.linking.keys(), len(c.seifert)
+        if keys != expected:
+            for other in sorted(expected - keys):
+                out.append(f"component {c.name!r}: missing linking vector against {other!r}")
+            for other in sorted(keys - expected):
+                out.append(f"component {c.name!r}: linking vector against unknown component "
+                           f"{other!r}")
+        if any(map(size.__ne__, map(len, c.linking.values()))):
+            for other, vec in c.linking.items():
+                if other in expected and len(vec) != size:
+                    out.append(f"component {c.name!r}: linking vector against {other!r} "
+                               f"has length {len(vec)}, expected {size}")
         if p.base_order == 1 and c.integral_form[0] != 1:
             out.append(f"component {c.name!r}: non-integer entries require base_order > 1")
     return out

@@ -524,6 +524,39 @@ class TestParser:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] in (0, 2) and (outcomes[0][1] or outcomes[0][2])
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["nope"], ["chi"], ["chi", "--help"], ["verify"],
+        ["lens", "--p", "x"], ["lens", "--p", "3", "extra"], ["lens", "--p", "3", "--help"],
+        ["chi", "doc.json", "--bogus"], ["chi", "doc.json", "--route=both"],
+        ["chi", "--route", "closed", "doc.json", "--json"], ["lens", "--p", "3", "--jso"],
+        ["examples"], ["sato-levine", "doc.json", "doc.json"],
+    ])
+    def test_dispatch_matches_the_two_level_parse(self, argv, monkeypatch, capsys):
+        """run parses argv with the subcommand's own parser where it can;
+        its exit code, output and Namespace are those of the top-level
+        parser's parse_args."""
+        seen = []
+        for name in cli._build_parser().commands:
+            monkeypatch.setattr(cli, f"cmd_{name.replace('-', '_')}",
+                                lambda args: seen.append(args) or 0)
+
+        def outcome(parse):
+            try:
+                result = parse(list(argv))
+            except SystemExit as e:
+                result = ("exit", e.code)
+            captured = capsys.readouterr()
+            return result, captured.out, captured.err
+
+        dispatched = outcome(run)
+        two_level = outcome(cli._build_parser().parse_args)
+        if dispatched[0] == 0:  # run called the command
+            dispatched = (seen.pop(), *dispatched[1:])
+        assert dispatched == two_level
+        assert seen == []
+        if argv == ["lens", "--p", "3", "extra"]:
+            assert two_level[2].splitlines()[-1] == "lescop: error: unrecognized arguments: extra"
+
     def test_split_link_routes_agree(self, tmp_path, capsys):
         f = tmp_path / "split.json"
         f.write_text(split_link_document(6, 1))

@@ -385,6 +385,73 @@ class TestEntryMemo:
         )
 
 
+class TestMapPath:
+    """parse reads each row and vector in one map over the document's memo;
+    what that map would accept or misplace still fails at its location."""
+
+    def test_string_vector_is_not_read_as_its_characters(self):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["linking"] = {"l2": "12"}
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].linking['l2']: expected a list"
+
+    def test_string_row_is_not_read_as_its_characters(self):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = ["12", "34"]
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].seifert: component 'l1' matrix is not square"
+
+    @pytest.mark.parametrize("entry, shown", [([], "[]"), ({}, "{}"), ([["1"]], "[['1']]")],
+                             ids=["list", "object", "nested"])
+    @pytest.mark.parametrize("field", ["seifert", "linking"])
+    def test_unhashable_entry_fails_at_its_location(self, field, entry, shown):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = [["1", "1"], ["0", "1"]]
+        if field == "seifert":
+            obj["components"][0]["seifert"][1][0] = entry
+            where = "seifert[1][0]"
+        else:
+            obj["components"][0]["linking"] = {"l2": ["1", "0"], "l3": [entry, "1"]}
+            where = "linking['l3'][0]"
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == (
+            f"components[0].{where}: "
+            f'rationals must be strings like "a" or "a/b", got {shown}'
+        )
+
+    @pytest.mark.parametrize("entry, shown", [(3, "3"), (True, "True"), (["3"], "['3']")],
+                             ids=["number", "true", "list"])
+    def test_non_string_in_a_row_after_a_known_string_fails_at_its_location(self, entry, shown):
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["seifert"] = [["3", "3"], ["3", entry]]
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == (
+            "components[0].seifert[1][1]: "
+            f'rationals must be strings like "a" or "a/b", got {shown}'
+        )
+
+    def test_first_failing_vector_is_named(self):
+        """A bad entry in an earlier vector is reported before a later
+        vector that is not a list, as a loop over the vectors finds them."""
+        obj = json.loads(MINIMAL)
+        obj["components"][0]["linking"] = {"l2": ["1", "x"], "l3": "12"}
+        with pytest.raises(DocumentValueError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].linking['l2'][1]: malformed rational 'x'"
+        obj["components"][0]["linking"] = {"l2": "12", "l3": ["1", "x"]}
+        with pytest.raises(DocumentSchemaError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].linking['l2']: expected a list"
+        obj["components"][0]["seifert"] = [["1", "x"], ["0"]]
+        with pytest.raises(DocumentValueError) as e:
+            parse(json.dumps(obj))
+        assert str(e.value) == "components[0].seifert[0][1]: malformed rational 'x'"
+
+
 def public_components(text):
     """The components of a document built by the public, checking
     Component constructor from Fraction(s) of its entry strings."""

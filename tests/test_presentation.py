@@ -111,6 +111,86 @@ class TestValidate:
         ]
         assert validate(SurgeryPresentation(2, (c1, c2))) == []
 
+    def test_matches_the_reference_loop(self):
+        """validate reports what a plain loop over every vector reports, in
+        the same order, on presentations with every kind of defect."""
+        defects = ["base_order must", "duplicate", "det(V", "odd size", "has non-integer",
+                   "require base_order", "missing", "has length", "unknown component"]
+        seen = set()
+        for seed in range(400):
+            p = defective_presentation(seeded(seed))
+            expected = reference_validate(p)
+            assert validate(p) == expected, seed
+            seen.update(d for d in defects for m in expected if d in m)
+            seen.update("self-named" for c in p.components
+                        for m in expected if m.endswith(f"unknown component {c.name!r}")
+                        and m.startswith(f"component {c.name!r}"))
+        assert seen == {*defects, "self-named"}
+
+
+def reference_validate(p):
+    """validate as a loop over every name and every vector, for comparison."""
+    out = []
+    if type(p.base_order) is not int or p.base_order < 1:
+        out.append(f"base_order must be a positive integer, got {p.base_order!r}")
+    names = p.names()
+    seen = set()
+    for n in names:
+        if n in seen:
+            out.append(f"duplicate component name {n!r}")
+        seen.add(n)
+    for c in p.components:
+        msg = c.skew_form[1]
+        if msg is not None:
+            out.append(f"component {c.name!r}: {msg}")
+        expected = set(names) - {c.name}
+        missing = expected - set(c.linking)
+        unknown = set(c.linking) - expected
+        for other in sorted(missing):
+            out.append(f"component {c.name!r}: missing linking vector against {other!r}")
+        for other in sorted(unknown):
+            out.append(f"component {c.name!r}: linking vector against unknown component {other!r}")
+        for other, vec in c.linking.items():
+            if other in expected and len(vec) != c.size:
+                out.append(
+                    f"component {c.name!r}: linking vector against {other!r} "
+                    f"has length {len(vec)}, expected {c.size}"
+                )
+        if p.base_order == 1 and c.integral_form[0] != 1:
+            out.append(f"component {c.name!r}: non-integer entries require base_order > 1")
+    return out
+
+
+def defective_presentation(rng):
+    """A random presentation with, now and then, each defect validate names:
+    a bad base order, a repeated name, a singular, odd-sized or
+    non-integral skew form, fractional entries, and linking vectors that
+    are missing, of the wrong length, against an unknown component or
+    against the component itself."""
+    names = [f"l{rng.randint(1, 6)}" for _ in range(rng.randint(1, 5))]
+    comps = []
+    for name in names:
+        g = rng.randint(0, 2)
+        v = [list(row) for row in random_seifert(rng, g)]
+        defect = rng.randrange(8)
+        if defect == 0 and g:
+            v = [[0] * (2 * g) for _ in range(2 * g)]  # singular
+        elif defect == 1:
+            v = [row + [0] for row in v] + [[0] * (2 * g + 1)]  # odd size
+        elif defect == 2 and g:
+            v[0][1] += Fraction(1, 2)  # V - V^T not integral
+        elif defect == 3 and g:
+            v[0][0] += Fraction(1, 3)  # fractional, V - V^T still integral
+        linking = {}
+        others = [*dict.fromkeys(names), *(["ghost"] if rng.random() < 0.2 else [])]
+        for other in rng.sample(others, k=len(others)):
+            if (other == name and rng.random() < 0.8) or rng.random() < 0.1:
+                continue
+            length = 2 * g + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+            linking[other] = [rng.choice((0, 1, -2, Fraction(1, 2))) for _ in range(max(length, 0))]
+        comps.append(Component(name, v, linking))
+    return SurgeryPresentation(rng.choice((1, 1, 1, 2, 0)), comps)
+
 
 def defined_form(c):
     """(d, dV, {name: cE}) from the definition, in Fraction arithmetic:
