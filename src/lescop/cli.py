@@ -74,8 +74,17 @@ def _emit(args, payload, lines=None):
 
 
 def _read(path):
+    """The text of the file that Path(path).read_text reads, by open.
+    Path names the file by its normalised name ("x/" and "x/." name x,
+    "" names "."), so when the name as given fails to open, the
+    normalised one is opened, and its error is the one reported."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        try:
+            f = open(path, encoding="utf-8")
+        except OSError:
+            f = open(Path(path), encoding="utf-8")
+        with f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
 

@@ -33,10 +33,11 @@ All of this runs on ints.  Each Component keeps its integral form from
 presentation.integral_form, the one place that scales rational data: V
 and the linking vectors become dV = c^2 V and cE for their common
 denominator c, so d (V + E E^T) = dV + (cE)(cE)^T stays integral under
-blow-down.  S^-1 comes from presentation.skew_form on that form, one
-integer Gauss-Jordan per component that validation already ran and the
-Component keeps.  The jet, s and mu are int products and bilinear forms,
-divided by a power of d once at the end.  The jet's one matrix product,
+blow-down.  S^-1 comes from presentation.skew_form on that form, which
+validation already ran and the Component keeps: S^T on a symplectic
+basis, and otherwise one integer Gauss-Jordan.  The jet, s and mu are
+int products and bilinear forms, divided by a power of d once at the
+end.  The jet's one matrix product,
 the int tr((S^-1 dB)^2) with dB = dV + dV^T, is presentation._jet_trace
 (O(g^2) on a symplectic basis, O(g^3) for a dense S^-1), which each
 Component takes once and keeps as its jet_trace: delta2 and _case (for

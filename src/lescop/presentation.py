@@ -23,7 +23,9 @@ scales V and the linking vectors E by their common denominator c to
 dV = c^2 V and cE, and every formula of the package runs on those; for
 c = 1, the case of integral data, V and E are that form as they are.
 skew_form checks the Seifert-form invariant on (d, dV) and yields S^-1
-for S = V - V^T from the same integer elimination, ring._scaled_inverse.
+for S = V - V^T.  On a symplectic basis, where each row of S holds one
++-1, S^-1 is S^T and nothing is eliminated; any other S takes one
+integer elimination, ring._scaled_inverse, which also gives det S.
 _jet_trace gives the int tr((S^-1 dB)^2), dB = dV + dV^T, from which
 the jet of the Alexander polynomial at t = 1 reads Delta''(1).  It forms
 S^-1 dB by the nonzeros of each row of S^-1: O(g^2) on a symplectic
@@ -32,15 +34,15 @@ A Component computes its integral form, its skew form and, once it is
 valid, its jet trace on first use and keeps all three (ring._kept).
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
-its input at no further cost and shares one scaling, one elimination and
-one trace per component.
+its input at no further cost and shares one scaling, one S^-1 and one
+trace per component.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, compress
-from operator import add, mul
+from operator import add, mul, neg, sub
 from types import MappingProxyType
 
 from .ring import _Record, _kept, _scaled_inverse, exact
@@ -115,24 +117,38 @@ def skew_form(d, dv):
     Returns (S^-1, None) or (None, message).  V must be of even size, S
     must be integer valued (d divides dV - dV^T), and det S must equal 1
     (it is the intersection form of the surface in a symplectic basis).
-    One fraction-free Gauss-Jordan of [S | I], ring._scaled_inverse on
-    the int rows built here, gives D S^-1 with D = +-det S its last
-    pivot.  S is skew, so det S = Pf(S)^2 = |D|: S^-1 is D times D S^-1
-    when |D| = 1, and otherwise |D| goes into the message, 0 when S is
-    singular.  S^-1 is returned as int rows.
+    S^-1 is returned as int rows.
+
+    When every row of S holds exactly one nonzero and it is +-1 (each row
+    has a nonzero and the |entries| sum to n), S^-1 is S^T, with no
+    elimination.  S is skew, so S_ij != 0 exactly when S_ji != 0, and
+    S_ii = 0: the nonzero positions form a fixed-point-free involution.
+    S is then a signed permutation matrix, S^-1 = S^T, and det S =
+    Pf(S)^2 = +1.  A symplectic basis gives this form, and every corpus
+    component has it.
+
+    Any other S takes one fraction-free Gauss-Jordan of [S | I],
+    ring._scaled_inverse on the int rows built here, which gives D S^-1
+    with D = +-det S its last pivot.  S is skew, so det S = Pf(S)^2 = |D|:
+    S^-1 is D times D S^-1 when |D| = 1, and otherwise |D| goes into the
+    message, 0 when S is singular.
     """
     n = len(dv)
     if n % 2 != 0:
         return None, f"seifert matrix has odd size {n}"
-    rows = [[a - b for a, b in zip(row, col)] for row, col in zip(dv, zip(*dv))]
+    rows = [list(map(sub, row, col)) for row, col in zip(dv, zip(*dv))]
     if d != 1:
         if any(x % d for r in rows for x in r):
             return None, "V - V^T has non-integer entries"
         rows = [[x // d for x in r] for r in rows]
+    if all(map(any, rows)) and sum(map(abs, chain.from_iterable(rows))) == n:
+        return tuple(zip(*rows)), None
     det, inverse = _scaled_inverse(rows)
     if det not in (1, -1):
         return None, f"det(V - V^T) = {abs(det)}, expected 1"
-    return tuple(tuple(det * x for x in r) for r in inverse), None
+    if det == 1:
+        return tuple(map(tuple, inverse)), None
+    return tuple(tuple(map(neg, r)) for r in inverse), None
 
 
 def _row_product(s_inv, db):

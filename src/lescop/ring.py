@@ -326,7 +326,9 @@ def _bareiss(a, n, jordan):
     row before step k, so negating it now is negating row k of the input,
     every later quotient is still a minor and // still exact.  On a skew
     form in a symplectic basis, one nonzero per row, this is O(n^2) row
-    work in place of the n^3 updates of the plain elimination.
+    work in place of the n^3 updates of the plain elimination (though
+    presentation.skew_form inverts such a form by transposition, and
+    runs the kernel only on other forms).
 
     Returns (sign, last pivot).  Their product is the determinant of the
     first n columns: sign is that of the row swaps and negations, and the

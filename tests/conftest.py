@@ -8,6 +8,7 @@ symmetric part free.
 """
 
 from fractions import Fraction
+from operator import mul
 import random
 
 import pytest
@@ -46,6 +47,13 @@ def unimodular(rng, n, steps):
             c = rng.choice((-2, -1, 1, 2))
             u[i] = [x + c * y for x, y in zip(u[i], u[j])]
     return u
+
+
+def conjugated(v, u):
+    """U^T V U for an integral V: the Seifert matrix of the same surface in
+    the basis U."""
+    vu = [[sum(map(mul, map(int, row), col)) for col in zip(*u)] for row in v]
+    return [[sum(map(mul, row, col)) for col in zip(*vu)] for row in zip(*u)]
 
 
 def random_presentation(rng, n_components, h=1, gmax=3, bound=3):
@@ -160,6 +168,20 @@ def dense_knot_document(g, seed=24):
     return serialize(PresentationDocument(p))
 
 
+def sheared_knot_document(g, seed=24):
+    """Document text of the knot of dense_knot_document(g, seed) in a
+    random basis: V becomes U^T V U for U = unimodular(rng, 2g, 6g), so
+    from genus 2 on S = V - V^T no longer has one +-1 per row and
+    presentation.skew_form inverts it by elimination.
+
+    Run as `python tests/conftest.py sheared G` it prints that document
+    for genus G.
+    """
+    rng = seeded(seed)
+    v = conjugated(random_seifert(rng, g), unimodular(rng, 2 * g, 6 * g))
+    return serialize(PresentationDocument(SurgeryPresentation(1, (Component("l1", v, {}),))))
+
+
 def split_link_document(components, genus, seed=24):
     """Document text of a split link: a random genus-`genus` knot l1 and
     components - 1 unknots, every linking vector zero.
@@ -258,6 +280,8 @@ if __name__ == "__main__":
 
     if sys.argv[1] == "hostile":
         print(hostile_rational_document(int(sys.argv[2])), end="")
+    elif sys.argv[1] == "sheared":
+        print(sheared_knot_document(int(sys.argv[2])), end="")
     elif sys.argv[1] == "linked":
         print(linked_link_document(int(sys.argv[2]), int(sys.argv[3])), end="")
     else:

@@ -10,11 +10,11 @@ import sys
 from lescop import floer, invariants, presentation, ring
 from lescop.cli import run
 from lescop.corpus import corpus
-from lescop.documents import serialize_chain
+from lescop.documents import parse, serialize_chain
 from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
 
-from conftest import random_presentation, seeded
+from conftest import random_presentation, seeded, sheared_knot_document
 
 
 class Counter:
@@ -45,6 +45,23 @@ def skew_eliminations(monkeypatch):
     return Counter(monkeypatch, ring._scaled_inverse)
 
 
+def symplectic(v):
+    """Whether each row of S = V - V^T holds exactly one nonzero, +-1: the
+    forms whose S^-1 skew_form reads off S without an elimination."""
+    return all(sorted((abs(a - b) for a, b in zip(row, col)), reverse=True)[:2] in ([1], [1, 0])
+               for row, col in zip(v, zip(*v)))
+
+
+def sheared(tmp_path, g=3):
+    """A file of the sheared genus-g knot of conftest, and its Seifert
+    matrix, whose S has rows of several nonzeros."""
+    path = tmp_path / f"sheared-{g}.json"
+    path.write_text(sheared_knot_document(g))
+    v = parse(path.read_text()).presentation.components[0].seifert
+    assert not symplectic(v)
+    return path, v
+
+
 class Interpolation:
     """Counts the eliminations of the Alexander polynomial: the calls of
     ring._bareiss as invariants binds it, split into the determinants
@@ -63,9 +80,10 @@ class Interpolation:
         monkeypatch.setattr(invariants, "_bareiss", counted)
 
 
-def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
-    components = sum(len(doc.presentation.components) for doc in corpus().values())
-    assert components == 40
+def test_verify_validates_each_document_once(corpus_dir, tmp_path, monkeypatch, capsys):
+    components = [c for doc in corpus().values() for c in doc.presentation.components]
+    assert len(components) == 40
+    assert all(symplectic(c.seifert) for c in components)
     validate = Counter(monkeypatch, presentation.validate)
     alexander = Counter(monkeypatch, invariants._alexander)
     interpolation = Interpolation(monkeypatch)
@@ -78,14 +96,18 @@ def test_verify_validates_each_document_once(corpus_dir, monkeypatch, capsys):
     assert alexander.calls == 49
     # every corpus matrix is below the packing threshold: one packed
     # elimination of n x n int rows for each Alexander polynomial of a
-    # size-n matrix, never of HalfLaurent entries, and no solve; one
-    # elimination of V - V^T per component, which the routes reuse
+    # size-n matrix, never of HalfLaurent entries, and no solve; every
+    # corpus S is symplectic, so S^-1 is read off it with no elimination
     sizes = [len(dv) for _, dv, _ in alexander.args]
     assert [n for _, n in interpolation.nodes] == sizes
     assert all(len(rows) == n and len(row) == n and type(x) is int
                for rows, n in interpolation.nodes for row in rows for x in row)
     assert interpolation.solves == []
-    assert inverse.calls == components
+    assert inverse.calls == 0
+    # a sheared knot's S is eliminated once, and the routes reuse S^-1
+    assert run(["verify", str(sheared(tmp_path)[0])]) == 0
+    capsys.readouterr()
+    assert (validate.calls, inverse.calls) == (len(files) + 1, 1)
 
 
 def test_only_skew_form_inverts(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -95,34 +117,45 @@ def test_only_skew_form_inverts(corpus_dir, tmp_path, monkeypatch, capsys):
              if name.startswith("lescop") and ring._scaled_inverse in vars(module).values()}
     assert bound == {"lescop.ring", "lescop.presentation"}
     inverse = skew_eliminations(monkeypatch)
+    knot, v = sheared(tmp_path)
     chain = tmp_path / "chain.json"
-    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
+    chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (v, 1), (FIGURE_EIGHT, 1)))))
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
-    for argv in (["verify", *files], ["alexander", files[0]], ["casson", str(chain)],
-                 ["chi", "--route", "both", files[0]]):
+    # one elimination for each sheared knot or chain step a command reads
+    for argv, eliminations in ((["verify", *files, str(knot)], 1), (["alexander", str(knot)], 1),
+                               (["casson", str(chain)], 1), (["chi", "--route", "both", str(knot)], 1)):
+        before = inverse.calls
         assert run(argv) == 0, argv
+        assert inverse.calls - before == eliminations, argv
     capsys.readouterr()
-    invariants.knot_alexander(TREFOIL)
+    invariants.knot_alexander(v)
     presentation.blow_down(corpus()["km-trefoil"].presentation, "l3")
-    assert inverse.calls > 40
+    assert inverse.calls == 4
     assert set(inverse.callers) == {"lescop.presentation.skew_form"}
 
 
 def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys):
-    """S = V - V^T is eliminated once per component or chain step, by
-    skew_form alone: validation and every route share that one result,
-    and a valid form takes no determinant."""
+    """S = V - V^T is eliminated at most once per component or chain step,
+    by skew_form alone: validation and every route share that one result,
+    and a valid form takes no determinant.  A symplectic S, as in every
+    corpus component, takes no elimination; a sheared one takes one."""
     determinant = Counter(monkeypatch, ring.determinant)
     inverse = skew_eliminations(monkeypatch)
+    knot, v = sheared(tmp_path)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
+    sheared_chain = tmp_path / "sheared-chain.json"
+    sheared_chain.write_text(serialize_chain(SurgeryChain(((v, -1), (TREFOIL, -1), (v, 1)))))
     runs = [
-        (["chi", str(corpus_dir / "km-trefoil.json")], 3),
-        (["chi", str(corpus_dir / "trefoil-0.json")], 1),
-        (["casson", str(chain)], 3),
-        (["sato-levine", str(corpus_dir / "ribbon-s1.json")], 2),
-        (["lescop", str(corpus_dir / "km-trefoil.json")], 3),
-        (["mu2", str(corpus_dir / "km-trefoil.json")], 3),
+        (["chi", str(corpus_dir / "km-trefoil.json")], 0),
+        (["chi", str(corpus_dir / "trefoil-0.json")], 0),
+        (["casson", str(chain)], 0),
+        (["sato-levine", str(corpus_dir / "ribbon-s1.json")], 0),
+        (["lescop", str(corpus_dir / "km-trefoil.json")], 0),
+        (["mu2", str(corpus_dir / "km-trefoil.json")], 0),
+        (["chi", "--route", "both", str(knot)], 1),
+        (["lescop", str(knot)], 1),
+        (["casson", str(sheared_chain)], 2),
     ]
     for argv, eliminations in runs:
         before = determinant.calls, inverse.calls
@@ -132,16 +165,21 @@ def test_one_elimination_per_component(corpus_dir, tmp_path, monkeypatch, capsys
 
 
 def test_an_invalid_form_takes_one_elimination(monkeypatch):
-    """det S for the message comes from the elimination that would give S^-1."""
+    """det S for the message comes from the elimination that would give
+    S^-1: each invalid form takes one, a symplectic one none."""
     determinant = Counter(monkeypatch, ring.determinant)
     inverse = skew_eliminations(monkeypatch)
-    forms = (((0, 0), (0, 0)), ((0, 2), (0, 0)), ((0, 1), (0, 0)))
-    assert [presentation.skew_form(1, dv) for dv in forms] == [
-        (None, "det(V - V^T) = 0, expected 1"),
-        (None, "det(V - V^T) = 4, expected 1"),
-        (((0, -1), (1, 0)), None),
-    ]
-    assert (determinant.calls, inverse.calls) == (0, 3)
+    invalid = {
+        ((0, 0), (0, 0)): "det(V - V^T) = 0, expected 1",
+        ((0, 2), (0, 0)): "det(V - V^T) = 4, expected 1",
+        ((0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)): "det(V - V^T) = 0, expected 1",
+        ((0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 0)): "det(V - V^T) = 4, expected 1",
+    }
+    for k, (dv, msg) in enumerate(invalid.items(), 1):
+        assert presentation.skew_form(1, dv) == (None, msg)
+        assert (determinant.calls, inverse.calls) == (0, k), dv
+    assert presentation.skew_form(1, ((0, 1), (0, 0))) == (((0, -1), (1, 0)), None)
+    assert (determinant.calls, inverse.calls) == (0, len(invalid))
 
 
 def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch, capsys):

@@ -483,6 +483,36 @@ class TestErrors:
         assert (code, out) == (2, "") and err.startswith(f"error: cannot read {f}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_read_errors_are_pinned(self, tmp_path, monkeypatch, capsys):
+        """The file read, the exit code and the stderr line are those of
+        Path(path).read_text: "x/" and "x/." read the file x, "" names the
+        directory ".", and a document with CRLF or CR line ends reads with
+        universal newlines, which the JSON error's line number counts."""
+        monkeypatch.chdir(tmp_path)
+        Path("x").write_text(dense_knot_document(1), encoding="utf-8")
+        Path("dir").mkdir()
+        Path("bad.json").write_bytes(b"\xff\xfe")
+        for name, end in (("crlf.json", b"\r\n"), ("cr.json", b"\r")):
+            Path(name).write_bytes(end.join(
+                [b'{"format_version": 1,', b' "base_order": 1,', b' "components": [}', b""]))
+        code, knot, err = invoke(capsys, "chi", "x")
+        assert (code, err) == (0, "")
+        cases = {
+            "": (2, "", "error: cannot read : [Errno 21] Is a directory: '.'\n"),
+            "x/": (0, knot, ""),
+            "x/.": (0, knot, ""),
+            "dir": (2, "", "error: cannot read dir: [Errno 21] Is a directory: 'dir'\n"),
+            "dir/": (2, "", "error: cannot read dir/: [Errno 21] Is a directory: 'dir'\n"),
+            "missing.json": (2, "", "error: cannot read missing.json: "
+                             "[Errno 2] No such file or directory: 'missing.json'\n"),
+            "bad.json": (2, "", "error: cannot read bad.json: 'utf-8' codec can't decode "
+                         "byte 0xff in position 0: invalid start byte\n"),
+            "crlf.json": (2, "", "error: line 3, column 17: Expecting value\n"),
+            "cr.json": (2, "", "error: line 3, column 17: Expecting value\n"),
+        }
+        for path, expected in cases.items():
+            assert invoke(capsys, "chi", path) == expected, path
+
     def test_schema_error(self, tmp_path, capsys):
         f = tmp_path / "extra.json"
         f.write_text('{"format_version": 1, "base_order": 1, "components": [], "x": 1}')

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lescop import presentation
 from lescop.documents import PresentationDocument, parse, serialize
 from lescop.invariants import knot_alexander
 from lescop.presentation import (
@@ -25,11 +26,15 @@ from lescop.presentation import (
     build_triple,
     connected_sum_knot,
     drop_component,
+    exact_matrix,
     integral_form,
+    skew_form,
     validate,
 )
+from lescop.ring import _scaled_inverse
 
 from conftest import (
+    conjugated,
     random_presentation,
     random_seifert,
     rational_presentation,
@@ -235,13 +240,6 @@ class TestIntegralForm:
             ce["k"] = (0, 0)
 
 
-def conjugated(v, u):
-    """U^T V U for an integral V: the Seifert matrix of the same surface in
-    the basis U."""
-    vu = [[sum(map(mul, map(int, row), col)) for col in zip(*u)] for row in v]
-    return [[sum(map(mul, row, col)) for col in zip(*vu)] for row in zip(*u)]
-
-
 def shear(n, pairs):
     """I plus a 1 at each (i, j) of pairs, i < j: a unimodular basis change."""
     return [[int(i == j or (i, j) in pairs) for j in range(n)] for i in range(n)]
@@ -304,6 +302,114 @@ class TestJetTrace:
             assert {1, 2, 3} <= set(nonzeros(w))
             self.check(w)
         assert 2 in entries
+
+
+def signed_permutation(rng, n):
+    """A random n x n matrix with one entry +-1 in each row and column."""
+    columns = rng.sample(range(n), n)
+    return [[rng.choice((1, -1)) if j == columns[i] else 0 for j in range(n)] for i in range(n)]
+
+
+def skew_rows(v):
+    """S = V - V^T as int rows, for a V with integral V - V^T."""
+    return [[int(a - b) for a, b in zip(row, col)] for row, col in zip(v, zip(*v))]
+
+
+def inverts(s, s_inv):
+    """Whether S S^-1 = I."""
+    n = len(s)
+    return [[sum(map(mul, row, col)) for col in zip(*s_inv)] for row in s] == [
+        [int(i == j) for j in range(n)] for i in range(n)]
+
+
+def eliminations(monkeypatch):
+    """The list of the rows skew_form passes to ring._scaled_inverse, one
+    entry per call from now on."""
+    calls = []
+    monkeypatch.setattr(presentation, "_scaled_inverse",
+                        lambda a: calls.append(a) or _scaled_inverse(a))
+    return calls
+
+
+class TestSkewForm:
+    """skew_form's S^-1: read off S when each row of S holds one +-1, and
+    eliminated otherwise."""
+
+    def check(self, v, count, monkeypatch):
+        """skew_form on v gives S^-1 with S S^-1 = I, equal entry by entry
+        to D times D S^-1 from ring._scaled_inverse, after count
+        eliminations."""
+        calls = eliminations(monkeypatch)
+        d, dv, _ = integral_form(exact_matrix(v))
+        s_inv, msg = skew_form(d, dv)
+        assert msg is None and len(calls) == count
+        s = skew_rows(v)
+        assert inverts(s, s_inv)
+        det, scaled = _scaled_inverse(s)
+        assert s_inv == tuple(tuple(det * x for x in row) for row in scaled)
+        assert all(type(x) is int for row in s_inv for x in row)
+
+    FORMS = [random_seifert(seeded(g), g) for g in range(13)]
+
+    def test_symplectic_forms_are_transposed(self, monkeypatch):
+        for v in self.FORMS:
+            self.check(v, 0, monkeypatch)
+
+    def test_signed_permutations_of_them(self, monkeypatch):
+        """P^T V P for a signed permutation P: S is P^T S P, still one
+        +-1 per row but no longer the standard form."""
+        standard = 0
+        for g, v in enumerate(self.FORMS):
+            for k in range(3):
+                w = conjugated(v, signed_permutation(seeded(100 * g + k), 2 * g))
+                standard += skew_rows(w) == skew_rows(v)
+                self.check(w, 0, monkeypatch)
+        assert standard < 5
+
+    def test_fractional_forms(self, monkeypatch):
+        """d > 1: S is read after dV - dV^T is divided by d."""
+        for g, v in enumerate(self.FORMS[1:], 1):
+            v = with_fractional_symmetric_part(seeded(g), v)
+            assert integral_form(exact_matrix(v))[0] > 1
+            self.check(v, 0, monkeypatch)
+
+    def test_sheared_forms_are_eliminated(self, monkeypatch):
+        """S in a random unimodular basis has rows of several nonzeros and
+        takes one elimination, whose last pivot is 1 on some forms and -1
+        on others."""
+        pivots = set()
+        for g, v in enumerate(self.FORMS[2:], 2):
+            for k in range(3):
+                w = conjugated(v, unimodular(seeded(10 * g + k), 2 * g, 6 * g))
+                pivots.add(_scaled_inverse(skew_rows(w))[0])
+                self.check(w, 1, monkeypatch)
+        assert pivots == {1, -1}
+
+    def test_other_forms_keep_their_messages(self, monkeypatch):
+        """A row of S with one +-2, no nonzero or two nonzeros takes the
+        elimination, and its det goes into the message."""
+        calls = eliminations(monkeypatch)
+        forms = {
+            ((0, 2), (0, 0)): 4,
+            ((0, -2), (0, 0)): 4,
+            ((0, 0), (0, 0)): 0,
+            ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)): 0,
+            ((0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)): 0,
+            ((0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 0)): 4,
+            ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 0, 0)): 9,
+        }
+        for k, (dv, det) in enumerate(forms.items(), 1):
+            assert skew_form(1, dv) == (None, f"det(V - V^T) = {det}, expected 1")
+            assert len(calls) == k
+        # two nonzeros in a row, det 1: eliminated, and inverted
+        dv = ((0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+        s_inv, msg = skew_form(1, dv)
+        assert msg is None and len(calls) == len(forms) + 1
+        assert inverts(skew_rows(dv), s_inv)
+        # odd size and non-integer S are rejected before any elimination
+        assert skew_form(1, ((0,),)) == (None, "seifert matrix has odd size 1")
+        assert skew_form(4, ((0, 2), (0, 0))) == (None, "V - V^T has non-integer entries")
+        assert len(calls) == len(forms) + 1
 
 
 class TestImmutability:

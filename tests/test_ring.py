@@ -455,10 +455,12 @@ class TestSparseKernel:
     """The skip of ring._bareiss on the symplectic form J, one nonzero per row."""
 
     def test_skew_form_of_the_symplectic_form(self):
+        """skew_form reads J^-1 = J^T off J; the kernel gives the same."""
         for n in range(2, 41, 2):
             j = symplectic(n)
             v = [[max(x, 0) for x in row] for row in j]  # V - V^T = J
             assert skew_form(1, v) == (tuple(tuple(-x for x in row) for row in j), None)
+            assert unit_inverse(j) == [[-x for x in row] for row in j]
 
     def test_symplectic_inverse_writes_at_most_n_squared_entries(self):
         """The plain elimination writes 92 860 entries here; a symplectic
