@@ -118,20 +118,19 @@ def cmd_alexander(args):
         raise invariants.WrongComponentCountError("document has no components")
     comp = p.components[0].name if args.component is None else args.component
     poly = invariants.alexander(p, comp)
-    d2 = poly.second_derivative_at_one()
+    display = str(poly)
+    d2 = str(poly.second_derivative_at_one())
     _emit(
         args,
         {
             "component": comp,
             "alexander": _poly_json(poly),
-            "display": str(poly),
-            "delta2_at_1": str(d2),
+            "display": display,
+            "delta2_at_1": d2,
         },
-        [
-            f"component = {comp}",
-            f"alexander = {poly}",
-            f"delta2_at_1 = {d2}",
-        ],
+        # a generator, so that --json formats no line
+        (f"{key} = {value}"
+         for key, value in (("component", comp), ("alexander", display), ("delta2_at_1", d2))),
     )
     return EXIT_OK
 
@@ -200,8 +199,6 @@ def cmd_chi(args):
     if args.route in ("triangle", "both"):
         reports[floer.TRIANGLE] = floer.chi_via_triangle(p, bundle)
     any_report = next(iter(reports.values()))
-    lines = [f"chi[{route}] = {r.chi}" for route, r in reports.items()]
-    lines.append(f"ambiguity = {any_report.ambiguity}")
     payload = {
         "routes": {route: r.chi for route, r in reports.items()},
         "ambiguity": any_report.ambiguity,
@@ -209,14 +206,19 @@ def cmd_chi(args):
     }
     code = EXIT_OK
     if len(reports) == 2:
-        agree = len({r.chi for r in reports.values()}) == 1
-        payload["agree"] = agree
-        if agree:
-            lines.append("routes agree")
-        else:
+        payload["agree"] = len({r.chi for r in reports.values()}) == 1
+        if not payload["agree"]:
             _err(f"routes disagree: {payload['routes']}")
             code = EXIT_INVARIANT
-    _emit(args, payload, lines)
+
+    def lines():  # a generator, so that --json formats no line
+        for route, r in reports.items():
+            yield f"chi[{route}] = {r.chi}"
+        yield f"ambiguity = {any_report.ambiguity}"
+        if payload.get("agree"):
+            yield "routes agree"
+
+    _emit(args, payload, lines())
     return code
 
 
@@ -239,12 +241,51 @@ def cmd_lens(args):
     return EXIT_OK
 
 
+def _z3_structure(before, after, s):
+    """Whether z^3 divides Delta_after - (1 + s z^2) Delta_before, from the
+    int coefficients P = before and P' = after of det(t dV - dV^T) for the
+    first component's kept form and for its blown-down form
+    dV + (cE)(cE)^T, and s = a/b in lowest terms.
+
+    Both forms have the same d and size n, so with z^2 = (t - 1)^2 / t and
+    the unit u = h t^(-n/2) / d^n the residue is u (P' - (1 + s z^2) P),
+    and multiplying it by the further unit b t leaves
+    Q = t (b P' - (b + a z^2) P) = b t (P' - P) - a (t - 1)^2 P,
+    an int polynomial in t.  Units change no divisibility, and
+    z^3 = t^(-3/2) (t - 1)^3, so z^3 divides the residue exactly when
+    (t - 1)^3 divides Q (the roots t^(1/2) = +-1 of z^3 both map to
+    t = 1, each with its multiplicity), that is when
+    Q(1) = Q'(1) = Q''(1) = 0.  With D = P' - P, and (t - 1)^2 P
+    contributing only 2 P(1) to Q''(1), these are
+
+        Q(1) = b D(1),  Q'(1) = b (D(1) + D'(1)),
+        Q''(1) = b (2 D'(1) + D''(1)) - 2 a P(1),
+
+    three int sums over the coefficients: the verdict of
+    ring.divides_z_power(residue, 3) with no HalfLaurent or Fraction.
+    """
+    a, b = s.numerator, s.denominator
+    diff = [x - y for x, y in zip(after, before)]
+    d0 = sum(diff)
+    d1 = sum(i * x for i, x in enumerate(diff))
+    d2 = sum(i * (i - 1) * x for i, x in enumerate(diff))
+    return b * d0 == b * (d0 + d1) == b * (2 * d1 + d2) - 2 * a * sum(before) == 0
+
+
 def _verify_checks(doc):
     """Run every applicable cross-check; yields (name, status, detail).
 
     Validation comes first, and the presentation keeps its result, so the
     public functions the checks after it call do not validate again.  A
     non-integral chi fails route-agreement and ends this document's checks.
+
+    Each component's Alexander checks read the int coefficients that it
+    keeps, and alexander-symmetry compares them with their mirror; on the
+    node path, which imposes that symmetry, it also compares them with
+    one more determinant (invariants.spare_node_agrees).  z3-structure
+    tests (t - 1)^3 | Q on ints (see _z3_structure), with s from the
+    case quantity that the presentation keeps for the closed form and
+    lescop too.
     """
     p = doc.presentation
     n = len(p.components)
@@ -255,9 +296,10 @@ def _verify_checks(doc):
         return
     yield "validate", "pass", f"{n} components, base order {h}"
 
-    polys = [invariants.alexander(p, c.name) for c in p.components]
-    for c, poly in zip(p.components, polys):
-        sym = poly.involution() == poly
+    for c in p.components:
+        poly = invariants.alexander(p, c.name)
+        coeffs = invariants.alexander_coefficients(p, c.name)
+        sym = coeffs == coeffs[::-1] and invariants.spare_node_agrees(p, c.name)
         yield (
             f"alexander-symmetry[{c.name}]",
             "pass" if sym else "fail",
@@ -275,11 +317,9 @@ def _verify_checks(doc):
 
     if n == 2:
         c1, c2 = p.components
-        blown_down = presentation.rank_one_update(c1.seifert, c1.linking[c2.name], -1)
-        after = invariants.knot_alexander(blown_down, h)
         s = invariants.sato_levine(p)
-        residue = after - (ring.ONE + s * ring.Z * ring.Z) * polys[0]
-        ok = ring.divides_z_power(residue, 3)
+        before = invariants.alexander_coefficients(p, c1.name)
+        ok = _z3_structure(before, invariants.blown_down_coefficients(p, c1.name, c2.name), s)
         yield "z3-structure", "pass" if ok else "fail", f"s = {s}"
 
     if n >= 1:

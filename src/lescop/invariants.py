@@ -14,10 +14,15 @@ _PACKED_BITS.  Above that they take floor(n/2) + 1 integer determinants
 and interpolate: transposing shows that the other half of the
 coefficients repeat the first, up to the sign (-1)^n.  Each determinant,
 and the solve for the free coefficients, is a ring._bareiss elimination
-of int rows built here, with nothing cached between calls; no
-elimination runs over the half-Laurent ring.  The other invariants need
-only its second derivative at 1 and how that jumps under blow-down, and
-read them off the jet of the determinant at t = 1 instead.  With
+of int rows built here; no elimination runs over the half-Laurent ring.
+The coefficients are ints, c_0 .. c_n of det(t dV - dV^T), and each
+Component keeps its tuple of them (alexander_coefficients): alexander
+and every check of the verify command read that one tuple, and the
+blown-down polynomial of verify's z^3 check comes from the same form
+plus (cE)(cE)^T, also as ints (blown_down_coefficients).  The other
+invariants need only its second derivative at 1 and how that jumps
+under blow-down, and read them off the jet of the determinant at t = 1
+instead.  With
 S = V - V^T (integral, det S = 1, so S^-1 is an integer matrix) and
 B = V + V^T, expanding log det to second order in u = log t^(1/2) gives
 
@@ -42,18 +47,19 @@ the int tr((S^-1 dB)^2) with dB = dV + dV^T, is presentation._jet_trace
 (O(g^2) on a symplectic basis, O(g^3) for a dense S^-1), which each
 Component takes once and keeps as its jet_trace: delta2 and _case (for
 b1 = 1) read that, as the triangle route of floer does.  alexander
-computes from the kept form, casson scales each chain step once and
+reads the kept coefficients, casson scales each chain step once and
 takes its trace once, and knot_alexander scales each bare matrix it is
 given.
 
 The first Betti number b1 of the presented manifold is the number of
 components, and the case formulas of lescop and of floer.chi_closed_form
 read one quantity per b1: Delta''(1) of the first component for b1 = 1,
-s for b1 = 2, mu^2 for b1 = 3 and 0 for b1 >= 4.  _case picks it
-once for both; each caller applies its own formula.  sato_levine and
-milnor_mu_squared return the derived s and mu^2; normalized(x, h) gives
-a value in both normalization modes, since the paper-literal reading is
-h times the derived one.
+s for b1 = 2, mu^2 for b1 = 3 and 0 for b1 >= 4.  _case picks it once
+per presentation, which keeps it (ring._kept), for lescop, sato_levine,
+milnor_mu_squared and the closed form alike; each caller applies its own
+formula.  sato_levine and milnor_mu_squared return the derived s and
+mu^2; normalized(x, h) gives a value in both normalization modes, since
+the paper-literal reading is h times the derived one.
 
 Every public function checks its presentation by reading
 p.violations, which validate fills on first use and the presentation
@@ -69,9 +75,9 @@ from math import isqrt
 from operator import mul
 
 from .presentation import InvalidSpecError, _jet_trace, _valid_form, exact_matrix, integral_form
-from .ring import HalfLaurent, _Record, _bareiss, exact
+from .ring import HalfLaurent, _Record, _bareiss, _kept, exact
 
-# _alexander packs the Alexander determinant into one integer determinant
+# _coefficients packs the Alexander determinant into one integer determinant
 # while n K, the bits of 2^(K n), is at most this many, and interpolates it
 # from nodes above: the faster path on each side, by measurement.
 _PACKED_BITS = 1200
@@ -133,7 +139,7 @@ def knot_alexander(seifert, base_order=1):
     is an integer polynomial of degree <= n, and the coefficient c_i of
     t^i becomes the term t^((2i - n)/2).  Transposing gives
     t^n P(1/t) = det(dV - t dV^T) = det((dV - t dV^T)^T) = (-1)^n P(t),
-    so c_(n-i) = (-1)^n c_i.  _alexander finds the c_i on one of two
+    so c_(n-i) = (-1)^n c_i.  _coefficients finds the c_i on one of two
     exact paths, picked from n K, where 2^(K - 1) bounds every |c_i|:
 
     - packed, for n K <= _PACKED_BITS (1200): one integer determinant,
@@ -151,26 +157,37 @@ def knot_alexander(seifert, base_order=1):
     the 70 with n K from 1200 to 4000, where the nodes run; on a 16 x 16
     matrix of 100-digit entries it was 0.06x as fast.  Both paths give
     the same polynomial, but only the packed one computes its symmetry
-    rather than imposing it.  alexander runs the same code on a
-    component's kept int form.
+    rather than imposing it.  alexander reads the coefficients that a
+    component keeps (alexander_coefficients).
 
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
     """
     d, dv, _ = integral_form(exact_matrix(seifert))
-    return _alexander(d, dv, base_order)
+    return _alexander(d, _coefficients(dv)[0], base_order)
 
 
-def _alexander(d, dv, h):
-    """h * det(t^(1/2) V - t^(-1/2) V^T) from the int form (d, dV) of V,
-    by whichever of the two exact paths knot_alexander describes is the
-    faster for this matrix.
+def _alexander(d, coeffs, h):
+    """h * det(t^(1/2) V - t^(-1/2) V^T) from the int coefficients
+    c_0 .. c_n of P(t) = det(t dV - dV^T), for the int form (d, dV) of V:
+    c_i becomes the coefficient h c_i / d^n of t^((2i - n)/2)."""
+    n = len(coeffs) - 1
+    scale = d**n
+    if scale == 1:  # an integral V: the coefficients are the ints c h
+        return HalfLaurent({2 * i - n: c * h for i, c in enumerate(coeffs)})
+    return HalfLaurent({2 * i - n: Fraction(c * h, scale) for i, c in enumerate(coeffs)})
 
-    Both find the int coefficients c_0 .. c_n of
-    P(t) = det(t dV - dV^T).  The packed path reads them all off one
-    determinant, P(X) at X = 2^K (Kronecker substitution; von zur Gathen
-    and Gerhard, Modern Computer Algebra), once K is large enough that
-    every |c_i| < X / 2.  The bound that K comes from:
+
+def _coefficients(dv):
+    """(c_0 .. c_n, interpolated): the int coefficients of
+    P(t) = det(t dV - dV^T), by whichever of the two exact paths
+    knot_alexander describes is the faster for this matrix, and whether
+    that was the node path.
+
+    The packed path reads them all off one determinant, P(X) at X = 2^K
+    (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+    Algebra), once K is large enough that every |c_i| < X / 2.  The bound
+    that K comes from:
 
     - |c_i| <= max over |z| = 1 of |P(z)|, by Cauchy's estimate: c_i is
       the mean of P(z) z^-i over the unit circle;
@@ -188,8 +205,9 @@ def _alexander(d, dv, h):
 
     The node path (_nodes) interpolates the floor(n/2) + 1 free
     coefficients from as many smaller determinants, and imposes the
-    symmetry.  One determinant of long entries costs more than several
-    of short ones once P(X) grows long, so the choice is made on n K,
+    symmetry; spare_node_agrees is the check that can fail there.  One
+    determinant of long entries costs more than several of short ones
+    once P(X) grows long, so the choice is made on n K,
     the bits of X^n that P(X) spans, not on n alone: the packed path
     runs when n K is at most _PACKED_BITS, below which it was the faster
     on every matrix timed (see knot_alexander).  On the tests' random
@@ -199,16 +217,14 @@ def _alexander(d, dv, h):
     n = len(dv)
     dvt = tuple(zip(*dv))
     k = _digit_bits(dv, dvt)
-    coeffs = _packed(dv, dvt, k) if n * k <= _PACKED_BITS else _nodes(dv, dvt)
-    scale = d**n
-    if scale == 1:  # an integral V: the coefficients are the ints c h
-        return HalfLaurent({2 * i - n: c * h for i, c in enumerate(coeffs)})
-    return HalfLaurent({2 * i - n: Fraction(c * h, scale) for i, c in enumerate(coeffs)})
+    if n * k <= _PACKED_BITS:
+        return tuple(_packed(dv, dvt, k)), False
+    return tuple(_nodes(dv, dvt)), True
 
 
 def _digit_bits(dv, dvt):
     """K with |c_i| < 2^(K - 1) for every coefficient c_i of
-    det(t dV - dV^T), by the bound that _alexander proves."""
+    det(t dV - dV^T), by the bound that _coefficients proves."""
     bound = 1
     for row, col in zip(dv, dvt):
         bound *= isqrt(sum((abs(a) + abs(b)) ** 2 for a, b in zip(row, col))) + 1
@@ -233,30 +249,41 @@ def _packed(dv, dvt, k):
     return coeffs
 
 
+def _value_at(dv, dvt, x):
+    """P(x) = det(x dV - dV^T) for an int x: the sign times the last
+    pivot of ring._bareiss on the int rows x dV - dV^T built here."""
+    rows = [[x * a - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)]
+    sign, last = _bareiss(rows, len(dv), False)
+    return sign * last
+
+
+def _node_list(count):
+    """The first count interpolation nodes, 0, -1, 2, -2, 3, -3, ..."""
+    return (0, -1, *(s * k for k in range(2, count // 2 + 2) for s in (1, -1)))[:count]
+
+
 def _nodes(dv, dvt):
     """c_0 .. c_n of P(t) = det(t dV - dV^T), interpolated from
     floor(n/2) + 1 integer determinants.
 
     P is sum c_i b_i over i <= m = n // 2, with b_i = t^i + (-1)^n t^(n-i)
-    for i < n/2 and b_(n/2) = t^(n/2).  At each node x, P(x) is the sign
-    times the last pivot of ring._bareiss on the int rows x dV - dV^T
-    built here.  Appended to the row b_0(x) .. b_m(x), it gives one
-    equation of an (m + 1) x (m + 2) system, and one fraction-free
-    Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) leaves D c in the last
-    column, D the last pivot; c = that column // D, exactly, since c is
-    integral.  The nodes 0, -1, 2, -2, 3, ... make the system invertible:
-    x = 0 gives c_0, and x + 1/x is distinct on the others.  t = 1 is
-    avoided, where every b_i vanishes when n is odd.
+    for i < n/2 and b_(n/2) = t^(n/2).  At each node x, P(x) is
+    _value_at(dv, dvt, x).  Appended to the row b_0(x) .. b_m(x), it
+    gives one equation of an (m + 1) x (m + 2) system, and one
+    fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) leaves D c
+    in the last column, D the last pivot; c = that column // D, exactly,
+    since c is integral.  The nodes of _node_list, 0, -1, 2, -2, 3, ...,
+    make the system invertible: x = 0 gives c_0, and x + 1/x is distinct
+    on the others.  t = 1 is avoided, where every b_i vanishes when n is
+    odd.
     """
     n = len(dv)
     m = n // 2
     sign = (-1) ** n
     system = []
-    for x in (0, -1, *(s * k for k in range(2, m + 2) for s in (1, -1)))[: m + 1]:
-        rows = [[x * a - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)]
-        det_sign, last = _bareiss(rows, n, False)
+    for x in _node_list(m + 1):
         system.append([x**i + sign * x**(n - i) if 2 * i < n else x**i for i in range(m + 1)]
-                      + [det_sign * last])
+                      + [_value_at(dv, dvt, x)])
     pivot = _bareiss(system, m + 1, True)[1]
     half = [row[-1] // pivot for row in system]  # exact: the c_i are ints
     return half + [sign * c for c in reversed(half[: n - m])]  # c_(n-i) = (-1)^n c_i
@@ -278,11 +305,72 @@ def alexander(p, comp):
     """Alexander polynomial of the named component inside the base manifold.
 
     Only the component's own Seifert matrix and the homology order enter;
-    the other components are 0-framed and do not affect it.
+    the other components are 0-framed and do not affect it.  It is built
+    from the int coefficients that the component keeps (see
+    alexander_coefficients).
     """
     _require_valid(p)
-    d, dv, _ = p.component(comp).integral_form
-    return _alexander(d, dv, p.base_order)
+    c = p.component(comp)
+    return _alexander(c.integral_form[0], _kept_coefficients(c)[0], p.base_order)
+
+
+def alexander_coefficients(p, comp):
+    """The int coefficients c_0 .. c_n of P(t) = det(t dV - dV^T), for the
+    kept integral form (d, dV) of the named component, as a tuple:
+    alexander(p, comp) is h t^(-n/2) P(t) / d^n.
+
+    The component keeps them, so alexander and every check of the verify
+    command share one computation.
+
+    >>> from lescop.presentation import TREFOIL, Component, SurgeryPresentation
+    >>> alexander_coefficients(SurgeryPresentation(1, (Component("k", TREFOIL, {}),)), "k")
+    (1, -1, 1)
+    """
+    _require_valid(p)
+    return _kept_coefficients(p.component(comp))[0]
+
+
+@_kept
+def _kept_coefficients(c):
+    """_coefficients of the component c's kept integral form, computed on
+    first use and kept on c (ring._kept), with whether they were
+    interpolated."""
+    return _coefficients(c.integral_form[1])
+
+
+def blown_down_coefficients(p, comp, other):
+    """alexander_coefficients of the component comp after (-1)-surgery on
+    the component other: the int coefficients of det(t dV' - dV'^T) for
+    dV' = dV + (cE)(cE)^T, cE being comp's kept linking vector against
+    other.  The form keeps its d, since d (V + E E^T) = dV + (cE)(cE)^T,
+    so knot_alexander of the blown-down Seifert matrix V + E E^T is
+    h t^(-n/2) P'(t) / d^n for these coefficients of P'."""
+    _require_valid(p)
+    _, dv, ce = p.component(comp).integral_form
+    e = ce[p.component(other).name]
+    return _coefficients([[x + a * b for x, b in zip(row, e)] for row, a in zip(dv, e)])[0]
+
+
+def spare_node_agrees(p, comp):
+    """Whether the named component's kept coefficients agree with
+    P(x) = det(x dV - dV^T) at a node that their interpolation did not use.
+
+    On the packed path nothing is imposed on the coefficients, and a
+    comparison of them with their mirror can fail, so this returns True
+    with no determinant.  On the node path (n K above _PACKED_BITS),
+    which imposes c_(n-i) = (-1)^n c_i, it takes one more determinant,
+    P(x) at the first node of _node_list that _nodes does not use, and
+    compares it with sum c_i x^i: a polynomial interpolated from wrong
+    values, or one whose true coefficients are not symmetric, misses it.
+    """
+    _require_valid(p)
+    c = p.component(comp)
+    coeffs, interpolated = _kept_coefficients(c)
+    if not interpolated:
+        return True
+    dv = c.integral_form[1]
+    x = _node_list(len(dv) // 2 + 2)[-1]
+    return _value_at(dv, tuple(zip(*dv)), x) == sum(a * x**i for i, a in enumerate(coeffs))
 
 
 def delta2(p, comp):
@@ -347,10 +435,15 @@ def normalized(x, h):
     return {DERIVED: x, PAPER_LITERAL: h * x}
 
 
+@_kept
 def _case(p):
     """(b1, x) for the quantity the b1 case formulas read: Delta''(1) of
     the first component for b1 = 1, s for b1 = 2, mu^2 for b1 = 3 and 0
-    for b1 >= 4.  p is valid and has at least one component."""
+    for b1 >= 4.  p is valid and has at least one component.
+
+    Computed on first use and kept on p (ring._kept), so sato_levine,
+    milnor_mu_squared, lescop and floer.chi_closed_form, and every check
+    of verify that reads one of them, share one computation."""
     b1 = len(p.components)
     first = p.components[0]
     d, dv, ce = first.integral_form

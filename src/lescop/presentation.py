@@ -35,7 +35,10 @@ valid, its jet trace on first use and keeps all three (ring._kept).
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
 its input at no further cost and shares one scaling, one S^-1 and one
-trace per component.
+trace per component.  invariants keeps two values of its own on these
+records the same way: a component's Alexander coefficients
+(invariants.alexander_coefficients) and a presentation's case quantity
+(invariants._case).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ no arithmetic of HalfLaurent drops a zero term itself.
 Bareiss step over int rows, and its docstring states its contract.  Each
 elimination job has one function: ``determinant`` checks the rows a
 caller passes in, ``_scaled_inverse`` is the Gauss-Jordan of [M | I] on
-int rows the package builds, and ``invariants._alexander`` runs
+int rows the package builds, and ``invariants._coefficients`` runs
 ``_bareiss`` on its own int rows: once, on the rows of
 det(t dV - dV^T) at t = 2^K, whose digits are the Alexander
 coefficients, or, for long entries, once per interpolation node and once
@@ -101,7 +101,13 @@ class _Record:
 class _kept:
     """A method read as an attribute, computed on first read and kept in the
     instance dict: functools.cached_property without the lock that makes
-    each first read of one about twice as slow on CPython 3.11."""
+    each first read of one about twice as slow on CPython 3.11.
+
+    A module function of one record can be kept the same way: decorated,
+    it is called as before, f(obj), and keeps its value in obj's instance
+    dict under the function's name.  This is how a module keeps a value
+    on a record whose class it cannot name without an import cycle, such
+    as invariants._case on a presentation."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -111,6 +117,10 @@ class _kept:
             return self
         value = vars(obj)[self.name] = self.func(obj)
         return value
+
+    def __call__(self, obj):
+        kept = vars(obj)
+        return kept[self.name] if self.name in kept else self.__get__(obj)
 
 
 class HalfLaurent:

@@ -7,7 +7,7 @@ are counted too; given modules, it rebinds the names in those alone.
 
 import sys
 
-from lescop import floer, invariants, presentation, ring
+from lescop import cli, floer, invariants, presentation, ring
 from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import parse, serialize_chain
@@ -30,6 +30,7 @@ class Counter:
             self.callers.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
             return fn(*args, **kwargs)
 
+        self.counted = counted
         if modules is None:
             modules = [module for name, module in list(sys.modules.items())
                        if name == "lescop" or name.startswith("lescop.")]
@@ -85,7 +86,7 @@ def test_verify_validates_each_document_once(corpus_dir, tmp_path, monkeypatch, 
     assert len(components) == 40
     assert all(symplectic(c.seifert) for c in components)
     validate = Counter(monkeypatch, presentation.validate)
-    alexander = Counter(monkeypatch, invariants._alexander)
+    coefficients = Counter(monkeypatch, invariants._coefficients)
     interpolation = Interpolation(monkeypatch)
     inverse = skew_eliminations(monkeypatch)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
@@ -93,12 +94,14 @@ def test_verify_validates_each_document_once(corpus_dir, tmp_path, monkeypatch, 
     assert run(["verify", *files]) == 0
     capsys.readouterr()
     assert validate.calls == len(files)
-    assert alexander.calls == 49
+    # one polynomial per component and one blown-down polynomial for
+    # each of the 9 two-component documents
+    assert coefficients.calls == 49
     # every corpus matrix is below the packing threshold: one packed
     # elimination of n x n int rows for each Alexander polynomial of a
     # size-n matrix, never of HalfLaurent entries, and no solve; every
     # corpus S is symplectic, so S^-1 is read off it with no elimination
-    sizes = [len(dv) for _, dv, _ in alexander.args]
+    sizes = [len(dv) for (dv,) in coefficients.args]
     assert [n for _, n in interpolation.nodes] == sizes
     assert all(len(rows) == n and len(row) == n and type(x) is int
                for rows, n in interpolation.nodes for row in rows for x in row)
@@ -185,11 +188,11 @@ def test_an_invalid_form_takes_one_elimination(monkeypatch):
 def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch, capsys):
     """Rational Seifert and linking data become ints in
     presentation.integral_form alone: once per component, which keeps the
-    result, once per chain step, and once per bare matrix whose Alexander
-    polynomial is interpolated: in verify, the blown-down matrix of
-    z3-structure.  A component's polynomial comes from its kept form."""
+    result, and once per chain step.  A component's polynomial comes from
+    its kept form, and so does the blown-down polynomial of z3-structure,
+    which adds (cE)(cE)^T to it: verify scales no bare matrix."""
     scale = Counter(monkeypatch, presentation.integral_form)
-    alexander = Counter(monkeypatch, invariants._alexander)
+    coefficients = Counter(monkeypatch, invariants._coefficients)
     bare = Counter(monkeypatch, invariants.knot_alexander)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
@@ -201,8 +204,9 @@ def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch
     before = scale.calls
     assert run(["verify", *files]) == 0
     capsys.readouterr()
-    assert scale.calls - before == 40 + bare.calls == 49
-    assert alexander.calls == 49
+    assert scale.calls - before == 40
+    assert bare.calls == 0
+    assert coefficients.calls == 49
 
 
 def test_examples_list_builds_the_corpus_once(monkeypatch, capsys):
@@ -233,11 +237,48 @@ def test_casson_computes_the_ledger_once(tmp_path, monkeypatch, capsys):
     assert jet.calls == 3
 
 
+def test_two_component_verify_computes_each_value_once(corpus_dir, monkeypatch):
+    """On a two-component document verify computes the case quantity
+    once, for z3-structure, route-agreement and theorem1-consistency
+    alike, one coefficient tuple per component and one blown-down one,
+    and calls no knot_alexander; z3-structure builds no HalfLaurent."""
+    case = Counter(monkeypatch, invariants._case.func, modules=[])
+    monkeypatch.setattr(invariants._case, "func", case.counted)
+    coefficients = Counter(monkeypatch, invariants._coefficients)
+    blown_down = Counter(monkeypatch, invariants.blown_down_coefficients)
+    bare = Counter(monkeypatch, invariants.knot_alexander)
+    polynomials = 0
+    init = ring.HalfLaurent.__init__
+
+    def counted(self, terms=None):
+        nonlocal polynomials
+        polynomials += 1
+        init(self, terms)
+
+    monkeypatch.setattr(ring.HalfLaurent, "__init__", counted)
+    names = [name for name, doc in corpus().items() if len(doc.presentation.components) == 2]
+    assert len(names) == 9
+    for name in names:
+        doc = parse((corpus_dir / f"{name}.json").read_text())
+        before = case.calls, coefficients.calls, blown_down.calls
+        built = {}
+        for check, status, _ in cli._verify_checks(doc):
+            built[check] = polynomials
+            polynomials = 0
+            assert status != "fail", (name, check)
+        assert built["z3-structure"] == 0, name
+        assert "route-agreement" in built, name
+        counts = (case.calls - before[0], coefficients.calls - before[1],
+                  blown_down.calls - before[2])
+        assert counts == (1, 3, 1), name
+    assert bare.calls == 0
+
+
 def test_only_alexander_and_verify_compute_the_polynomial(
     corpus_dir, tmp_path, monkeypatch, capsys
 ):
     """chi, casson, lescop, sato-levine and mu2 read Delta''(1) off the jet."""
-    alexander = Counter(monkeypatch, invariants._alexander)
+    coefficients = Counter(monkeypatch, invariants._coefficients)
     interpolation = Interpolation(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
@@ -251,11 +292,11 @@ def test_only_alexander_and_verify_compute_the_polynomial(
             ran.add(command)
     capsys.readouterr()
     assert ran == {"chi", "lescop", "sato-levine", "mu2"}
-    assert alexander.calls == len(interpolation.nodes) == len(interpolation.solves) == 0
+    assert coefficients.calls == len(interpolation.nodes) == len(interpolation.solves) == 0
     assert run(["verify", str(corpus_dir / "trefoil-0.json")]) == 0
     assert run(["alexander", str(corpus_dir / "trefoil-0.json")]) == 0
     # the trefoil's 2 x 2 form takes one packed determinant per polynomial
-    assert (alexander.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 2, 0)
+    assert (coefficients.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 2, 0)
 
 
 def test_each_component_takes_one_jet_trace(corpus_dir, monkeypatch, capsys):

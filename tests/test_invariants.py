@@ -186,10 +186,12 @@ class TestAlexander:
                 knot_alexander(v)
                 assert bareiss.calls == expected, (n, bits)
         for g in range(5):
-            p = knot_surgery(random_seifert(rng, g))
+            v = random_seifert(rng, g)
             for bits, expected in ((default, [(2 * g, 2 * g, False)]), (-1, nodes(2 * g))):
                 monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
                 bareiss.calls.clear()
+                p = knot_surgery(v)  # a fresh component: each keeps its coefficients
+                alexander(p, "l1")
                 alexander(p, "l1")
                 assert bareiss.calls == expected, (g, bits)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lescop import floer, invariants, presentation, ring
+from lescop import floer, invariants, presentation
 from lescop.cli import run
 from lescop.corpus import corpus
 
@@ -69,6 +69,31 @@ def test_packed_last_pivot(corpus_dir, capsys, monkeypatch):
     )
 
 
+def test_node_last_pivot(corpus_dir, capsys, monkeypatch):
+    """Every polynomial forced onto the node path, and +1 on the last pivot
+    of each node determinant that the interpolation reads.  The node path
+    imposes the symmetry, so alexander-symmetry fails by the determinant
+    at the spare node, which the mutant leaves alone."""
+    bareiss = invariants._bareiss
+    nodes = []
+
+    def mutant(rows, n, jordan):
+        sign, last = bareiss(rows, n, jordan)
+        # the caller's caller: _nodes calls _value_at, which calls this
+        if not jordan and sys._getframe(2).f_code is invariants._nodes.__code__:
+            nodes.append(n)
+            last += 1
+        return sign, last
+
+    monkeypatch.setattr(invariants, "_PACKED_BITS", -1)
+    monkeypatch.setattr(invariants, "_bareiss", mutant)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert nodes
+    assert (code, failed) == (
+        1, {"alexander-symmetry", "alexander-at-one", "delta2-agreement", "z3-structure"}
+    )
+
+
 def test_leaf_traces(corpus_dir, capsys, monkeypatch):
     """Every triangle leaf after the first shifted by 4, in the blocks
     that the walk yields."""
@@ -87,12 +112,20 @@ def test_leaf_traces(corpus_dir, capsys, monkeypatch):
 
 
 def test_blown_down_alexander(corpus_dir, capsys, monkeypatch):
-    """z^2 added to the blown-down polynomial: its value at 1 is unchanged,
-    but its Delta''(1) jump no longer matches the Sato-Levine number."""
-    knot_alexander = invariants.knot_alexander
-    monkeypatch.setattr(
-        invariants, "knot_alexander", lambda *args: knot_alexander(*args) + ring.Z * ring.Z
-    )
+    """t^(n/2) z^2 = t^(n/2 - 1) (t - 1)^2 added to the blown-down
+    coefficients P': the polynomial's value at 1 is unchanged, but its
+    Delta''(1) jump no longer matches the Sato-Levine number."""
+    blown_down = invariants.blown_down_coefficients
+
+    def mutant(*args):
+        coeffs = list(blown_down(*args))
+        m = len(coeffs) // 2 - 1
+        assert m >= 0
+        for i, x in enumerate((1, -2, 1), m):
+            coeffs[i] += x
+        return tuple(coeffs)
+
+    monkeypatch.setattr(invariants, "blown_down_coefficients", mutant)
     code, failed = failed_checks(corpus_dir, capsys)
     assert (code, failed) == (1, {"z3-structure"})
 
