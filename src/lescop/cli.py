@@ -14,12 +14,20 @@ differs (alexander, sato-levine, lens, chi, verify and examples)
 passes its lines beside the payload.  Only `examples NAME` writes
 something else: a document, which is not a payload.
 
-The parser is built once per process.  run parses argv[1:] by the named
-subcommand's own parser, and argv by the top-level one only when argv[0]
-names no command or arguments are left over: the help, usage and errors
-of the two-level parse at half its cost.  Each subcommand is dispatched
-by name to the module's cmd_* function at call time, so rebinding one
-(as a tracer or a test does) takes effect on the next run.
+The parser is built once per process, and with it a table of the
+Actions that each subcommand's add_argument calls returned.  run builds
+the Namespace of a plain argv itself, from that table: every option an
+exact option string of the subcommand, given once; a value-taking one
+followed by one value that does not start with "-" and passes the
+option's own type and choices; every required option present; and the
+positionals one contiguous run, taken by a positional of one string or
+of one or more.  Any other argv (help, --opt=value, abbreviations, "--",
+"-", negative numbers, repeats, the optional NAME of examples, a value
+that fails) goes to the top-level parser's parse_args.  So argparse
+alone writes help, usage and errors, and both ways give the Namespace
+of the two-level parse.  Each subcommand is dispatched by name to the
+module's cmd_* function at call time, so rebinding one (as a tracer or a
+test does) takes effect on the next run.
 
 sato-levine and mu2 print the derived value the library returns, read
 in the normalization mode of invariants.normalized that _resolve_mode
@@ -433,58 +441,123 @@ def _build_parser():
         description="Exact invariants of 3-manifolds from surgery presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    declared = {}  # name -> the Actions that add_argument returned
 
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        return sp
+        actions = declared[name] = [
+            sp.add_argument("--json", action="store_true", help="machine-readable output")]
+        return lambda *names, **kwargs: actions.append(sp.add_argument(*names, **kwargs))
 
-    sp = add("alexander", "Alexander polynomial of a component")
-    sp.add_argument("file")
-    sp.add_argument("--component", help="component name (default: first)")
+    arg = add("alexander", "Alexander polynomial of a component")
+    arg("file")
+    arg("--component", help="component name (default: first)")
 
-    sp = add("lescop", "Lescop invariant of the presented manifold")
-    sp.add_argument("file")
+    arg = add("lescop", "Lescop invariant of the presented manifold")
+    arg("file")
 
-    sp = add("chi", "Euler characteristic of instanton Floer homology")
-    sp.add_argument("file")
-    sp.add_argument(
+    arg = add("chi", "Euler characteristic of instanton Floer homology")
+    arg("file")
+    arg(
         "--route",
         choices=("closed", "triangle", "both"),
         default="both",
         help="computation route (default: both, which cross-checks)",
     )
 
-    sp = add("sato-levine", "Sato-Levine invariant (2 components)")
-    sp.add_argument("file")
+    arg = add("sato-levine", "Sato-Levine invariant (2 components)")
+    arg("file")
 
-    sp = add("mu2", "squared triple linking number (3 components)")
-    sp.add_argument("file")
+    arg = add("mu2", "squared triple linking number (3 components)")
+    arg("file")
 
-    sp = add("casson", "Casson invariant of a +-1-surgery chain")
-    sp.add_argument("chainfile")
+    arg = add("casson", "Casson invariant of a +-1-surgery chain")
+    arg("chainfile")
 
-    sp = add("lens", "SU(2)-representation counting for Z/p")
-    sp.add_argument("--p", type=_integer, required=True)
+    arg = add("lens", "SU(2)-representation counting for Z/p")
+    arg("--p", type=_integer, required=True)
 
-    sp = add("verify", "run every applicable cross-check on files")
-    sp.add_argument("files", nargs="+")
+    arg = add("verify", "run every applicable cross-check on files")
+    arg("files", nargs="+")
 
-    sp = add("examples", "list or export built-in presentations")
-    sp.add_argument("name", nargs="?", help="print this example document")
-    sp.add_argument("--write", metavar="DIR", help="write all examples into DIR")
+    arg = add("examples", "list or export built-in presentations")
+    arg("name", nargs="?", help="print this example document")
+    arg("--write", metavar="DIR", help="write all examples into DIR")
 
-    parser.commands = sub.choices  # name -> the subcommand's parser, for run
+    # name -> (option string -> Action, positional, required, defaults) for
+    # each command whose Actions _matched can match: options that take one
+    # value or none, and a positional that takes one or more
+    parser.plain = {
+        name: (
+            {s: a for a in actions for s in a.option_strings},
+            next((a for a in actions if not a.option_strings), None),
+            {a for a in actions if a.required},
+            {a.dest: a.default for a in actions},  # no str default has a type to apply
+        )
+        for name, actions in declared.items()
+        if all(a.nargs in ((None, 0) if a.option_strings else (None, "+")) for a in actions)
+    }
     return parser
 
 
+def _value(action, text):
+    """text by the action's own type and choices, as argparse converts it;
+    where argparse reports an error, this raises one of the errors that
+    _matched catches."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(value)
+    return value
+
+
+def _matched(argv, options, positional, required, defaults):
+    """The Namespace of the two-level parse of argv when argv has a plain
+    shape (see run), else None.
+
+    An option stores its const when it takes no value (store_true), else
+    its value.  A second positional would be required and never seen, so
+    it matches no argv."""
+    args = argparse.Namespace(command=argv[0], **defaults)
+    seen, strings, closed = set(), [], False
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            action = options.get(token)
+            if action is None and token[:1] != "-" and not closed:
+                strings.append(token)  # a positional, in the one run of them
+                continue
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            closed = bool(strings)
+            if action.nargs == 0:
+                value = action.const
+            elif (value := next(tokens, "-"))[:1] == "-":
+                return None
+            else:
+                value = _value(action, value)
+            setattr(args, action.dest, value)
+        if strings:
+            if positional is None or positional.nargs is None and len(strings) > 1:
+                return None
+            values = [_value(positional, s) for s in strings]
+            setattr(args, positional.dest, values if positional.nargs else values[0])
+            seen.add(positional)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args if required <= seen else None
+
+
 def run(argv):
+    """Run the command that argv names and return its exit code.
+
+    A plain argv (see the module docstring) is matched against the
+    subcommand's declared Actions by _matched, with no argparse parse;
+    any other is parsed by argparse, which prints help, usage and errors
+    and exits with code 0 or 2."""
     parser = _build_parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if sub is None or rest:
-        args = parser.parse_args(argv)
+    plain = parser.plain.get(argv[0]) if argv else None
+    args = plain and _matched(argv, *plain) or parser.parse_args(argv)
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)

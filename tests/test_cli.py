@@ -1,5 +1,7 @@
 import argparse
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lescop
 from lescop import cli, floer, ring
@@ -31,6 +35,7 @@ from conftest import (
     split_link_document,
     with_fractional_symmetric_part,
 )
+from test_readme import COMMANDS as README_COMMANDS
 
 FLOAT_LITERAL = re.compile(r"\d\.\d|[eE][+-]\d")
 
@@ -601,8 +606,60 @@ class TestErrors:
         assert code == 2 and "unknown fields" in err
 
 
+COMMAND_NAMES = [name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")]
+
+VALUE_TOKENS = ["closed", "triangle", "both", "5", "x", "doc.json", "a.json", "trefoil-0"]
+# every option string, the forms that only argparse parses, choice values,
+# int values and file names
+ARGV_TOKENS = ["--json", "--component", "--route", "--p", "--write", "-h", "--help", "--jso",
+               "--rou", "--route=both", "--p=3", "--", "-", "-3", "", *VALUE_TOKENS]
+OWN_OPTIONS = {"alexander": ["--component"], "chi": ["--route"], "lens": ["--p"],
+               "examples": ["--write"]}
+
+
+@st.composite
+def argvs(draw):
+    """A command name and 0-5 tokens: up to two values, some of the
+    command's options put in among them, each but --json with a value,
+    and up to two tokens of ARGV_TOKENS put in or swapped in, so that
+    argv often has a plain shape or is one token away from one."""
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    value = st.sampled_from(VALUE_TOKENS)
+    tokens = draw(st.lists(value, max_size=2))
+    for option in ["--json", *OWN_OPTIONS.get(name, [])]:
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(tokens)))
+            tokens[i:i] = [option] if option == "--json" else [option, draw(value)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        tokens[i:i + draw(st.integers(0, 1))] = [draw(st.sampled_from(ARGV_TOKENS))]
+    return [name, *tokens[:5]]
+
+
+def dispatch_and_two_level_parse(argv):
+    """The outcomes of run(argv), with every command replaced by one that
+    returns the Namespace it is handed, and of the top-level parser's
+    parse_args(argv): each a Namespace or ("exit", code), with the text
+    written to stdout and stderr."""
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = parse(list(argv))
+            except SystemExit as e:
+                result = ("exit", e.code)
+        return result, out.getvalue(), err.getvalue()
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in COMMAND_NAMES:
+            mp.setattr(cli, f"cmd_{name.replace('-', '_')}", lambda args: args)
+        dispatched = outcome(run)
+    return dispatched, outcome(cli._build_parser().parse_args)
+
+
 class TestParser:
-    """The parser is built once per process; commands dispatch by name."""
+    """The parser is built once per process; a plain argv is matched
+    without argparse, any other parsed by it; commands dispatch by name."""
 
     def test_second_run_builds_no_parser(self, monkeypatch, capsys):
         built = []
@@ -641,32 +698,79 @@ class TestParser:
         ["chi", "doc.json", "--bogus"], ["chi", "doc.json", "--route=both"],
         ["chi", "--route", "closed", "doc.json", "--json"], ["lens", "--p", "3", "--jso"],
         ["examples"], ["sato-levine", "doc.json", "doc.json"],
+        ["lens", "--json"], ["lens", "--p", "-3"], ["verify", "a.json", "--json", "b.json"],
+        ["chi", "doc.json", "--json", "--json"],
+        ["chi", "doc.json", "--route", "both", "--route", "closed"],
+        ["alexander", "doc.json", "--component"], ["alexander", "doc.json", "--component", "--json"],
+        ["examples", "--write", "d", "trefoil-0"],
     ])
-    def test_dispatch_matches_the_two_level_parse(self, argv, monkeypatch, capsys):
-        """run parses argv with the subcommand's own parser where it can;
-        its exit code, output and Namespace are those of the top-level
-        parser's parse_args."""
-        seen = []
-        for name in cli._build_parser().commands:
-            monkeypatch.setattr(cli, f"cmd_{name.replace('-', '_')}",
-                                lambda args: seen.append(args) or 0)
-
-        def outcome(parse):
-            try:
-                result = parse(list(argv))
-            except SystemExit as e:
-                result = ("exit", e.code)
-            captured = capsys.readouterr()
-            return result, captured.out, captured.err
-
-        dispatched = outcome(run)
-        two_level = outcome(cli._build_parser().parse_args)
-        if dispatched[0] == 0:  # run called the command
-            dispatched = (seen.pop(), *dispatched[1:])
+    def test_dispatch_matches_the_two_level_parse(self, argv):
+        """run matches a plain argv against the subcommand's declared
+        actions and hands any other to argparse; its exit code, output and
+        Namespace are those of the top-level parser's parse_args."""
+        dispatched, two_level = dispatch_and_two_level_parse(argv)
         assert dispatched == two_level
-        assert seen == []
         if argv == ["lens", "--p", "3", "extra"]:
             assert two_level[2].splitlines()[-1] == "lescop: error: unrecognized arguments: extra"
+        if argv == ["lens", "--json"]:
+            assert two_level[2].splitlines()[-1] == (
+                "lescop lens: error: the following arguments are required: --p")
+
+    @given(argvs())
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    def test_run_parses_every_argv_as_the_two_level_parse(self, argv):
+        dispatched, two_level = dispatch_and_two_level_parse(argv)
+        assert dispatched == two_level
+
+    @staticmethod
+    def count_argparse_parses(monkeypatch):
+        """The list that each call of ArgumentParser.parse_known_args or
+        parse_args appends its name to, from now on."""
+        calls = []
+
+        def counted(method):
+            original = getattr(argparse.ArgumentParser, method)
+
+            def parse(self, *args, **kwargs):
+                calls.append(method)
+                return original(self, *args, **kwargs)
+            return parse
+
+        for method in ("parse_known_args", "parse_args"):
+            monkeypatch.setattr(argparse.ArgumentParser, method, counted(method))
+        return calls
+
+    def test_plain_argv_reaches_no_argparse_parse(self, tmp_path, monkeypatch, capsys):
+        """The workloads' argv shapes and README's command lines other than
+        `examples` are matched without argparse."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("LESCOP_NORMALIZATION", raising=False)
+        assert run(["examples", "--write", "examples"]) == 0
+        Path("chain.json").write_text('[{"seifert": [["-1", "1"], ["0", "-1"]], "sign": -1}]')
+        calls = self.count_argparse_parses(monkeypatch)
+        commands = [
+            ["chi", "examples/ribbon-s1.json", "--route", "both", "--json"],
+            ["verify", "--json", "examples/trefoil-0.json", "examples/km-trefoil.json"],
+            ["alexander", "examples/trefoil-0.json", "--json"],
+            ["casson", "chain.json", "--json"],
+            ["lens", "--p", "7", "--json"],
+            *(argv[1:] for argv, _ in README_COMMANDS if argv[1] != "examples"),
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert len(commands) == 13 and calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["chi", "doc.json", "--route=both"], ["lens", "--p", "3", "--jso"],
+        ["lens", "--json"],
+    ])
+    def test_other_argv_reaches_argparse(self, argv, monkeypatch, capsys):
+        calls = self.count_argparse_parses(monkeypatch)
+        with contextlib.suppress(SystemExit):
+            run(argv)
+        capsys.readouterr()
+        assert "parse_args" in calls
 
     def test_split_link_routes_agree(self, tmp_path, capsys):
         f = tmp_path / "split.json"
