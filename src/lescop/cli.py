@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a mathematical invariant or cross-route
 agreement fails, 2 on input errors (malformed documents, unknown
-components, bad arguments).  Diagnostics go to standard error.
+components, bad arguments) and when the reader of standard output has
+closed (see main).  Diagnostics go to standard error.
 
 Each subcommand states its result once, as a JSON payload in which all
 exact rationals are strings ("a/b") and all integers are JSON integers,
@@ -12,7 +13,9 @@ payload; otherwise it prints the human form, by default one
 "key = value" line per payload field.  A subcommand whose human form
 differs (alexander, sato-levine, lens, chi, verify and examples)
 passes its lines beside the payload.  Only `examples NAME` writes
-something else: a document, which is not a payload.
+something else: a document, which is not a payload.  verify keeps only
+the loop over its files and the formatting: each file's checks are the
+records of floer.cross_checks.
 
 The parser is built once per process, and with it a table of the
 Actions that each subcommand's add_argument calls returned.  run builds
@@ -63,10 +66,6 @@ class CliInputError(Exception):
 
 def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
-
-
-def _poly_json(p):
-    return {ring.exponent_str(k): str(c) for k, c in p.terms.items()}
 
 
 def _emit(args, payload, lines=None):
@@ -132,7 +131,7 @@ def cmd_alexander(args):
         args,
         {
             "component": comp,
-            "alexander": _poly_json(poly),
+            "alexander": {ring.exponent_str(k): str(c) for k, c in poly.terms.items()},
             "display": display,
             "delta2_at_1": d2,
         },
@@ -249,146 +248,22 @@ def cmd_lens(args):
     return EXIT_OK
 
 
-def _z3_structure(before, after, s):
-    """Whether z^3 divides Delta_after - (1 + s z^2) Delta_before, from the
-    int coefficients P = before and P' = after of det(t dV - dV^T) for the
-    first component's kept form and for its blown-down form
-    dV + (cE)(cE)^T, and s = a/b in lowest terms.
-
-    Both forms have the same d and size n, so with z^2 = (t - 1)^2 / t and
-    the unit u = h t^(-n/2) / d^n the residue is u (P' - (1 + s z^2) P),
-    and multiplying it by the further unit b t leaves
-    Q = t (b P' - (b + a z^2) P) = b t (P' - P) - a (t - 1)^2 P,
-    an int polynomial in t.  Units change no divisibility, and
-    z^3 = t^(-3/2) (t - 1)^3, so z^3 divides the residue exactly when
-    (t - 1)^3 divides Q (the roots t^(1/2) = +-1 of z^3 both map to
-    t = 1, each with its multiplicity), that is when
-    Q(1) = Q'(1) = Q''(1) = 0.  With D = P' - P, and (t - 1)^2 P
-    contributing only 2 P(1) to Q''(1), these are
-
-        Q(1) = b D(1),  Q'(1) = b (D(1) + D'(1)),
-        Q''(1) = b (2 D'(1) + D''(1)) - 2 a P(1),
-
-    three int sums over the coefficients: the verdict of
-    ring.divides_z_power(residue, 3) with no HalfLaurent or Fraction.
-    """
-    a, b = s.numerator, s.denominator
-    diff = [x - y for x, y in zip(after, before)]
-    d0 = sum(diff)
-    d1 = sum(i * x for i, x in enumerate(diff))
-    d2 = sum(i * (i - 1) * x for i, x in enumerate(diff))
-    return b * d0 == b * (d0 + d1) == b * (2 * d1 + d2) - 2 * a * sum(before) == 0
-
-
-def _verify_checks(doc):
-    """Run every applicable cross-check; yields (name, status, detail).
-
-    Validation comes first, and the presentation keeps its result, so the
-    public functions the checks after it call do not validate again.  A
-    non-integral chi fails route-agreement and ends this document's checks.
-
-    Each component's Alexander checks read the int coefficients that it
-    keeps, and alexander-symmetry compares them with their mirror; on the
-    node path, which imposes that symmetry, it also compares them with
-    one more determinant (invariants.spare_node_agrees).  z3-structure
-    tests (t - 1)^3 | Q on ints (see _z3_structure), with s from the
-    case quantity that the presentation keeps for the closed form and
-    lescop too.
-    """
-    p = doc.presentation
-    n = len(p.components)
-    h = p.base_order
-
-    if p.violations:
-        yield "validate", "fail", "; ".join(p.violations)
-        return
-    yield "validate", "pass", f"{n} components, base order {h}"
-
-    for c in p.components:
-        poly = invariants.alexander(p, c.name)
-        coeffs = invariants.alexander_coefficients(p, c.name)
-        sym = coeffs == coeffs[::-1] and invariants.spare_node_agrees(p, c.name)
-        yield (
-            f"alexander-symmetry[{c.name}]",
-            "pass" if sym else "fail",
-            str(poly),
-        )
-        at_one = poly.eval_at_one()
-        yield (
-            f"alexander-at-one[{c.name}]",
-            "pass" if at_one == h else "fail",
-            f"{at_one} (expected {h})",
-        )
-        jet, d2 = invariants.delta2(p, c.name), poly.second_derivative_at_one()
-        detail = f"polynomial = {d2}, jet = {jet}"
-        yield f"delta2-agreement[{c.name}]", "pass" if d2 == jet else "fail", detail
-
-    if n == 2:
-        c1, c2 = p.components
-        s = invariants.sato_levine(p)
-        before = invariants.alexander_coefficients(p, c1.name)
-        ok = _z3_structure(before, invariants.blown_down_coefficients(p, c1.name, c2.name), s)
-        yield "z3-structure", "pass" if ok else "fail", f"s = {s}"
-
-    if n >= 1:
-        bundle = _bundle(doc)
-        try:
-            closed = floer.chi_closed_form(p, bundle)
-            triangle = floer.chi_via_triangle(p, bundle)
-        except floer.NonIntegralChiError as e:
-            yield "route-agreement", "fail", str(e)
-            return
-        agree = closed.chi == triangle.chi
-        yield (
-            "route-agreement",
-            "pass" if agree else "fail",
-            f"closed_form = {closed.chi}, triangle = {triangle.chi}",
-        )
-
-        if h == 1 or n not in (2, 3):
-            lam = invariants.lescop(p)
-            predicted = floer.lescop_to_chi(lam, n, h)
-            ok = predicted == closed.chi
-            yield (
-                "theorem1-consistency",
-                "pass" if ok else "fail",
-                f"lescop = {lam} predicts chi = {predicted}, closed form = {closed.chi}",
-            )
-        else:
-            yield (
-                "theorem1-consistency",
-                "skip",
-                "normalization of the case formulas is ambiguous for "
-                f"b1 = {n} with torsion order {h} > 1",
-            )
-
-        if n <= 6:
-            # chi never reads w2, so the closed-form value above holds for
-            # every admissible bundle, each a nonzero 0/1 vector of length n.
-            yield (
-                "bundle-independence",
-                "pass",
-                f"{2**n - 1} admissible bundles, chi values {[closed.chi]}",
-            )
-
-
 def cmd_verify(args):
     results = []
     for path in args.files:
         doc = _load_document(path)
-        checks = [{"name": n, "status": s, "detail": d} for n, s, d in _verify_checks(doc)]
-        results.append({"file": str(path), "checks": checks})
+        checks = floer.cross_checks(doc.presentation, _bundle(doc))
+        results.append({"file": str(path), "checks": [
+            {"name": n, "status": s, "detail": d} for n, s, d in checks]})
     ok = all(c["status"] != "fail" for res in results for c in res["checks"])
-    # a generator, so that --json formats no line
-    lines = (
-        line
-        for res in results
-        for line in (
-            f"{res['file']}:",
-            *(f"  {c['name']}: {c['status'].upper()} ({c['detail']})" for c in res["checks"]),
-        )
-    )
-    _emit(args, {"ok": ok, "results": results}, lines)
+
+    def lines():  # a generator, so that --json formats no line
+        for res in results:
+            yield f"{res['file']}:"
+            for c in res["checks"]:
+                yield f"  {c['name']}: {c['status'].upper()} ({c['detail']})"
+
+    _emit(args, {"ok": ok, "results": results}, lines())
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -589,7 +464,19 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """Exit with the code of run on the command line's arguments.  When the
+    reader of standard output has closed, exit with code 2 and one error
+    line instead; stdout is pointed at os.devnull first, so that the
+    interpreter's last flush of it writes nothing (see the note on
+    SIGPIPE in the documentation of the signal module)."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a buffered result meets a closed reader here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _err("cannot write the result: standard output is closed")
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -68,7 +68,9 @@ zero, blowing its component down changes nothing, the two terms of its
 triangle are equal, and the route returns 0 without a walk, so a split
 link costs nothing however many components it has.
 The two routes agreeing on every input is the principal cross-check of
-this package.
+this package.  cross_checks runs it, with the checks of the Alexander
+polynomials, the z^3 structure and the Lescop invariant that the verify
+command reports.
 
 Each route is one public function that checks its presentation and
 bundle itself.  The presentation keeps its violations once validated, so
@@ -88,6 +90,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul, sub
 
+from . import invariants
 from .invariants import (
     WrongComponentCountError,
     _case,
@@ -340,6 +343,97 @@ def chi_to_lescop(chi, b1, h):
     if b1 == 1:
         return Fraction(-chi, 2) - Fraction(h, 12)
     return Fraction((-1) ** b1, 2) * h * chi
+
+
+def cross_checks(p, bundle=None):
+    """Run every applicable cross-check on p; yields (name, status, detail).
+
+    Validation comes first, and the presentation keeps its result, so the
+    public functions the checks after it call do not validate again.  A
+    non-integral chi fails route-agreement and ends the checks.
+
+    Each component's Alexander checks read the int coefficients that it
+    keeps, and alexander-symmetry compares them with their mirror; on the
+    node path, which imposes that symmetry, it also compares them with
+    one more determinant (invariants._spare_node_agrees).  z3-structure
+    tests (t - 1)^3 | Q on ints (see invariants._z3_structure), with s
+    from the case quantity that the presentation keeps for the closed
+    form and lescop too.  The helpers are read as invariants attributes,
+    so that rebinding one there reaches these checks.
+    """
+    n = len(p.components)
+    h = p.base_order
+
+    if p.violations:
+        yield "validate", "fail", "; ".join(p.violations)
+        return
+    yield "validate", "pass", f"{n} components, base order {h}"
+
+    for c in p.components:
+        poly = invariants.alexander(p, c.name)
+        coeffs = invariants._kept_coefficients(c)[0]
+        sym = coeffs == coeffs[::-1] and invariants._spare_node_agrees(c)
+        yield (
+            f"alexander-symmetry[{c.name}]",
+            "pass" if sym else "fail",
+            str(poly),
+        )
+        at_one = poly.eval_at_one()
+        yield (
+            f"alexander-at-one[{c.name}]",
+            "pass" if at_one == h else "fail",
+            f"{at_one} (expected {h})",
+        )
+        jet, d2 = invariants.delta2(p, c.name), poly.second_derivative_at_one()
+        detail = f"polynomial = {d2}, jet = {jet}"
+        yield f"delta2-agreement[{c.name}]", "pass" if d2 == jet else "fail", detail
+
+    if n == 2:
+        c1, c2 = p.components
+        s = invariants.sato_levine(p)
+        before = invariants._kept_coefficients(c1)[0]
+        ok = invariants._z3_structure(before, invariants._blown_down_coefficients(c1, c2.name), s)
+        yield "z3-structure", "pass" if ok else "fail", f"s = {s}"
+
+    if n >= 1:
+        try:
+            closed = chi_closed_form(p, bundle)
+            triangle = chi_via_triangle(p, bundle)
+        except NonIntegralChiError as e:
+            yield "route-agreement", "fail", str(e)
+            return
+        agree = closed.chi == triangle.chi
+        yield (
+            "route-agreement",
+            "pass" if agree else "fail",
+            f"closed_form = {closed.chi}, triangle = {triangle.chi}",
+        )
+
+        if h == 1 or n not in (2, 3):
+            lam = invariants.lescop(p)
+            predicted = lescop_to_chi(lam, n, h)
+            ok = predicted == closed.chi
+            yield (
+                "theorem1-consistency",
+                "pass" if ok else "fail",
+                f"lescop = {lam} predicts chi = {predicted}, closed form = {closed.chi}",
+            )
+        else:
+            yield (
+                "theorem1-consistency",
+                "skip",
+                "normalization of the case formulas is ambiguous for "
+                f"b1 = {n} with torsion order {h} > 1",
+            )
+
+        if n <= 6:
+            # chi never reads w2, so the closed-form value above holds for
+            # every admissible bundle, each a nonzero 0/1 vector of length n.
+            yield (
+                "bundle-independence",
+                "pass",
+                f"{2**n - 1} admissible bundles, chi values {[closed.chi]}",
+            )
 
 
 def reduced_knot_chi(chi):

@@ -16,10 +16,11 @@ coefficients repeat the first, up to the sign (-1)^n.  Each determinant,
 and the solve for the free coefficients, is a ring._bareiss elimination
 of int rows built here; no elimination runs over the half-Laurent ring.
 The coefficients are ints, c_0 .. c_n of det(t dV - dV^T), and each
-Component keeps its tuple of them (alexander_coefficients): alexander
-and every check of the verify command read that one tuple, and the
-blown-down polynomial of verify's z^3 check comes from the same form
-plus (cE)(cE)^T, also as ints (blown_down_coefficients).  The other
+Component keeps its tuple of them (_kept_coefficients): alexander
+and every check of floer.cross_checks read that one tuple, and the
+blown-down polynomial of its z^3 check comes from the same form plus
+(cE)(cE)^T, also as ints (_blown_down_coefficients), which _z3_structure
+compares with it by three int sums.  The other
 invariants need only its second derivative at 1 and how that jumps
 under blow-down, and read them off the jet of the determinant at t = 1
 instead.  With
@@ -158,7 +159,7 @@ def knot_alexander(seifert, base_order=1):
     matrix of 100-digit entries it was 0.06x as fast.  Both paths give
     the same polynomial, but only the packed one computes its symmetry
     rather than imposing it.  alexander reads the coefficients that a
-    component keeps (alexander_coefficients).
+    component keeps (_kept_coefficients).
 
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
@@ -205,7 +206,7 @@ def _coefficients(dv):
 
     The node path (_nodes) interpolates the floor(n/2) + 1 free
     coefficients from as many smaller determinants, and imposes the
-    symmetry; spare_node_agrees is the check that can fail there.  One
+    symmetry; _spare_node_agrees is the check that can fail there.  One
     determinant of long entries costs more than several of short ones
     once P(X) grows long, so the choice is made on n K,
     the bits of X^n that P(X) spans, not on n alone: the packed path
@@ -233,11 +234,9 @@ def _digit_bits(dv, dvt):
 
 def _packed(dv, dvt, k):
     """c_0 .. c_n of P(t) = det(t dV - dV^T) as the balanced base-2^k
-    digits of P(2^k), one ring._bareiss on the int rows 2^k dV - dV^T."""
+    digits of P(2^k), which _value_at takes."""
     n = len(dv)
-    rows = [[(a << k) - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)]
-    sign, last = _bareiss(rows, n, False)
-    v = sign * last
+    v = _value_at(dv, dvt, 1 << k)
     mask, half, x = (1 << k) - 1, 1 << (k - 1), 1 << k
     coeffs = []
     for _ in range(n + 1):
@@ -307,52 +306,36 @@ def alexander(p, comp):
     Only the component's own Seifert matrix and the homology order enter;
     the other components are 0-framed and do not affect it.  It is built
     from the int coefficients that the component keeps (see
-    alexander_coefficients).
+    _kept_coefficients).
     """
     _require_valid(p)
     c = p.component(comp)
     return _alexander(c.integral_form[0], _kept_coefficients(c)[0], p.base_order)
 
 
-def alexander_coefficients(p, comp):
-    """The int coefficients c_0 .. c_n of P(t) = det(t dV - dV^T), for the
-    kept integral form (d, dV) of the named component, as a tuple:
-    alexander(p, comp) is h t^(-n/2) P(t) / d^n.
-
-    The component keeps them, so alexander and every check of the verify
-    command share one computation.
-
-    >>> from lescop.presentation import TREFOIL, Component, SurgeryPresentation
-    >>> alexander_coefficients(SurgeryPresentation(1, (Component("k", TREFOIL, {}),)), "k")
-    (1, -1, 1)
-    """
-    _require_valid(p)
-    return _kept_coefficients(p.component(comp))[0]
-
-
 @_kept
 def _kept_coefficients(c):
     """_coefficients of the component c's kept integral form, computed on
     first use and kept on c (ring._kept), with whether they were
-    interpolated."""
+    interpolated: alexander and every check of floer.cross_checks share
+    one computation."""
     return _coefficients(c.integral_form[1])
 
 
-def blown_down_coefficients(p, comp, other):
-    """alexander_coefficients of the component comp after (-1)-surgery on
-    the component other: the int coefficients of det(t dV' - dV'^T) for
-    dV' = dV + (cE)(cE)^T, cE being comp's kept linking vector against
+def _blown_down_coefficients(c, other):
+    """The kept coefficients of the component c after (-1)-surgery on the
+    component named other: the int coefficients of det(t dV' - dV'^T) for
+    dV' = dV + (cE)(cE)^T, cE being c's kept linking vector against
     other.  The form keeps its d, since d (V + E E^T) = dV + (cE)(cE)^T,
     so knot_alexander of the blown-down Seifert matrix V + E E^T is
     h t^(-n/2) P'(t) / d^n for these coefficients of P'."""
-    _require_valid(p)
-    _, dv, ce = p.component(comp).integral_form
-    e = ce[p.component(other).name]
+    _, dv, ce = c.integral_form
+    e = ce[other]
     return _coefficients([[x + a * b for x, b in zip(row, e)] for row, a in zip(dv, e)])[0]
 
 
-def spare_node_agrees(p, comp):
-    """Whether the named component's kept coefficients agree with
+def _spare_node_agrees(c):
+    """Whether the component c's kept coefficients agree with
     P(x) = det(x dV - dV^T) at a node that their interpolation did not use.
 
     On the packed path nothing is imposed on the coefficients, and a
@@ -363,14 +346,43 @@ def spare_node_agrees(p, comp):
     compares it with sum c_i x^i: a polynomial interpolated from wrong
     values, or one whose true coefficients are not symmetric, misses it.
     """
-    _require_valid(p)
-    c = p.component(comp)
     coeffs, interpolated = _kept_coefficients(c)
     if not interpolated:
         return True
     dv = c.integral_form[1]
     x = _node_list(len(dv) // 2 + 2)[-1]
     return _value_at(dv, tuple(zip(*dv)), x) == sum(a * x**i for i, a in enumerate(coeffs))
+
+
+def _z3_structure(before, after, s):
+    """Whether z^3 divides Delta_after - (1 + s z^2) Delta_before, from the
+    int coefficients P = before and P' = after of det(t dV - dV^T) for a
+    component's kept form and for its blown-down form dV + (cE)(cE)^T,
+    and s = a/b in lowest terms.
+
+    Both forms have the same d and size n, so with z^2 = (t - 1)^2 / t and
+    the unit u = h t^(-n/2) / d^n the residue is u (P' - (1 + s z^2) P),
+    and multiplying it by the further unit b t leaves
+    Q = t (b P' - (b + a z^2) P) = b t (P' - P) - a (t - 1)^2 P,
+    an int polynomial in t.  Units change no divisibility, and
+    z^3 = t^(-3/2) (t - 1)^3, so z^3 divides the residue exactly when
+    (t - 1)^3 divides Q (the roots t^(1/2) = +-1 of z^3 both map to
+    t = 1, each with its multiplicity), that is when
+    Q(1) = Q'(1) = Q''(1) = 0.  With D = P' - P, and (t - 1)^2 P
+    contributing only 2 P(1) to Q''(1), these are
+
+        Q(1) = b D(1),  Q'(1) = b (D(1) + D'(1)),
+        Q''(1) = b (2 D'(1) + D''(1)) - 2 a P(1),
+
+    three int sums over the coefficients: the verdict of
+    ring.divides_z_power(residue, 3) with no HalfLaurent or Fraction.
+    """
+    a, b = s.numerator, s.denominator
+    diff = [x - y for x, y in zip(after, before)]
+    d0 = sum(diff)
+    d1 = sum(i * x for i, x in enumerate(diff))
+    d2 = sum(i * (i - 1) * x for i, x in enumerate(diff))
+    return b * d0 == b * (d0 + d1) == b * (2 * d1 + d2) - 2 * a * sum(before) == 0
 
 
 def delta2(p, comp):
@@ -443,7 +455,7 @@ def _case(p):
 
     Computed on first use and kept on p (ring._kept), so sato_levine,
     milnor_mu_squared, lescop and floer.chi_closed_form, and every check
-    of verify that reads one of them, share one computation."""
+    of floer.cross_checks that reads one of them, share one computation."""
     b1 = len(p.components)
     first = p.components[0]
     d, dv, ce = first.integral_form

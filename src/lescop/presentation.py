@@ -37,7 +37,7 @@ violations and keeps the result, so every invariant downstream can check
 its input at no further cost and shares one scaling, one S^-1 and one
 trace per component.  invariants keeps two values of its own on these
 records the same way: a component's Alexander coefficients
-(invariants.alexander_coefficients) and a presentation's case quantity
+(invariants._kept_coefficients) and a presentation's case quantity
 (invariants._case).
 """
 

@@ -245,7 +245,7 @@ def test_two_component_verify_computes_each_value_once(corpus_dir, monkeypatch):
     case = Counter(monkeypatch, invariants._case.func, modules=[])
     monkeypatch.setattr(invariants._case, "func", case.counted)
     coefficients = Counter(monkeypatch, invariants._coefficients)
-    blown_down = Counter(monkeypatch, invariants.blown_down_coefficients)
+    blown_down = Counter(monkeypatch, invariants._blown_down_coefficients)
     bare = Counter(monkeypatch, invariants.knot_alexander)
     polynomials = 0
     init = ring.HalfLaurent.__init__
@@ -262,7 +262,7 @@ def test_two_component_verify_computes_each_value_once(corpus_dir, monkeypatch):
         doc = parse((corpus_dir / f"{name}.json").read_text())
         before = case.calls, coefficients.calls, blown_down.calls
         built = {}
-        for check, status, _ in cli._verify_checks(doc):
+        for check, status, _ in floer.cross_checks(doc.presentation, cli._bundle(doc)):
             built[check] = polynomials
             polynomials = 0
             assert status != "fail", (name, check)

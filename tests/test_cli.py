@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,25 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lescop
-from lescop import cli, floer, ring
+from lescop import cli, floer
 from lescop.cli import run
 from lescop.corpus import corpus
-from lescop.documents import parse
-from lescop.invariants import (
-    alexander_coefficients,
-    blown_down_coefficients,
-    knot_alexander,
-    sato_levine,
-)
-from lescop.presentation import Component, SurgeryPresentation, rank_one_update, validate
-from lescop.ring import divides_z_power
+from lescop.documents import PresentationDocument, parse, serialize
 
 from conftest import (
     dense_knot_document,
-    random_seifert,
+    random_presentation,
+    rational_presentation,
     seeded,
     split_link_document,
-    with_fractional_symmetric_part,
 )
 from test_readme import COMMANDS as README_COMMANDS
 
@@ -333,6 +324,51 @@ class TestVerify:
         names = {c["name"] for c in data["results"][0]["checks"]}
         assert "route-agreement" in names and "bundle-independence" in names
 
+    def test_library_checks_are_the_printed_checks(self, tmp_path, capsys):
+        """floer.cross_checks(p) yields the checks that `verify --json`
+        prints for the serialized document, record for record: on
+        integral presentations of b1 = 1 to 5 over h = 1, 2 and 3, where
+        none fails, and on rational ones over h = 2.  Random rational data
+        need not present a manifold, so there the one failure allowed is
+        a route-agreement that found a non-integral chi."""
+        rng = seeded(3232)
+        cases = [(random_presentation(rng, b1, h=h), False)
+                 for b1 in range(1, 6) for h in (1, 2, 3) for _ in range(2)]
+        cases += [(rational_presentation(rng, b1), True) for b1 in range(1, 6) for _ in range(2)]
+        for i, (p, rational) in enumerate(cases):
+            path = tmp_path / f"{i}.json"
+            path.write_text(serialize(PresentationDocument(p)))
+            code, out, _ = invoke(capsys, "verify", "--json", str(path))
+            records = [{"name": n, "status": s, "detail": d} for n, s, d in floer.cross_checks(p)]
+            failed = [r for r in records if r["status"] == "fail"]
+            assert json.loads(out)["results"][0]["checks"] == records, p
+            assert code == (1 if failed else 0), p
+            assert failed == [] or rational and [r["name"] for r in failed] == ["route-agreement"]
+            assert all("non-integral chi" in r["detail"] for r in failed), p
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_closed_reader_exits_2_with_one_line(self, corpus_dir, buffered):
+        """verify into a pipe whose reader has already closed: exit 2 and
+        one error line, with no traceback and no "Exception ignored" from
+        the interpreter's last flush, whether stdout is buffered or not."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(lescop.__file__).resolve().parents[1])
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lescop", "verify",
+                 *sorted(str(f) for f in corpus_dir.glob("*.json"))],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
     def test_invalid_presentation_fails(self, tmp_path, capsys):
         doc = {
             "format_version": 1,
@@ -384,72 +420,6 @@ class TestVerify:
             assert out.startswith(f"{good}:\n") and f"\n{bad}:\n" in out
             assert out.count("FAIL") == 1
             assert out.endswith(f"  route-agreement: FAIL ({detail})\n")
-
-
-class TestZ3Structure:
-    """cli._z3_structure, the (t - 1)^3 test on int coefficients, against
-    the HalfLaurent residue after - (1 + s z^2) before that z3-structure
-    formed before, with after interpolated from the blown-down rational
-    Seifert matrix V + E E^T."""
-
-    @staticmethod
-    def presentations(count=320):
-        """Two-component presentations, h in 1..4, the first component of
-        genus 0 to 6: integral, or, when h > 1, with a fractional symmetric
-        part and fractional linking vectors, so that d > 1."""
-        rng = seeded(3030)
-        for k in range(count):
-            h = rng.choice((1, 2, 3, 4))
-            g = k % 7
-            v = random_seifert(rng, g)
-            denominators = (1,)
-            if h > 1 and k % 2:
-                v = with_fractional_symmetric_part(rng, v)
-                denominators = (1, 2, 3, 7)
-            e = tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
-            g2 = rng.randint(0, 2)
-            yield SurgeryPresentation(h, (
-                Component("l1", v, {"l2": e}),
-                Component("l2", random_seifert(rng, g2),
-                          {"l1": tuple(Fraction(rng.randint(-3, 3)) for _ in range(2 * g2))}),
-            ))
-
-    def test_matches_the_half_laurent_residue(self):
-        fractional = 0
-        for p in self.presentations():
-            assert validate(p) == [], p
-            h, first = p.base_order, p.components[0]
-            d = first.integral_form[0]
-            fractional += d > 1
-            v, e = first.seifert, first.linking["l2"]
-            before = knot_alexander(v, h)
-            after = knot_alexander(rank_one_update(v, e, -1), h)
-            s = sato_levine(p)
-
-            def former(after=after, s=s):
-                return divides_z_power(after - (ring.ONE + s * ring.Z * ring.Z) * before, 3)
-
-            p0 = alexander_coefficients(p, "l1")
-            p1 = blown_down_coefficients(p, "l1", "l2")
-            assert len(p0) == len(p1) == len(v) + 1
-            assert cli._z3_structure(p0, p1, s) is former() is True, p
-            # a polynomial B added to P', over two more (zero) coefficients
-            # of each polynomial, and h t^(-n/2) B / d^n added to after:
-            # (t - 1)^2 = t z^2, and two that fail exactly one of
-            # Q(1) = 0, Q'(1) = 0 and Q''(1) = 0 (the other two hold)
-            n = len(v)
-            for bump in ((1, -2, 1), (-2, 3, -1), (3, -3, 1)):
-                bumped = [*p1, 0, 0]
-                for i, x in enumerate(bump):
-                    bumped[i] += x
-                assert not cli._z3_structure([*p0, 0, 0], bumped, s), (p, bump)
-                extra = ring.HalfLaurent({2 * i - n: Fraction(h * x, d**n)
-                                          for i, x in enumerate(bump)})
-                assert not former(after=after + extra), (p, bump)
-            for wrong in (s + 1, s + Fraction(1, d * d)):
-                assert not cli._z3_structure(p0, p1, wrong), (p, wrong)
-                assert not former(s=wrong), (p, wrong)
-        assert fractional >= 100
 
 
 class TestPublicApi:

@@ -30,6 +30,7 @@ from lescop.presentation import (
     build_ribbon_pair,
     build_triple,
     rank_one_update,
+    validate,
 )
 from lescop.presentation import exact_matrix, integral_form
 from lescop.ring import ONE, Z, HalfLaurent, determinant, divides_z_power
@@ -42,6 +43,7 @@ from conftest import (
     random_seifert,
     seeded,
     unimodular,
+    with_fractional_symmetric_part,
 )
 
 # thresholds of _alexander that force each of its paths
@@ -436,6 +438,72 @@ class TestHosteStructure:
             )
             residue = after - (ONE + spec.s * Z * Z) * before
             assert divides_z_power(residue, 3)
+
+
+class TestZ3Structure:
+    """invariants._z3_structure, the (t - 1)^3 test on int coefficients
+    that z3-structure runs, against the HalfLaurent residue
+    after - (1 + s z^2) before that it formed before, with after
+    interpolated from the blown-down rational Seifert matrix V + E E^T."""
+
+    @staticmethod
+    def presentations(count=320):
+        """Two-component presentations, h in 1..4, the first component of
+        genus 0 to 6: integral, or, when h > 1, with a fractional symmetric
+        part and fractional linking vectors, so that d > 1."""
+        rng = seeded(3030)
+        for k in range(count):
+            h = rng.choice((1, 2, 3, 4))
+            g = k % 7
+            v = random_seifert(rng, g)
+            denominators = (1,)
+            if h > 1 and k % 2:
+                v = with_fractional_symmetric_part(rng, v)
+                denominators = (1, 2, 3, 7)
+            e = tuple(Fraction(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(2 * g))
+            g2 = rng.randint(0, 2)
+            yield SurgeryPresentation(h, (
+                Component("l1", v, {"l2": e}),
+                Component("l2", random_seifert(rng, g2),
+                          {"l1": tuple(Fraction(rng.randint(-3, 3)) for _ in range(2 * g2))}),
+            ))
+
+    def test_matches_the_half_laurent_residue(self):
+        fractional = 0
+        for p in self.presentations():
+            assert validate(p) == [], p
+            h, first = p.base_order, p.components[0]
+            d = first.integral_form[0]
+            fractional += d > 1
+            v, e = first.seifert, first.linking["l2"]
+            before = knot_alexander(v, h)
+            after = knot_alexander(rank_one_update(v, e, -1), h)
+            s = sato_levine(p)
+
+            def former(after=after, s=s):
+                return divides_z_power(after - (ONE + s * Z * Z) * before, 3)
+
+            p0 = invariants._kept_coefficients(first)[0]
+            p1 = invariants._blown_down_coefficients(first, "l2")
+            assert len(p0) == len(p1) == len(v) + 1
+            assert invariants._z3_structure(p0, p1, s) is former() is True, p
+            # a polynomial B added to P', over two more (zero) coefficients
+            # of each polynomial, and h t^(-n/2) B / d^n added to after:
+            # (t - 1)^2 = t z^2, and two that fail exactly one of
+            # Q(1) = 0, Q'(1) = 0 and Q''(1) = 0 (the other two hold)
+            n = len(v)
+            for bump in ((1, -2, 1), (-2, 3, -1), (3, -3, 1)):
+                bumped = [*p1, 0, 0]
+                for i, x in enumerate(bump):
+                    bumped[i] += x
+                assert not invariants._z3_structure([*p0, 0, 0], bumped, s), (p, bump)
+                extra = HalfLaurent({2 * i - n: Fraction(h * x, d**n)
+                                     for i, x in enumerate(bump)})
+                assert not former(after=after + extra), (p, bump)
+            for wrong in (s + 1, s + Fraction(1, d * d)):
+                assert not invariants._z3_structure(p0, p1, wrong), (p, wrong)
+                assert not former(s=wrong), (p, wrong)
+        assert fractional >= 100
 
 
 class TestLescop:
