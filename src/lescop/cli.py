@@ -96,10 +96,6 @@ def _read(path):
         raise CliInputError(f"cannot read {path}: {e}") from None
 
 
-def _load_document(path):
-    return documents.parse(_read(path))
-
-
 def _resolve_mode(doc):
     mode = os.environ.get(ENV_NORMALIZATION)
     if mode is not None and mode not in invariants.NORMALIZATION_MODES:
@@ -119,7 +115,7 @@ def _bundle(doc):
 
 
 def cmd_alexander(args):
-    doc = _load_document(args.file)
+    doc = documents.parse(_read(args.file))
     p = doc.presentation
     if args.component is None and not p.components:
         raise invariants.WrongComponentCountError("document has no components")
@@ -150,7 +146,7 @@ _LESCOP_ROUTES = {
 
 
 def cmd_lescop(args):
-    doc = _load_document(args.file)
+    doc = documents.parse(_read(args.file))
     p = doc.presentation
     n = len(p.components)
     value = invariants.lescop(p)
@@ -168,7 +164,7 @@ def cmd_lescop(args):
 
 
 def cmd_sato_levine(args):
-    doc = _load_document(args.file)
+    doc = documents.parse(_read(args.file))
     p = doc.presentation
     mode = _resolve_mode(doc)
     both = invariants.normalized(invariants.sato_levine(p), p.base_order)
@@ -188,7 +184,7 @@ def cmd_sato_levine(args):
 
 
 def cmd_mu2(args):
-    doc = _load_document(args.file)
+    doc = documents.parse(_read(args.file))
     p = doc.presentation
     mode = _resolve_mode(doc)
     value = invariants.normalized(invariants.milnor_mu_squared(p), p.base_order)[mode]
@@ -197,7 +193,7 @@ def cmd_mu2(args):
 
 
 def cmd_chi(args):
-    doc = _load_document(args.file)
+    doc = documents.parse(_read(args.file))
     p = doc.presentation
     bundle = _bundle(doc)
     reports = {}
@@ -251,7 +247,7 @@ def cmd_lens(args):
 def cmd_verify(args):
     results = []
     for path in args.files:
-        doc = _load_document(path)
+        doc = documents.parse(_read(path))
         checks = floer.cross_checks(doc.presentation, _bundle(doc))
         results.append({"file": str(path), "checks": [
             {"name": n, "status": s, "detail": d} for n, s, d in checks]})
@@ -309,9 +305,21 @@ def _integer(text):
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help is written by print with a
+    flush, so that help into a closed reader raises BrokenPipeError for
+    main to report.  argparse's own print_help drops the OSError: the
+    process would exit 0 with the help lost, or 120 at the interpreter's
+    last flush.  add_subparsers builds each subcommand's parser by this
+    class too."""
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lescop",
         description="Exact invariants of 3-manifolds from surgery presentations.",
     )
@@ -465,8 +473,9 @@ def run(argv):
 
 def main():
     """Exit with the code of run on the command line's arguments.  When the
-    reader of standard output has closed, exit with code 2 and one error
-    line instead; stdout is pointed at os.devnull first, so that the
+    reader of standard output has closed, before a result or argparse's
+    help (see _Parser) is written, exit with code 2 and one error line
+    instead; stdout is pointed at os.devnull first, so that the
     interpreter's last flush of it writes nothing (see the note on
     SIGPIPE in the documentation of the signal module)."""
     try:

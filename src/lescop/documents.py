@@ -8,16 +8,18 @@ one ("3", "-0", "2/2") to an int, any other ("4/6") to a reduced
 Fraction.  Each distinct entry string is converted once per document:
 parse and parse_chain keep one _Memo, string -> value, for the call, so
 the 0, +-1 and small entries that fill a document are read once each,
-and nothing is kept between calls.  A row or vector, once known to be a
-list, is read in C as tuple(map(memo.__getitem__, row)); only when that
-raises does _locate go over it again to name the failing entry.  Between
-text and validate an entry of a presentation thus passes one check, the
+and nothing is kept between calls.  Each reader walks its rows, and its
+linking vectors, once, in document order: it checks that a row is a
+list of the matrix's size, or a vector a list, then reads it in C as
+tuple(map(memo.__getitem__, row)); only when that raises does _locate go
+over that one list again to name the failing entry.  So the first defect
+in document order is the one reported, a list's shape before its
+entries.  Between text and validate an entry thus passes one check, the
 pattern match of its first occurrence, and one conversion; a repeat is
-one dict lookup.  parse builds each component by
-presentation.Component._trusted, which stores those values as they are;
-the public Component(...) checks every value it is given by ring.exact.
-A chain's steps still go through SurgeryChain, which checks each value
-that second time.
+one dict lookup.  parse builds each component, and parse_chain its
+chain, by ring._Record._trusted, which stores those values as they are;
+the public Component(...) and SurgeryChain(...) check every value they
+are given by ring.exact.
 serialize() is canonical, so serialize(parse(text)) is byte-stable under
 further round trips.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
 from .presentation import Component, SurgeryPresentation
@@ -192,15 +195,15 @@ def _parse_seifert(seifert, where, owner, memo):
         raise DocumentSchemaError(
             f"{where}: {owner} has odd size {n}; Seifert matrices have even size"
         )
-    if all(type(row) is list and len(row) == n for row in seifert):
-        try:
-            return tuple([tuple(map(memo.__getitem__, row)) for row in seifert])
-        except (DocumentError, TypeError):
-            pass  # the loop below names the entry
+    rows = []
     for r, row in enumerate(seifert):
-        if not isinstance(row, list) or len(row) != n:
+        if type(row) is not list or len(row) != n:
             raise DocumentSchemaError(f"{where}: {owner} matrix is not square")
-        _locate(row, f"{where}[{r}]", memo)
+        try:
+            rows.append(tuple(map(memo.__getitem__, row)))
+        except (DocumentError, TypeError):
+            _locate(row, f"{where}[{r}]", memo)
+    return tuple(rows)
 
 
 def _parse_component(obj, i, memo):
@@ -217,17 +220,15 @@ def _parse_component(obj, i, memo):
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):
         raise DocumentSchemaError(f"{where}.linking: expected an object")
-    if all(type(vec) is list for vec in linking_obj.values()):
-        try:
-            linking = {o: tuple(map(memo.__getitem__, v)) for o, v in linking_obj.items()}
-        except (DocumentError, TypeError):
-            pass  # the loop below names the entry
-        else:
-            return Component._trusted(name, rows, linking)
+    linking = {}
     for other, vec in linking_obj.items():
-        if not isinstance(vec, list):
+        if type(vec) is not list:
             raise DocumentSchemaError(f"{where}.linking[{other!r}]: expected a list")
-        _locate(vec, f"{where}.linking[{other!r}]", memo)
+        try:
+            linking[other] = tuple(map(memo.__getitem__, vec))
+        except (DocumentError, TypeError):
+            _locate(vec, f"{where}.linking[{other!r}]", memo)
+    return Component._trusted(name, rows, MappingProxyType(linking))
 
 
 def parse(text):
@@ -321,7 +322,7 @@ def parse_chain(text):
         if type(sign) is not int or sign not in (-1, 1):
             raise DocumentSchemaError(f"{where}.sign: expected -1 or 1, got {sign!r}")
         steps.append((_parse_seifert(obj["seifert"], f"{where}.seifert", f"step {i}", memo), sign))
-    return SurgeryChain(steps=tuple(steps))
+    return SurgeryChain._trusted(tuple(steps))
 
 
 def serialize_chain(chain):

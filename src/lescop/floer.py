@@ -181,7 +181,6 @@ def _check(p, bundle):
 
 
 def _as_integer(x, route):
-    x = Fraction(x)
     if x.denominator != 1:
         raise NonIntegralChiError(f"{route} produced non-integral chi = {x}")
     return int(x)

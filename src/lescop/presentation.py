@@ -16,8 +16,9 @@ exact rationals, checked once when a value is built by ring.exact
 (through exact_vector and exact_matrix): an integral entry is stored as
 an int, any other as a Fraction, and a float, string or Decimal raises
 TypeError.  The one exception is the private constructor
-Component._trusted, which documents.parse uses: the parser has applied
-that rule to every entry already, so the values are stored unchecked.
+ring._Record._trusted, by which documents.parse builds a Component: the
+parser has applied that rule to every entry already, so the values are
+stored unchecked.
 integral_form is the one function that turns the entries into ints: it
 scales V and the linking vectors E by their common denominator c to
 dV = c^2 V and cE, and every formula of the package runs on those; for
@@ -213,15 +214,6 @@ class Component(_Record):
             # other component name -> length-2g vector of exact numbers
             linking=MappingProxyType({str(k): exact_vector(v) for k, v in dict(linking).items()}),
         )
-
-    @classmethod
-    def _trusted(cls, name, seifert, linking):
-        """A Component of values that are exact and shaped as __init__
-        stores them already (a tuple of square tuple rows, and a dict of
-        str to tuple), as documents.parse builds them: stored unchecked."""
-        self = cls.__new__(cls)
-        vars(self).update(name=name, seifert=seifert, linking=MappingProxyType(linking))
-        return self
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled, so rebuild from a plain dict

@@ -69,12 +69,24 @@ class _Record:
     A subclass names its fields, in order, in __match_args__ (as a
     dataclass does, so pattern matching works too) and its own __init__
     writes them into the instance dict, vars(self), where a _kept method
-    also keeps its value.  Equality, hashing and repr read those fields
-    only, in that order; equality holds only between instances of one
-    class, and no attribute can be assigned or deleted.  The package
+    also keeps its value.  _trusted(*values) writes them there as given,
+    bypassing __init__ and any check it makes: documents builds a parsed
+    Component and SurgeryChain so, from values it has checked already.
+    Equality, hashing and repr read those fields only, in that order;
+    equality holds only between instances of one class, and no attribute
+    can be assigned or deleted.  The package
     avoids dataclasses, which would load inspect on every start-up, and
     keeps this base here because every module with a record imports ring.
     """
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of these field values, in __match_args__ order, stored
+        as given with no check: the caller has made them what __init__
+        would store."""
+        self = cls.__new__(cls)
+        vars(self).update(zip(cls.__match_args__, values))
+        return self
 
     def _values(self):
         return tuple(getattr(self, f) for f in self.__match_args__)

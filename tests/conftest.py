@@ -275,15 +275,21 @@ def corpus_dir(tmp_path_factory):
     return d
 
 
+def generated_document(args):
+    """The document text that `python tests/conftest.py ARGS` prints, for
+    the words of ARGS: "hostile N", "sheared G", "linked N G", "N G" (a
+    split link) or "G" (a dense knot)."""
+    if args[0] == "hostile":
+        return hostile_rational_document(int(args[1]))
+    if args[0] == "sheared":
+        return sheared_knot_document(int(args[1]))
+    if args[0] == "linked":
+        return linked_link_document(int(args[1]), int(args[2]))
+    sizes = [int(x) for x in args]
+    return split_link_document(*sizes) if len(sizes) == 2 else dense_knot_document(*sizes)
+
+
 if __name__ == "__main__":
     import sys
 
-    if sys.argv[1] == "hostile":
-        print(hostile_rational_document(int(sys.argv[2])), end="")
-    elif sys.argv[1] == "sheared":
-        print(sheared_knot_document(int(sys.argv[2])), end="")
-    elif sys.argv[1] == "linked":
-        print(linked_link_document(int(sys.argv[2]), int(sys.argv[3])), end="")
-    else:
-        sizes = [int(x) for x in sys.argv[1:]]
-        print(split_link_document(*sizes) if len(sizes) == 2 else dense_knot_document(*sizes), end="")
+    print(generated_document(sys.argv[1:]), end="")

@@ -10,11 +10,11 @@ import sys
 from lescop import cli, floer, invariants, presentation, ring
 from lescop.cli import run
 from lescop.corpus import corpus
-from lescop.documents import parse, serialize_chain
+from lescop.documents import parse, parse_chain, serialize_chain
 from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
 
-from conftest import random_presentation, seeded, sheared_knot_document
+from conftest import random_presentation, random_seifert, seeded, sheared_knot_document
 
 
 class Counter:
@@ -235,6 +235,25 @@ def test_casson_computes_the_ledger_once(tmp_path, monkeypatch, capsys):
     assert run(["casson", str(chain)]) == 0
     assert capsys.readouterr().out == "casson = -3\ntaubes_chi = -6\n"
     assert jet.calls == 3
+
+
+def test_a_parsed_chain_is_checked_once(monkeypatch):
+    """parse_chain checks each entry as it reads it and stores the steps
+    as SurgeryChain(steps) would, without SurgeryChain's second pass of
+    ring.exact over them."""
+    rng = seeded(3303)
+    for _ in range(20):
+        steps = [(random_seifert(rng, rng.randint(0, 3)), rng.choice((-1, 1)))
+                 for _ in range(rng.randint(1, 4))]
+        public = SurgeryChain(steps)
+        text = serialize_chain(public)
+        with monkeypatch.context() as m:
+            exact_matrix = Counter(m, presentation.exact_matrix, modules=[invariants])
+            exact = Counter(m, ring.exact, modules=[invariants])
+            parsed = parse_chain(text)
+        assert (exact_matrix.calls, exact.calls) == (0, 0)
+        assert (parsed, hash(parsed), repr(parsed)) == (public, hash(public), repr(public))
+        assert invariants.casson(parsed) == invariants.casson(public)
 
 
 def test_two_component_verify_computes_each_value_once(corpus_dir, monkeypatch):

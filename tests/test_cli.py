@@ -346,11 +346,10 @@ class TestVerify:
             assert failed == [] or rational and [r["name"] for r in failed] == ["route-agreement"]
             assert all("non-integral chi" in r["detail"] for r in failed), p
 
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_closed_reader_exits_2_with_one_line(self, corpus_dir, buffered):
-        """verify into a pipe whose reader has already closed: exit 2 and
-        one error line, with no traceback and no "Exception ignored" from
-        the interpreter's last flush, whether stdout is buffered or not."""
+    @staticmethod
+    def into_closed_reader(argv, buffered):
+        """Run python -m lescop argv with stdout on a pipe whose reader has
+        already closed, so there is no race; the CompletedProcess."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(lescop.__file__).resolve().parents[1])
         if not buffered:
@@ -358,16 +357,31 @@ class TestVerify:
         read, write = os.pipe()
         os.close(read)
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "lescop", "verify",
-                 *sorted(str(f) for f in corpus_dir.glob("*.json"))],
-                stdout=write, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
-            )
+            return subprocess.run([sys.executable, "-m", "lescop", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, timeout=30, env=env)
         finally:
             os.close(write)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_closed_reader_exits_2_with_one_line(self, corpus_dir, buffered):
+        """verify into a pipe whose reader has already closed: exit 2 and
+        one error line, with no traceback and no "Exception ignored" from
+        the interpreter's last flush, whether stdout is buffered or not."""
+        done = self.into_closed_reader(
+            ["verify", *sorted(str(f) for f in corpus_dir.glob("*.json"))], buffered)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
         assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("argv", [["--help"], ["chi", "--help"]], ids=["help", "chi-help"])
+    def test_help_into_closed_reader_exits_2_with_one_line(self, argv, buffered):
+        """argparse's help meets a closed reader as a result does, where
+        argparse alone would exit 0 with the help lost (unbuffered) or
+        120 with "Exception ignored" (buffered)."""
+        done = self.into_closed_reader(argv, buffered)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write the result: standard output is closed\n")
 
     def test_invalid_presentation_fails(self, tmp_path, capsys):
         doc = {

@@ -22,7 +22,8 @@ from lescop.documents import (
 from lescop.invariants import SurgeryChain
 from lescop.presentation import TREFOIL, Component, SurgeryPresentation, validate
 
-from conftest import dense_knot_document, random_seifert, rational_presentation, seeded
+from conftest import (dense_knot_document, random_presentation, random_seifert,
+                      rational_presentation, seeded)
 from test_golden_cli import fractional_documents
 
 MINIMAL = """
@@ -450,6 +451,90 @@ class TestMapPath:
         with pytest.raises(DocumentValueError) as e:
             parse(json.dumps(obj))
         assert str(e.value) == "components[0].seifert[0][1]: malformed rational 'x'"
+
+
+# entry -> (exception type, message) that an entry of this kind gives
+BAD_ENTRIES = [
+    *((x, DocumentSchemaError, f'rationals must be strings like "a" or "a/b", got {x!r}')
+      for x in (3, -1, True, None, [], {}, ["1"])),
+    *((x, DocumentValueError, f"malformed rational {x!r}")
+      for x in ("0.5", "x", "", "1/", "+1", " 1", "1/-2", "\u0663")),
+    *((x, DocumentValueError, f"zero denominator in {x!r}") for x in ("1/0", "-3/0", "0/0")),
+    *((x, DocumentValueError, f"rational of {len(x)} characters is too long")
+      for x in ("9" * 5000, "-" + "1" * 4400)),
+]
+
+
+class TestFirstDefect:
+    """One or two defects planted in seeded documents and chain files
+    fail as the first in document order: components, then within each
+    its Seifert rows, then its linking vectors, and a row's or vector's
+    shape before its entries."""
+
+    @staticmethod
+    def sites(items, chain):
+        """(order key, where, kind, parent, index, shape message) of each row
+        and linking vector, parent[index], of the components or steps of a
+        loaded document or chain, in document order."""
+        out = []
+        for i, item in enumerate(items):
+            where, owner = (f"steps[{i}].seifert", f"step {i}") if chain else (
+                f"components[{i}].seifert", f"component {item['name']!r}")
+            for r in range(len(item["seifert"])):
+                out.append(((i, 0, r), f"{where}[{r}]", "row", item["seifert"], r,
+                            f"{where}: {owner} matrix is not square"))
+            for v, other in enumerate({} if chain else item["linking"]):
+                where = f"components[{i}].linking[{other!r}]"
+                out.append(((i, 1, v), where, "vector", item["linking"], other,
+                            f"{where}: expected a list"))
+        return out
+
+    def plant(self, rng, items, chain):
+        """Plant one or two defects in items, the second often in the same
+        matrix or set of vectors as the first; the (type, message) of the
+        first in document order."""
+        defects = {}
+        key = None
+        for _ in range(rng.choice((1, 2))):
+            sites = [s for s in self.sites(items, chain) if type(s[3][s[4]]) is list]
+            if key is not None and rng.random() < 0.5:
+                sites = [s for s in sites if s[0][:2] == key[:2]] or sites
+            key, where, kind, parent, index, shape_message = rng.choice(sites)
+            values = parent[index]
+            shape = rng.random() < 0.3 or not values
+            if shape and kind == "row" and rng.random() < 0.5:
+                values.pop()  # a short row
+            elif shape:
+                parent[index] = rng.choice(("12", 3, None, {}))
+            if shape:
+                defects[(*key, 0, 0)] = (DocumentSchemaError, shape_message)
+            else:
+                k = rng.randrange(len(values))
+                values[k], error, message = rng.choice(BAD_ENTRIES)
+                defects[(*key, 1, k)] = (error, f"{where}[{k}]: {message}")
+        return defects[min(defects)]
+
+    def test_seeded_documents_fail_at_their_first_defect(self):
+        rng = seeded(3301)
+        texts = [(serialize(doc), False) for doc in corpus().values()]
+        texts += [(serialize(PresentationDocument(random_presentation(rng, n, h=h))), False)
+                  for n in range(1, 5) for h in (1, 2) for _ in range(3)]
+        texts += [(serialize_chain(SurgeryChain(
+            [(random_seifert(rng, rng.randint(1, 2)), rng.choice((-1, 1)))
+             for _ in range(rng.randint(1, 3))])), True) for _ in range(8)]
+        planted = 0
+        for _ in range(400):
+            text, chain = rng.choice(texts)
+            obj = json.loads(text)
+            items = obj if chain else obj["components"]
+            if not any(item["seifert"] or item.get("linking") for item in items):
+                continue  # nothing to plant in
+            error, message = self.plant(rng, items, chain)
+            with pytest.raises(DocumentError) as e:
+                (parse_chain if chain else parse)(json.dumps(obj))
+            assert (type(e.value), str(e.value)) == (error, message)
+            planted += 1
+        assert planted >= 300
 
 
 def public_components(text):
