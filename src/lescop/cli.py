@@ -64,8 +64,14 @@ class CliInputError(Exception):
     """Bad command usage that is not a document error (exit code 2)."""
 
 
-def _err(msg):
-    print(f"error: {msg}", file=sys.stderr)
+def _err(msg, label="error"):
+    """Print the diagnostic line "label: msg" on standard error.  A line
+    that cannot be written, as to a closed reader, is dropped, and main's
+    last flush drops what is left of it."""
+    try:
+        print(f"{label}: {msg}", file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _emit(args, payload, lines=None):
@@ -174,11 +180,8 @@ def cmd_sato_levine(args):
     lines = [f"sato_levine = {value}", f"mode = {mode}"]
     if disagree:
         payload["modes"] = {m: str(v) for m, v in both.items()}
-        print(
-            "warning: normalization modes disagree: "
-            + ", ".join(f"{m}={v}" for m, v in both.items()),
-            file=sys.stderr,
-        )
+        _err("normalization modes disagree: " + ", ".join(f"{m}={v}" for m, v in both.items()),
+             "warning")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -475,9 +478,12 @@ def main():
     """Exit with the code of run on the command line's arguments.  When the
     reader of standard output has closed, before a result or argparse's
     help (see _Parser) is written, exit with code 2 and one error line
-    instead; stdout is pointed at os.devnull first, so that the
-    interpreter's last flush of it writes nothing (see the note on
-    SIGPIPE in the documentation of the signal module)."""
+    instead.  A stream whose reader has closed is pointed at os.devnull,
+    so that the interpreter's last flush of it writes nothing and leaves
+    the exit code (see the note on SIGPIPE in the documentation of the
+    signal module).  Standard error is pointed there when any write to it
+    fails, so a diagnostic that cannot be written, _err's or argparse's,
+    is dropped, and the exit code is the one it would have had."""
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()  # a buffered result meets a closed reader here, not at exit
@@ -485,6 +491,11 @@ def main():
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _err("cannot write the result: standard output is closed")
         code = EXIT_INPUT
+    finally:
+        try:  # what a failed write left buffered; stderr is None if fd 2 was closed at start
+            sys.stderr.flush()
+        except (OSError, AttributeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
     sys.exit(code)
 
 

@@ -340,22 +340,10 @@ def _bareiss(a, n, jordan):
     Sylvester's identity.  This keeps coefficient growth polynomial
     instead of exponential.
 
-    The kernel skips the arithmetic that leaves a number unchanged.  When
-    p = -prev it first negates the pivot row from column k on and flips
-    the sign, so that p = prev; a row with q = 0 is then left untouched,
-    since its update is x itself, and such a row is only scaled by p / prev
-    when |p| != |prev|.  The negation is exact: row k is used by no other
-    row before step k, so negating it now is negating row k of the input,
-    every later quotient is still a minor and // still exact.  On a skew
-    form in a symplectic basis, one nonzero per row, this is O(n^2) row
-    work in place of the n^3 updates of the plain elimination (though
-    presentation.skew_form inverts such a form by transposition, and
-    runs the kernel only on other forms).
-
     Returns (sign, last pivot).  Their product is the determinant of the
-    first n columns: sign is that of the row swaps and negations, and the
-    pair is (1, 1) when n is 0 and (0, 0) when a column has no pivot, that
-    is when those columns are singular.  Row operations keep L M = D I,
+    first n columns: sign is that of the row swaps, and the pair is
+    (1, 1) when n is 0 and (0, 0) when a column has no pivot, that is
+    when those columns are singular.  Row operations keep L M = D I,
     so a Gauss-Jordan of [M | I] ends with D M^-1 in the columns after n
     for its last pivot D = +-det M, and no caller treats any size apart.
     """
@@ -370,19 +358,14 @@ def _bareiss(a, n, jordan):
             sign = -sign
         pk = a[k]
         p = pk[k]
-        if p == -prev:
-            pk[k:] = [-x for x in pk[k:]]
-            p = prev
-            sign = -sign
         width = len(pk)
         for i in range(0 if jordan else k + 1, n):
             if i == k:
                 continue
             ai = a[i]
             q = ai[k]
-            if q or p != prev:
-                for j in range(k + 1, width):
-                    ai[j] = (p * ai[j] - q * pk[j]) // prev
+            for j in range(k + 1, width):
+                ai[j] = (p * ai[j] - q * pk[j]) // prev
         prev = p
     return sign, prev
 

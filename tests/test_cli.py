@@ -347,18 +347,20 @@ class TestVerify:
             assert all("non-integral chi" in r["detail"] for r in failed), p
 
     @staticmethod
-    def into_closed_reader(argv, buffered):
-        """Run python -m lescop argv with stdout on a pipe whose reader has
-        already closed, so there is no race; the CompletedProcess."""
+    def into_closed_reader(argv, buffered, stream="stdout"):
+        """Run python -m lescop argv with stream, stdout or stderr, on a pipe
+        whose reader has already closed, so there is no race, and the other
+        on a pipe of its own; the CompletedProcess."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(lescop.__file__).resolve().parents[1])
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         read, write = os.pipe()
         os.close(read)
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
         try:
-            return subprocess.run([sys.executable, "-m", "lescop", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, text=True, timeout=30, env=env)
+            return subprocess.run([sys.executable, "-m", "lescop", *argv], **streams,
+                                  text=True, timeout=30, env=env)
         finally:
             os.close(write)
 
@@ -372,6 +374,32 @@ class TestVerify:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
         assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("case", ["missing-file", "extra-argument", "warning"])
+    def test_diagnostic_into_closed_error_reader_keeps_the_exit_code(
+            self, corpus_dir, capsys, case, buffered):
+        """A diagnostic that meets a closed reader of stderr is dropped and
+        leaves the exit code: an input error exits 2, where a failed write
+        that escapes main exits 1 and one left to the interpreter's last
+        flush 120, and sato-levine's warning leaves its result and exit 0."""
+        argv = {"missing-file": ["verify", str(corpus_dir / "missing.json")],
+                "extra-argument": ["lens", "--p", "3", "extra"],
+                "warning": ["sato-levine", str(corpus_dir / "ribbon-s1-h3.json")]}[case]
+        code, out = 2, ""
+        if case == "warning":
+            code, out, err = invoke(capsys, *argv)
+            assert code == 0 and err.startswith("warning: normalization modes disagree: ")
+        done = self.into_closed_reader(argv, buffered, "stderr")
+        assert (done.returncode, done.stdout) == (code, out)
+
+    def test_no_standard_error_keeps_exit_0(self):
+        """With fd 2 closed at start, sys.stderr is None, and main's last
+        flush of it must not fail a run that succeeded."""
+        env = dict(os.environ, PYTHONPATH=str(Path(lescop.__file__).resolve().parents[1]))
+        done = subprocess.run(["sh", "-c", 'exec "$0" -m lescop lens --p 5 2>&-', sys.executable],
+                              stdout=subprocess.PIPE, text=True, timeout=30, env=env)
+        assert (done.returncode, done.stdout) == (0, "p = 5\ncentral = 1\nspheres = 2\nfactor = 5\n")
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("argv", [["--help"], ["chi", "--help"]], ids=["help", "chi-help"])

@@ -1,4 +1,3 @@
-import collections
 from decimal import Decimal
 from fractions import Fraction
 
@@ -230,37 +229,12 @@ class TestZDivision:
 
 def sparse_cases(rng, count):
     """Seeded sparse int matrices of sizes 1 to 8, mostly 0 with the other
-    entries in +-1, +-2 and 3.  Their eliminations meet rows with multiplier
-    0, which ring._bareiss leaves alone or scales."""
+    entries in +-1, +-2 and 3.  Their eliminations meet many rows with
+    multiplier 0."""
     entries = (0,) * 7 + (1, -1, 2, -2, 3)
     for _ in range(count):
         n = rng.randint(1, 8)
         yield [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-
-
-def zero_multiplier_steps(rows):
-    """For each step of a plain Bareiss elimination of rows that meets a row
-    below the pivot with multiplier 0, how its pivot p compares with the
-    previous pivot: "p == prev", "p == -prev" or "|p| != |prev|".  ring._bareiss
-    leaves that row alone in the first two cases, after negating the pivot
-    row in the second, and scales it in the third; p / prev is the same in
-    both eliminations."""
-    a = [list(r) for r in rows]
-    n, prev, kinds = len(a), 1, []
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            break
-        a[k], a[pivot] = a[pivot], a[k]
-        p = a[k][k]
-        if any(not a[i][k] for i in range(k + 1, n)):
-            kinds.append("p == prev" if p == prev
-                         else "p == -prev" if p == -prev
-                         else "|p| != |prev|")
-        for i in range(k + 1, n):
-            a[i] = [(p * x - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
-        prev = p
-    return kinds
 
 
 class TestDeterminant:
@@ -333,8 +307,7 @@ class TestDeterminant:
                     assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
     def test_integer_matrices_match_cofactor_oracle(self):
-        """Every matrix is also checked with a zero leading pivot and made singular.
-        The sparse ones meet zero multipliers at each kind of pivot step."""
+        """Every matrix is also checked with a zero leading pivot and made singular."""
         rng = seeded(13)
         cases = []
         for _ in range(200):
@@ -343,7 +316,6 @@ class TestDeterminant:
                           for _ in range(n)])
         sparse = list(sparse_cases(seeded(17), 300))
         swaps = singular = 0
-        kinds = collections.Counter()
         for m in cases + sparse:
             variants = [m, [[0] + m[0][1:]] + m[1:]]
             if len(m) > 1:
@@ -354,10 +326,7 @@ class TestDeterminant:
                 assert type(got) is int and got == expected, rows
                 swaps += rows[0][0] == 0 and expected != 0
                 singular += expected == 0
-        for m in sparse:
-            kinds.update(zero_multiplier_steps(m))
         assert swaps > 20 and singular > 100
-        assert min(kinds[k] for k in ("p == prev", "p == -prev", "|p| != |prev|")) > 50, kinds
 
     def test_multiplicative(self):
         rng = seeded(12)
@@ -452,7 +421,7 @@ def symplectic(n):
 
 
 class TestSparseKernel:
-    """The skip of ring._bareiss on the symplectic form J, one nonzero per row."""
+    """The symplectic form J, one nonzero per row, by transposition and by ring._bareiss."""
 
     def test_skew_form_of_the_symplectic_form(self):
         """skew_form reads J^-1 = J^T off J; the kernel gives the same."""
@@ -461,24 +430,3 @@ class TestSparseKernel:
             v = [[max(x, 0) for x in row] for row in j]  # V - V^T = J
             assert skew_form(1, v) == (tuple(tuple(-x for x in row) for row in j), None)
             assert unit_inverse(j) == [[-x for x in row] for row in j]
-
-    def test_symplectic_inverse_writes_at_most_n_squared_entries(self):
-        """The plain elimination writes 92 860 entries here; a symplectic
-        form has one nonzero per row, so almost every update is skipped."""
-        n = 40
-        written = 0
-
-        class Row(list):
-            def __setitem__(self, index, value):
-                nonlocal written
-                if isinstance(index, slice):
-                    value = list(value)
-                    written += len(value)
-                else:
-                    written += 1
-                super().__setitem__(index, value)
-
-        j = symplectic(n)
-        d, inverse = _scaled_inverse([Row(r) for r in j])
-        assert [[d * x for x in row] for row in inverse] == [[-x for x in row] for row in j]
-        assert written <= n * n, written
