@@ -483,7 +483,14 @@ def main():
     the exit code (see the note on SIGPIPE in the documentation of the
     signal module).  Standard error is pointed there when any write to it
     fails, so a diagnostic that cannot be written, _err's or argparse's,
-    is dropped, and the exit code is the one it would have had."""
+    is dropped, and the exit code is the one it would have had.  When fd 1
+    is closed at start, Python leaves sys.stdout None; it becomes a pipe
+    whose reader has closed, so a result or help meets the same path.
+    Like a standard stream, that pipe is left open for the process's exit."""
+    if sys.stdout is None:
+        read, write = os.pipe()
+        os.close(read)
+        sys.stdout = open(write, "w", closefd=False)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()  # a buffered result meets a closed reader here, not at exit

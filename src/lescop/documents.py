@@ -20,8 +20,14 @@ one dict lookup.  parse builds each component, and parse_chain its
 chain, by ring._Record._trusted, which stores those values as they are;
 the public Component(...) and SurgeryChain(...) check every value they
 are given by ring.exact.
-serialize() is canonical, so serialize(parse(text)) is byte-stable under
-further round trips.
+serialize() writes the canonical text: the bytes of json.dumps(obj,
+indent=2) plus a newline, for obj with the fields in the order shown
+below, the optional ones only when set, each component's "linking"
+sorted by name, names escaped as under ensure_ascii, and each entry the
+str of its exact number ("-3", "1/2").  It builds that text by C-level
+joins, not by json's pure-Python indenting encoder.  serialize_chain
+does the same for a chain, so serialize(parse(text)) is byte-stable
+under further round trips.
 
 Document shape::
 
@@ -45,6 +51,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
@@ -281,31 +288,46 @@ def parse(text):
     )
 
 
+_PADS = tuple("\n" + "  " * depth for depth in range(5))  # a document nests 4 deep
+
+
+def _indented(items, depth, brackets="[]", quote=""):
+    """The text json.dumps(..., indent=2) writes, at nesting depth, for a
+    list, or with brackets "{}" an object, of items encoded already; with
+    quote '"' each item is the str of an exact number, which needs no
+    escape, quoted in the one C-level join."""
+    pad = _PADS[depth]
+    body = f"{quote},{pad}  {quote}".join(items)
+    return f"{brackets[0]}{pad}  {quote}{body}{quote}{pad}{brackets[1]}" if body else brackets
+
+
+def _matrix(rows, depth):
+    return _indented([_indented(map(str, row), depth + 1, "[]", '"') for row in rows], depth)
+
+
 def serialize(doc):
-    """Canonical text form of a document (stable under round trips)."""
+    """The canonical text of a document: the bytes of json.dumps(obj,
+    indent=2) + "\n" for obj with the fields in the module docstring's
+    order, the optional ones only when set, "linking" sorted by name and
+    each entry the str of its exact number.  Names are escaped by json's
+    ensure_ascii function, encode_basestring_ascii (in C), and every other
+    scalar by json.dumps without indent, so bools in bundle_w2 read true
+    and false; no pure-Python encoder runs."""
     p = doc.presentation
     components = []
     for c in p.components:
-        components.append(
-            {
-                "name": c.name,
-                "seifert": [[str(x) for x in row] for row in c.seifert],
-                "linking": {
-                    other: [str(x) for x in vec]
-                    for other, vec in sorted(c.linking.items())
-                },
-            }
-        )
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "base_order": p.base_order,
-        "components": components,
-    }
+        linking = [encode_basestring_ascii(other) + ": " + _indented(map(str, vec), 4, "[]", '"')
+                   for other, vec in sorted(c.linking.items())]
+        components.append(_indented(['"name": ' + encode_basestring_ascii(c.name),
+                                     '"seifert": ' + _matrix(c.seifert, 3),
+                                     '"linking": ' + _indented(linking, 3, "{}")], 2, "{}"))
+    fields = [f'"format_version": {FORMAT_VERSION}', '"base_order": ' + json.dumps(p.base_order),
+              '"components": ' + _indented(components, 1)]
     if doc.bundle_w2 is not None:
-        obj["bundle_w2"] = list(doc.bundle_w2)
+        fields.append('"bundle_w2": ' + _indented(map(json.dumps, doc.bundle_w2), 1))
     if doc.normalization is not None:
-        obj["normalization"] = doc.normalization
-    return json.dumps(obj, indent=2) + "\n"
+        fields.append('"normalization": ' + json.dumps(doc.normalization))
+    return _indented(fields, 0, "{}") + "\n"
 
 
 def parse_chain(text):
@@ -326,8 +348,8 @@ def parse_chain(text):
 
 
 def serialize_chain(chain):
-    obj = [
-        {"seifert": [[str(x) for x in row] for row in v], "sign": sign}
-        for v, sign in chain.steps
-    ]
-    return json.dumps(obj, indent=2) + "\n"
+    """The canonical text of a chain, by serialize's rule: json.dumps(...,
+    indent=2) of its list of {"seifert", "sign"} steps, plus a newline."""
+    steps = [_indented(['"seifert": ' + _matrix(v, 2), '"sign": ' + json.dumps(sign)], 1, "{}")
+             for v, sign in chain.steps]
+    return _indented(steps, 0) + "\n"

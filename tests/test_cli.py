@@ -401,6 +401,19 @@ class TestVerify:
                               stdout=subprocess.PIPE, text=True, timeout=30, env=env)
         assert (done.returncode, done.stdout) == (0, "p = 5\ncentral = 1\nspheres = 2\nfactor = 5\n")
 
+    @pytest.mark.parametrize("argv", [["lens", "--p", "5"], ["verify", "trefoil-0.json"],
+                                      ["examples", "trefoil-0"], ["--help"]],
+                             ids=["lens", "verify", "examples", "help"])
+    def test_no_standard_output_exits_2_with_one_line(self, corpus_dir, argv):
+        """With fd 1 closed at start, sys.stdout is None: a result or help
+        that cannot be written exits 2 with one line, not 1 with an
+        AttributeError from main's flush or, for help, 0 with it lost."""
+        env = dict(os.environ, PYTHONPATH=str(Path(lescop.__file__).resolve().parents[1]))
+        done = subprocess.run(["sh", "-c", 'exec "$0" -m lescop "$@" >&-', sys.executable, *argv],
+                              stderr=subprocess.PIPE, text=True, timeout=30, env=env, cwd=corpus_dir)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write the result: standard output is closed\n")
+
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("argv", [["--help"], ["chi", "--help"]], ids=["help", "chi-help"])
     def test_help_into_closed_reader_exits_2_with_one_line(self, argv, buffered):

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lescop import documents
 from lescop.cli import run
@@ -19,7 +21,7 @@ from lescop.documents import (
     serialize,
     serialize_chain,
 )
-from lescop.invariants import SurgeryChain
+from lescop.invariants import NORMALIZATION_MODES, SurgeryChain
 from lescop.presentation import TREFOIL, Component, SurgeryPresentation, validate
 
 from conftest import (dense_knot_document, random_presentation, random_seifert,
@@ -122,6 +124,85 @@ class TestParse:
         for name, doc in corpus().items():
             for token in serialize(doc).replace(",", " ").split():
                 assert "." not in token, (name, token)
+
+
+def indented_dumps(obj):
+    """The canonical text by json's pure-Python indenting encoder, the
+    construction serialize and serialize_chain must match byte for byte."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def as_strings(rows):
+    return [[str(x) for x in row] for row in rows]
+
+
+def dumped_document(doc):
+    p = doc.presentation
+    obj = {
+        "format_version": 1,
+        "base_order": p.base_order,
+        "components": [
+            {"name": c.name, "seifert": as_strings(c.seifert),
+             "linking": {other: [str(x) for x in vec] for other, vec in sorted(c.linking.items())}}
+            for c in p.components
+        ],
+    }
+    if doc.bundle_w2 is not None:
+        obj["bundle_w2"] = list(doc.bundle_w2)
+    if doc.normalization is not None:
+        obj["normalization"] = doc.normalization
+    return indented_dumps(obj)
+
+
+def dumped_chain(chain):
+    return indented_dumps([{"seifert": as_strings(v), "sign": sign} for v, sign in chain.steps])
+
+
+# quotes, backslashes, control, non-ASCII, astral and lone-surrogate characters
+texts = st.text(st.sampled_from('"\\\x00\x1f\x7f/aé€\u2028\U0001f600\ud800\udfff') | st.characters(),
+                min_size=1, max_size=6)
+exact_numbers = st.integers(-10**40, 10**40) | st.builds(
+    Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30))
+vectors = st.lists(exact_numbers, max_size=2)
+matrices = st.integers(0, 1).flatmap(
+    lambda g: st.lists(st.lists(exact_numbers, min_size=2 * g, max_size=2 * g),
+                       min_size=2 * g, max_size=2 * g))
+components = st.builds(Component, texts, matrices, st.dictionaries(texts, vectors, max_size=2))
+documents_ = st.builds(
+    PresentationDocument,
+    st.builds(SurgeryPresentation, st.integers(1, 10**20), st.lists(components, max_size=2)),
+    st.none() | st.lists(st.sampled_from([0, 1]) | st.booleans(), max_size=3).map(tuple),
+    st.none() | st.sampled_from(NORMALIZATION_MODES) | texts,
+)
+chains = st.builds(SurgeryChain, st.lists(st.tuples(matrices, st.sampled_from([-1, 1])), max_size=3))
+
+
+class TestCanonicalText:
+    """serialize and serialize_chain write the bytes of json.dumps(...,
+    indent=2) plus a newline, for every document the public constructors
+    build."""
+
+    @given(documents_)
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_serialize_is_the_indented_dumps(self, doc):
+        assert serialize(doc) == dumped_document(doc)
+
+    @given(chains)
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    def test_serialize_chain_is_the_indented_dumps(self, chain):
+        assert serialize_chain(chain) == dumped_chain(chain)
+
+    def test_empty_and_boolean_edges(self):
+        empty = Component("\ud800\U0001f600\"\\", (), {})
+        unlinked = Component("l2", TREFOIL, {"l1": ()})
+        for doc in (PresentationDocument(SurgeryPresentation(1, ())),
+                    PresentationDocument(SurgeryPresentation(2, (empty, unlinked)), (True, False),
+                                         "paper-literal")):
+            assert serialize(doc) == dumped_document(doc)
+        assert '"bundle_w2": [\n    true,\n    false\n  ]' in serialize(doc)
+        for chain in (SurgeryChain(()), SurgeryChain((((), 1), (TREFOIL, -1)))):
+            assert serialize_chain(chain) == dumped_chain(chain)
+        assert serialize_chain(SurgeryChain(())) == "[]\n"
 
 
 class TestParseErrors:
