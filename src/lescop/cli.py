@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a mathematical invariant or cross-route
 agreement fails, 2 on input errors (malformed documents, unknown
 components, bad arguments) and when the reader of standard output has
-closed (see main).  Diagnostics go to standard error.
+closed (see main).  Diagnostics go to standard error.  The table of
+tests/test_exit_codes.py checks each exit code and stream condition in a
+new process.
 
 Each subcommand states its result once, as a JSON payload in which all
 exact rationals are strings ("a/b") and all integers are JSON integers,

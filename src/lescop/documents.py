@@ -55,7 +55,7 @@ from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
-from .presentation import Component, SurgeryPresentation
+from .presentation import Component, SurgeryPresentation, _name_defect
 from .ring import _Record
 
 FORMAT_VERSION = 1
@@ -217,12 +217,9 @@ def _parse_component(obj, i, memo):
     where = f"components[{i}]"
     _require_keys(obj, ("name", "seifert", "linking"), (), where)
     name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise DocumentSchemaError(f"{where}.name: expected a non-empty string")
-    try:
-        name.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate such as "\ud800"
-        raise DocumentSchemaError(f"{where}.name: not valid text") from None
+    defect = _name_defect(name)
+    if defect is not None:
+        raise DocumentSchemaError(f"{where}.name: {defect}")
     rows = _parse_seifert(obj["seifert"], f"{where}.seifert", f"component {name!r}", memo)
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):

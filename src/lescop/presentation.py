@@ -190,6 +190,19 @@ def _jet_trace(s_inv, dv):
     return sum(map(mul, chain.from_iterable(x), chain.from_iterable(zip(*x))))
 
 
+def _name_defect(name):
+    """Why name cannot name a component, or None when it can: a name is a
+    non-empty str that encodes as UTF-8, so that serialize writes it and
+    documents.parse reads it back."""
+    if not isinstance(name, str) or not name:
+        return "expected a non-empty string"
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate such as "\ud800"
+        return "not valid text"
+    return None
+
+
 def _valid_form(v, what):
     """(d, dV, S^-1) for an exact square matrix v, by integral_form and
     skew_form; an invalid Seifert form raises InvalidSpecError("what: why")."""
@@ -302,9 +315,10 @@ def validate(p):
     """All invariant violations of a presentation, as human-readable strings.
 
     An empty list means the presentation is valid.  Violations are data,
-    not exceptions, so callers can report all of them at once.  Linking
-    names are compared with the other names as sets, and lengths in one
-    any(); the loops that name each defect run only when one fails.
+    not exceptions, so callers can report all of them at once.  Each
+    component name must pass _name_defect.  Linking names are compared
+    with the other names as sets, and lengths in one any(); the loops
+    that name each defect run only when one fails.
     """
     out = []
     if type(p.base_order) is not int or p.base_order < 1:
@@ -312,6 +326,9 @@ def validate(p):
     names = p.names()
     seen = set()
     for n in names:
+        defect = _name_defect(n)
+        if defect is not None:
+            out.append(f"component name {n!r}: {defect}")
         if n in seen:
             out.append(f"duplicate component name {n!r}")
         seen.add(n)

@@ -1,5 +1,6 @@
-"""Shared generators for randomized tests, and the presentation builders
-that several test modules use.
+"""Shared generators for randomized tests, the presentation builders
+that several test modules use, and cold, the one way a test starts a new
+lescop process.
 
 All randomness is seeded (`random.Random(seed)`), so failures reproduce.
 Random Seifert matrices are built with V - V^T equal to the standard
@@ -9,10 +10,15 @@ symmetric part free.
 
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import lescop
 from lescop.corpus import corpus
 from lescop.documents import PresentationDocument, serialize
 from lescop.presentation import Component, RibbonPairSpec, SurgeryPresentation
@@ -273,6 +279,36 @@ def corpus_dir(tmp_path_factory):
     for name, doc in corpus().items():
         (d / f"{name}.json").write_text(serialize(doc), encoding="utf-8")
     return d
+
+
+def cold(argv, stdout="open", stderr="open", buffered=True, timeout=30, cwd=None):
+    """(exit code, stdout, stderr) of a new `python -m lescop` process on
+    argv, which imports this lescop, run in cwd.  Each standard stream is
+    "open", a pipe whose text is returned; "reader closed", a pipe whose
+    reader closed before the start, so there is no race; or "closed" at
+    start, as `>&-` leaves it.  A stream that is not open returns None.
+    buffered=False sets PYTHONUNBUFFERED.  Raises
+    subprocess.TimeoutExpired after timeout seconds."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(lescop.__file__).resolve().parents[1])
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    closed = [fd for fd, condition in ((1, stdout), (2, stderr)) if condition == "closed"]
+
+    def close_at_start():  # in the child, after its streams are set up
+        for fd in closed:
+            os.close(fd)
+
+    read, write = os.pipe()
+    os.close(read)
+    streams = {"open": subprocess.PIPE, "reader closed": write, "closed": subprocess.DEVNULL}
+    try:
+        done = subprocess.run([sys.executable, "-m", "lescop", *argv], stdout=streams[stdout],
+                              stderr=streams[stderr], text=True, timeout=timeout, env=env,
+                              cwd=cwd, preexec_fn=close_at_start if closed else None)
+    finally:
+        os.close(write)
+    return done.returncode, done.stdout, done.stderr
 
 
 def generated_document(args):

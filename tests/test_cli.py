@@ -3,23 +3,20 @@ import ast
 import contextlib
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lescop
 from lescop import cli, floer
 from lescop.cli import run
 from lescop.corpus import corpus
 from lescop.documents import PresentationDocument, parse, serialize
 
 from conftest import (
+    cold,
     dense_knot_document,
     random_presentation,
     rational_presentation,
@@ -197,20 +194,6 @@ class TestInvariantCommands:
         assert err == "error: step 0: non-integer entries require base_order > 1, " \
                       "and a chain starts from S^3\n"
 
-    def test_genus_24_returns_at_once(self, tmp_path):
-        """Cold processes, so that work growing too fast with the genus fails by the timeout."""
-        f = tmp_path / "g24.json"
-        f.write_text(dense_knot_document(24))
-        src = str(Path(lescop.__file__).resolve().parents[1])
-        for command in ("alexander", "verify"):
-            done = subprocess.run(
-                [sys.executable, "-m", "lescop", command, str(f)],
-                capture_output=True, text=True, timeout=10,
-                env={**os.environ, "PYTHONPATH": src},
-            )
-            assert done.returncode == 0, (command, done.stderr)
-            assert "FAIL" not in done.stdout
-
 
 class TestChi:
     def test_both_routes_agree(self, corpus_dir, capsys):
@@ -279,34 +262,18 @@ class TestLensCommand:
         assert (exc.value.code, captured.out) == (2, "")
         assert errors == [f"lescop lens: error: argument --p: invalid int value: {p!r}"]
 
-    def test_huge_p_returns_at_once(self):
-        """A cold process, so that work growing with p fails by the timeout."""
-        p = 10**21
-        src = str(Path(lescop.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "lescop", "lens", "--p", str(p), "--json"],
-            capture_output=True, text=True, timeout=10,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == {"central": 2, "spheres": p // 2 - 1, "factor": p}
-
 
 class TestVerify:
-    def test_cold_process_imports_neither_dataclasses_nor_inspect(self, tmp_path, capsys):
+    def test_cold_process_imports_neither_dataclasses_nor_inspect(self, tmp_path, capsys,
+                                                                    monkeypatch):
         """A cold verify loads no module that it does not compute with:
         dataclasses alone would bring inspect, dis, ast and tokenize."""
         assert run(["examples", "--write", str(tmp_path)]) == 0
         capsys.readouterr()
-        src = str(Path(lescop.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "lescop", "verify", "--json",
-             *sorted(str(f) for f in tmp_path.glob("*.json"))],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.returncode == 0 and json.loads(done.stdout)["ok"], done.stderr
-        imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # as -X importtime
+        code, out, err = cold(["verify", "--json", *sorted(str(f) for f in tmp_path.glob("*.json"))])
+        assert code == 0 and json.loads(out)["ok"], err
+        imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
                     if line.startswith("import time:")}
         assert "lescop.cli" in imported
         assert not imported & {"dataclasses", "inspect"}
@@ -345,84 +312,6 @@ class TestVerify:
             assert code == (1 if failed else 0), p
             assert failed == [] or rational and [r["name"] for r in failed] == ["route-agreement"]
             assert all("non-integral chi" in r["detail"] for r in failed), p
-
-    @staticmethod
-    def into_closed_reader(argv, buffered, stream="stdout"):
-        """Run python -m lescop argv with stream, stdout or stderr, on a pipe
-        whose reader has already closed, so there is no race, and the other
-        on a pipe of its own; the CompletedProcess."""
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(lescop.__file__).resolve().parents[1])
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read, write = os.pipe()
-        os.close(read)
-        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
-        try:
-            return subprocess.run([sys.executable, "-m", "lescop", *argv], **streams,
-                                  text=True, timeout=30, env=env)
-        finally:
-            os.close(write)
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_closed_reader_exits_2_with_one_line(self, corpus_dir, buffered):
-        """verify into a pipe whose reader has already closed: exit 2 and
-        one error line, with no traceback and no "Exception ignored" from
-        the interpreter's last flush, whether stdout is buffered or not."""
-        done = self.into_closed_reader(
-            ["verify", *sorted(str(f) for f in corpus_dir.glob("*.json"))], buffered)
-        assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
-        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("case", ["missing-file", "extra-argument", "warning"])
-    def test_diagnostic_into_closed_error_reader_keeps_the_exit_code(
-            self, corpus_dir, capsys, case, buffered):
-        """A diagnostic that meets a closed reader of stderr is dropped and
-        leaves the exit code: an input error exits 2, where a failed write
-        that escapes main exits 1 and one left to the interpreter's last
-        flush 120, and sato-levine's warning leaves its result and exit 0."""
-        argv = {"missing-file": ["verify", str(corpus_dir / "missing.json")],
-                "extra-argument": ["lens", "--p", "3", "extra"],
-                "warning": ["sato-levine", str(corpus_dir / "ribbon-s1-h3.json")]}[case]
-        code, out = 2, ""
-        if case == "warning":
-            code, out, err = invoke(capsys, *argv)
-            assert code == 0 and err.startswith("warning: normalization modes disagree: ")
-        done = self.into_closed_reader(argv, buffered, "stderr")
-        assert (done.returncode, done.stdout) == (code, out)
-
-    def test_no_standard_error_keeps_exit_0(self):
-        """With fd 2 closed at start, sys.stderr is None, and main's last
-        flush of it must not fail a run that succeeded."""
-        env = dict(os.environ, PYTHONPATH=str(Path(lescop.__file__).resolve().parents[1]))
-        done = subprocess.run(["sh", "-c", 'exec "$0" -m lescop lens --p 5 2>&-', sys.executable],
-                              stdout=subprocess.PIPE, text=True, timeout=30, env=env)
-        assert (done.returncode, done.stdout) == (0, "p = 5\ncentral = 1\nspheres = 2\nfactor = 5\n")
-
-    @pytest.mark.parametrize("argv", [["lens", "--p", "5"], ["verify", "trefoil-0.json"],
-                                      ["examples", "trefoil-0"], ["--help"]],
-                             ids=["lens", "verify", "examples", "help"])
-    def test_no_standard_output_exits_2_with_one_line(self, corpus_dir, argv):
-        """With fd 1 closed at start, sys.stdout is None: a result or help
-        that cannot be written exits 2 with one line, not 1 with an
-        AttributeError from main's flush or, for help, 0 with it lost."""
-        env = dict(os.environ, PYTHONPATH=str(Path(lescop.__file__).resolve().parents[1]))
-        done = subprocess.run(["sh", "-c", 'exec "$0" -m lescop "$@" >&-', sys.executable, *argv],
-                              stderr=subprocess.PIPE, text=True, timeout=30, env=env, cwd=corpus_dir)
-        assert (done.returncode, done.stderr) == (
-            2, "error: cannot write the result: standard output is closed\n")
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("argv", [["--help"], ["chi", "--help"]], ids=["help", "chi-help"])
-    def test_help_into_closed_reader_exits_2_with_one_line(self, argv, buffered):
-        """argparse's help meets a closed reader as a result does, where
-        argparse alone would exit 0 with the help lost (unbuffered) or
-        120 with "Exception ignored" (buffered)."""
-        done = self.into_closed_reader(argv, buffered)
-        assert (done.returncode, done.stderr) == (
-            2, "error: cannot write the result: standard output is closed\n")
 
     def test_invalid_presentation_fails(self, tmp_path, capsys):
         doc = {
@@ -796,6 +685,18 @@ class TestParser:
             run(argv)
         capsys.readouterr()
         assert "parse_args" in calls
+
+    def test_equals_forms_print_what_the_plain_forms_print(self, corpus_dir, capsys):
+        """--opt=value, which only argparse parses, prints the bytes of the
+        plain form, which run matches: lens, and chi on every example."""
+        pairs = [(["lens", "--p=5", "--json"], ["lens", "--p", "5", "--json"])]
+        pairs += [(["chi", str(f), "--route=both", "--json"], ["chi", str(f), "--route", "both", "--json"])
+                  for f in sorted(corpus_dir.glob("*.json"))]
+        assert len(pairs) == 1 + len(corpus())
+        for equals_form, plain in pairs:
+            code, out, err = invoke(capsys, *plain)
+            assert code == 0 and err == "", plain
+            assert invoke(capsys, *equals_form) == (code, out, err), equals_form
 
     def test_split_link_routes_agree(self, tmp_path, capsys):
         f = tmp_path / "split.json"

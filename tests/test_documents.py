@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lescop import documents
@@ -203,6 +203,44 @@ class TestCanonicalText:
         for chain in (SurgeryChain(()), SurgeryChain((((), 1), (TREFOIL, -1)))):
             assert serialize_chain(chain) == dumped_chain(chain)
         assert serialize_chain(SurgeryChain(())) == "[]\n"
+
+
+@st.composite
+def mostly_valid_documents(draw):
+    """A document by the public constructors whose presentation often
+    validates: distinct names, some of them an int, "" or a lone
+    surrogate; each Seifert matrix V with V - V^T the standard symplectic
+    form, as conftest.random_seifert builds it; a linking vector of length
+    2g against every other name; Fractions only over a base order above
+    1; and a valid bundle_w2 and normalization."""
+    names = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
+    if names and draw(st.integers(0, 3)) == 0:  # about one list in four
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from([1, "", "\ud800"]))
+    h = draw(st.integers(1, 3))
+    numbers = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9 if h > 1 else 1))
+    comps = []
+    for name in names:
+        n = 2 * draw(st.integers(0, 1))
+        v = [[draw(numbers) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(i):
+                v[i][k] = v[k][i] - (k % 2 == 0 and i == k + 1)
+        linking = {other: draw(st.lists(numbers, min_size=n, max_size=n))
+                   for other in names if other != name}
+        comps.append(Component(name, v, linking))
+    bits = st.lists(st.sampled_from([0, 1]), min_size=len(names), max_size=len(names))
+    return PresentationDocument(SurgeryPresentation(h, comps), draw(st.none() | bits.map(tuple)),
+                                draw(st.none() | st.sampled_from(NORMALIZATION_MODES)))
+
+
+class TestRoundTrip:
+    @given(mostly_valid_documents())
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    def test_a_valid_presentation_reads_back_as_written(self, doc):
+        """parse(serialize(doc)) == doc for every document whose
+        presentation validates."""
+        assume(validate(doc.presentation) == [])
+        assert parse(serialize(doc)) == doc
 
 
 class TestParseErrors:

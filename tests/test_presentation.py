@@ -85,6 +85,17 @@ class TestValidate:
         msgs = validate(SurgeryPresentation(1, (c, c)))
         assert any("duplicate" in m for m in msgs)
 
+    @pytest.mark.parametrize("name, defect", [(1, "expected a non-empty string"),
+                                              ("", "expected a non-empty string"),
+                                              ("\ud800", "not valid text")],
+                             ids=["int", "empty", "lone-surrogate"])
+    def test_component_name_rule(self, name, defect):
+        """A name is a non-empty str that encodes as UTF-8, the rule that
+        documents.parse applies, so serialize can write it and parse can
+        read it back."""
+        p = SurgeryPresentation(1, (Component(name, TREFOIL, {}),))
+        assert validate(p) == [f"component name {name!r}: {defect}"]
+
     def test_skew_determinant(self):
         for v, det in (([[0, 0], [0, 0]], 0), ([[0, 2], [0, 0]], 4)):
             msgs = validate(SurgeryPresentation(1, (Component("l1", v, {}),)))
