@@ -23,6 +23,7 @@ from conftest import (
     seeded,
     split_link_document,
 )
+from test_golden_large import CASES as GOLDEN_CASES, check as check_golden
 from test_readme import COMMANDS as README_COMMANDS
 
 FLOAT_LITERAL = re.compile(r"\d\.\d|[eE][+-]\d")
@@ -193,6 +194,12 @@ class TestInvariantCommands:
         assert (code, out) == (1, "")
         assert err == "error: step 0: non-integer entries require base_order > 1, " \
                       "and a chain starts from S^3\n"
+
+    def test_genus_24_returns_at_once(self, tmp_path):
+        """Genus 24's alexander and verify in new processes, so that work
+        growing too fast with the genus fails by the golden runner's time
+        bound; their output is checked against golden_large.json."""
+        assert check_golden(tmp_path, {"24": GOLDEN_CASES["24"]}) == 0
 
 
 class TestChi:
