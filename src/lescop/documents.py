@@ -27,7 +27,9 @@ sorted by name, names escaped as under ensure_ascii, and each entry the
 str of its exact number ("-3", "1/2").  It builds that text by C-level
 joins, not by json's pure-Python indenting encoder.  serialize_chain
 does the same for a chain, so serialize(parse(text)) is byte-stable
-under further round trips.
+under further round trips.  serialize checks bundle_w2 and
+normalization by parse's own check, _options, so it writes no document
+that parse rejects on those fields.
 
 Document shape::
 
@@ -235,6 +237,33 @@ def _parse_component(obj, i, memo):
     return Component._trusted(name, rows, MappingProxyType(linking))
 
 
+def _options(fields, count):
+    """(bundle_w2, normalization) from the optional fields that the mapping
+    fields sets, each None when it is absent: bundle_w2 as a tuple of
+    count 0/1 ints, one per component, and normalization one of
+    NORMALIZATION_MODES.  Any other value raises DocumentSchemaError.
+    parse checks a document's fields by it, and serialize a document's
+    values, so serialize writes no text that parse rejects."""
+    bundle_w2 = normalization = None
+    if "bundle_w2" in fields:
+        raw = fields["bundle_w2"]
+        if not isinstance(raw, (list, tuple)) or any(
+            type(b) is not int or b not in (0, 1) for b in raw
+        ):
+            raise DocumentSchemaError("bundle_w2: expected a list of 0/1 bits")
+        if len(raw) != count:
+            raise DocumentSchemaError(f"bundle_w2: has {len(raw)} bits for {count} components")
+        bundle_w2 = tuple(raw)
+    if "normalization" in fields:
+        normalization = fields["normalization"]
+        if normalization not in NORMALIZATION_MODES:
+            raise DocumentSchemaError(
+                f"normalization: expected one of {list(NORMALIZATION_MODES)}, "
+                f"got {normalization!r}"
+            )
+    return bundle_w2, normalization
+
+
 def parse(text):
     """Parse a presentation document; errors carry line/field context."""
     data = _loads(text)
@@ -258,26 +287,7 @@ def parse(text):
     components = tuple(
         _parse_component(obj, i, memo) for i, obj in enumerate(data["components"])
     )
-    bundle_w2 = None
-    if "bundle_w2" in data:
-        raw = data["bundle_w2"]
-        if not isinstance(raw, list) or any(
-            type(b) is not int or b not in (0, 1) for b in raw
-        ):
-            raise DocumentSchemaError("bundle_w2: expected a list of 0/1 bits")
-        if len(raw) != len(components):
-            raise DocumentSchemaError(
-                f"bundle_w2: has {len(raw)} bits for {len(components)} components"
-            )
-        bundle_w2 = tuple(raw)
-    normalization = None
-    if "normalization" in data:
-        normalization = data["normalization"]
-        if normalization not in NORMALIZATION_MODES:
-            raise DocumentSchemaError(
-                f"normalization: expected one of {list(NORMALIZATION_MODES)}, "
-                f"got {normalization!r}"
-            )
+    bundle_w2, normalization = _options(data, len(components))
     return PresentationDocument(
         presentation=SurgeryPresentation(base_order=base_order, components=components),
         bundle_w2=bundle_w2,
@@ -308,9 +318,13 @@ def serialize(doc):
     order, the optional ones only when set, "linking" sorted by name and
     each entry the str of its exact number.  Names are escaped by json's
     ensure_ascii function, encode_basestring_ascii (in C), and every other
-    scalar by json.dumps without indent, so bools in bundle_w2 read true
-    and false; no pure-Python encoder runs."""
+    scalar by json.dumps without indent; no pure-Python encoder runs.
+    A bundle_w2 or normalization that parse would reject, such as a bool
+    bit, raises DocumentSchemaError with parse's message (_options)."""
     p = doc.presentation
+    optional = {name: value for name in ("bundle_w2", "normalization")
+                if (value := getattr(doc, name)) is not None}
+    bundle_w2, normalization = _options(optional, len(p.components))
     components = []
     for c in p.components:
         linking = [encode_basestring_ascii(other) + ": " + _indented(map(str, vec), 4, "[]", '"')
@@ -320,10 +334,10 @@ def serialize(doc):
                                      '"linking": ' + _indented(linking, 3, "{}")], 2, "{}"))
     fields = [f'"format_version": {FORMAT_VERSION}', '"base_order": ' + json.dumps(p.base_order),
               '"components": ' + _indented(components, 1)]
-    if doc.bundle_w2 is not None:
-        fields.append('"bundle_w2": ' + _indented(map(json.dumps, doc.bundle_w2), 1))
-    if doc.normalization is not None:
-        fields.append('"normalization": ' + json.dumps(doc.normalization))
+    if bundle_w2 is not None:
+        fields.append('"bundle_w2": ' + _indented(map(str, bundle_w2), 1))
+    if normalization is not None:
+        fields.append('"normalization": ' + json.dumps(normalization))
     return _indented(fields, 0, "{}") + "\n"
 
 

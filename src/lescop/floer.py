@@ -352,9 +352,15 @@ def cross_checks(p, bundle=None):
     non-integral chi fails route-agreement and ends the checks.
 
     Each component's Alexander checks read the int coefficients that it
-    keeps, and alexander-symmetry compares them with their mirror; on the
-    node path, which imposes that symmetry, it also compares them with
-    one more determinant (invariants._spare_node_agrees).  z3-structure
+    keeps, and alexander-symmetry compares them with their mirror.  On
+    the packed and modular paths of invariants._coefficients, which
+    compute the symmetry, every Alexander check can fail by itself: a
+    wrong digit or residue breaks the mirror, the value at 1 or
+    Delta''(1).  On the node path, which imposes the symmetry,
+    alexander-symmetry also compares them with one more determinant
+    (invariants._spare_node_agrees), and so fails only by that node;
+    alexander-at-one, delta2-agreement and z3-structure can fail on
+    every path.  z3-structure
     tests (t - 1)^3 | Q on ints (see invariants._z3_structure), with s
     from the case quantity that the presentation keeps for the closed
     form and lescop too.  The helpers are read as invariants attributes,

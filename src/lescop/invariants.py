@@ -10,11 +10,18 @@ h at t = 1.  For a Seifert matrix of size n, knot_alexander and
 alexander read its n + 1 coefficients off the digits of one packed
 integer determinant, det(X dV - dV^T) at X = 2^K for a K that a
 coefficient bound fixes, while the n K bits of X^n stay at most
-_PACKED_BITS.  Above that they take floor(n/2) + 1 integer determinants
-and interpolate: transposing shows that the other half of the
-coefficients repeat the first, up to the sign (-1)^n.  Each determinant,
-and the solve for the free coefficients, is a ring._bareiss elimination
-of int rows built here; no elimination runs over the half-Laurent ring.
+_PACKED_BITS.  Above that, a form in a symplectic basis, where
+dV - dV^T = a Pi for a signed permutation Pi, takes them from one
+characteristic polynomial of Pi^T dV modulo the first prime p > 2^K of
+a fixed table, _PRIMES, while K is at most _MODULAR_BITS_PER_ROW bits
+per row and the table lasts; p / 2 exceeds every |c_i|, so each is
+lifted from its residue exactly.  That Hessenberg reduction mod p is the
+package's second kernel, and only _coefficients runs it.  Every other
+matrix takes floor(n/2) + 1 integer determinants and interpolates:
+transposing shows that the other half of the coefficients repeat the
+first, up to the sign (-1)^n.  Each determinant, and the solve for the
+free coefficients, is a ring._bareiss elimination of int rows built
+here; no elimination runs over the half-Laurent ring.
 The coefficients are ints, c_0 .. c_n of det(t dV - dV^T), and each
 Component keeps its tuple of them (_kept_coefficients): alexander
 and every check of floer.cross_checks read that one tuple, and the
@@ -73,15 +80,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import mul
+from operator import mul, sub
 
 from .presentation import InvalidSpecError, _jet_trace, _valid_form, exact_matrix, integral_form
 from .ring import HalfLaurent, _Record, _bareiss, _kept, exact
 
 # _coefficients packs the Alexander determinant into one integer determinant
-# while n K, the bits of 2^(K n), is at most this many, and interpolates it
-# from nodes above: the faster path on each side, by measurement.
+# while n K, the bits of 2^(K n), is at most _PACKED_BITS.  Above that, a
+# symplectic-basis form whose K is at most _MODULAR_BITS_PER_ROW bits per row
+# takes one characteristic polynomial modulo a prime of _PRIMES, and every
+# other matrix the nodes: the fastest path on each side, by measurement (see
+# knot_alexander).
 _PACKED_BITS = 1200
+_MODULAR_BITS_PER_ROW = 20
+
+# The moduli of the modular path, increasing: Mersenne primes 2^q - 1 and the
+# FIPS 186-4 primes P-192, P-224, P-256 and P-384 (tests/test_invariants.py
+# proves each prime).
+_PRIMES = (
+    2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+    2**192 - 2**64 - 1,
+    2**224 - 2**96 + 1,
+    2**256 - 2**224 + 2**192 + 2**96 - 1,
+    2**384 - 2**128 - 2**96 + 2**32 - 1,
+    2**521 - 1, 2**607 - 1, 2**1279 - 1, 2**2203 - 1,
+)
 
 
 class InvalidPresentationError(Exception):
@@ -140,26 +163,45 @@ def knot_alexander(seifert, base_order=1):
     is an integer polynomial of degree <= n, and the coefficient c_i of
     t^i becomes the term t^((2i - n)/2).  Transposing gives
     t^n P(1/t) = det(dV - t dV^T) = det((dV - t dV^T)^T) = (-1)^n P(t),
-    so c_(n-i) = (-1)^n c_i.  _coefficients finds the c_i on one of two
-    exact paths, picked from n K, where 2^(K - 1) bounds every |c_i|:
+    so c_(n-i) = (-1)^n c_i.  _coefficients finds the c_i on one of three
+    exact paths, picked from n, K, where 2^(K - 1) bounds every |c_i|,
+    and the shape of dV - dV^T:
 
     - packed, for n K <= _PACKED_BITS (1200): one integer determinant,
       P(2^K), whose balanced base-2^K digits are c_0 .. c_n.  K comes
       from Cauchy's estimate and Hadamard's inequality:
       |c_i| <= max over |z| = 1 of |P(z)|
             <= prod over rows r of sqrt(sum_j (|dV[r][j]| + |dV[j][r]|)^2);
-    - nodes, above it: floor(n/2) + 1 integer determinants at as many
-      integer nodes and one fraction-free Gauss-Jordan for the free
-      coefficients, the others by the symmetry.
+    - modular, above it, when dV - dV^T = a Pi for a signed permutation
+      Pi (each row one nonzero, all of one absolute value a: every
+      Seifert matrix in a symplectic basis, as d times S) and
+      K <= _MODULAR_BITS_PER_ROW n (20 n): one characteristic polynomial
+      of the n x n int matrix Pi^T dV modulo the first prime p > 2^K of
+      _PRIMES, then its change of variable to t, each c_i lifted from
+      (-p/2, p/2);
+    - nodes, for every other matrix above the cutoff: floor(n/2) + 1
+      integer determinants at as many integer nodes and one
+      fraction-free Gauss-Jordan for the free coefficients, the others
+      by the symmetry.
 
     Timed by timeit on random integer matrices of sizes 2 to 18 with
     entries up to 10^12, the packed path was 1.01x to 2.7x as fast as
     the nodes on all 106 with n K <= 1200, and 0.32x to 1.35x as fast on
-    the 70 with n K from 1200 to 4000, where the nodes run; on a 16 x 16
-    matrix of 100-digit entries it was 0.06x as fast.  Both paths give
-    the same polynomial, but only the packed one computes its symmetry
-    rather than imposing it.  alexander reads the coefficients that a
-    component keeps (_kept_coefficients).
+    the 70 with n K from 1200 to 4000, where it no longer runs; on a
+    16 x 16 matrix of 100-digit entries it was 0.06x as fast.  The
+    modular path was timed against the nodes on an interleaved grid:
+    one symplectic-basis form (tests/conftest.py random_seifert) per
+    genus 5, 7, 9, 12, 16 and 20 and per entry bound 3, 30, 10^3, 10^5,
+    10^8 and 10^12 with n K > 1200, each path the best of 2 alternating
+    rounds of 3 to 5 runs.  Where K <= 20 n it was 0.99x to 3.05x as fast
+    on the 12 forms up to genus 12, and 1.36x to 5.5x on 7 of the 8 at
+    genus 16 and 20; on the eighth, at genus 16 and K/n = 19.3, where p
+    jumps to 2^1279 - 1, 0.86x.  Where K > 20 n it was 0.57x to 1.40x up
+    to genus 12 and 0.84x to 2.17x above.  The genus-40 knot of
+    `python tests/conftest.py 40` took 0.42 s against 3.7 s on the
+    nodes.  Every path gives the same polynomial; the packed and modular
+    ones compute its symmetry rather than imposing it.  alexander reads
+    the coefficients that a component keeps (_kept_coefficients).
 
     >>> print(knot_alexander([[-1, 1], [0, -1]]))
     t - 1 + t^-1
@@ -180,10 +222,10 @@ def _alexander(d, coeffs, h):
 
 
 def _coefficients(dv):
-    """(c_0 .. c_n, interpolated): the int coefficients of
-    P(t) = det(t dV - dV^T), by whichever of the two exact paths
-    knot_alexander describes is the faster for this matrix, and whether
-    that was the node path.
+    """(c_0 .. c_n, path): the int coefficients of P(t) = det(t dV - dV^T),
+    by whichever of the three exact paths of knot_alexander is the
+    fastest for this matrix, and the name of that path: "packed",
+    "modular" or "nodes".
 
     The packed path reads them all off one determinant, P(X) at X = 2^K
     (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
@@ -201,8 +243,18 @@ def _coefficients(dv):
 
     See _digit_bits.  Since every c_i is then a balanced base-X digit,
     in [-X/2, X/2), they are read off from c_0 up: c = v & (X - 1),
-    minus X when c >= X/2, then v = (v - c) >> K.  Nothing imposes the
-    symmetry c_(n-i) = (-1)^n c_i on this path, so a check of it can fail.
+    minus X when c >= X/2, then v = (v - c) >> K.
+
+    The modular path (_modular) finds every c_i modulo the first prime
+    p of _PRIMES above 2^K, and p / 2 > 2^(K - 1) > |c_i| by the same
+    bound, so the residue lifted into (-p/2, p/2) is c_i itself.  It
+    lifts the t-coefficients, not the characteristic polynomial's, which
+    is why p needs K + 1 bits and not K + n + 1.  It runs only for a form
+    that _skew_permutation accepts, dV - dV^T = a Pi for a signed
+    permutation Pi (a symplectic basis), and K at most
+    _MODULAR_BITS_PER_ROW n bits; past the last prime of the table the
+    nodes run.  Neither the packed nor the modular path imposes the
+    symmetry c_(n-i) = (-1)^n c_i, so a check of it can fail on both.
 
     The node path (_nodes) interpolates the floor(n/2) + 1 free
     coefficients from as many smaller determinants, and imposes the
@@ -213,14 +265,19 @@ def _coefficients(dv):
     runs when n K is at most _PACKED_BITS, below which it was the faster
     on every matrix timed (see knot_alexander).  On the tests' random
     genus-g Seifert forms, entries up to 3, it runs up to genus 8, and
-    was 1.6x to 2.1x as fast at genus 1 to 7 and 1.45x at genus 8.
+    the modular path above.
     """
     n = len(dv)
     dvt = tuple(zip(*dv))
     k = _digit_bits(dv, dvt)
     if n * k <= _PACKED_BITS:
-        return tuple(_packed(dv, dvt, k)), False
-    return tuple(_nodes(dv, dvt)), True
+        return tuple(_packed(dv, dvt, k)), "packed"
+    p = _modulus(k) if k <= _MODULAR_BITS_PER_ROW * n else None
+    form = p and _skew_permutation(dv, dvt)
+    if form:
+        half = p >> 1
+        return tuple(c - p if c > half else c for c in _modular(*form, p)), "modular"
+    return tuple(_nodes(dv, dvt)), "nodes"
 
 
 def _digit_bits(dv, dvt):
@@ -254,6 +311,110 @@ def _value_at(dv, dvt, x):
     rows = [[x * a - b for a, b in zip(row, col)] for row, col in zip(dv, dvt)]
     sign, last = _bareiss(rows, len(dv), False)
     return sign * last
+
+
+def _modulus(k):
+    """The first prime of _PRIMES above 2^k, or None past the table."""
+    return next((p for p in _PRIMES if p.bit_length() > k), None)
+
+
+def _skew_permutation(dv, dvt):
+    """(a, N) when dV - dV^T = a Pi for an int a > 0 and a signed
+    permutation matrix Pi, with N = Pi^T dV as int rows; otherwise None.
+
+    Each row of dV - dV^T then holds one nonzero, +-a, at column j(r).
+    That matrix is skew, so j is an involution with no fixed point, Pi is
+    skew too, Pi^-1 = Pi^T = -Pi and det Pi = Pf(Pi)^2 = 1; and row r of
+    Pi^T dV is row j(r) of dV times the sign of Pi[j(r)][r] = -Pi[r][j(r)].
+    Nothing is eliminated, and presentation.skew_form is not read.
+    """
+    a = None
+    rows = []
+    for row, col in zip(dv, dvt):
+        nonzero = [j for j, (x, y) in enumerate(zip(row, col)) if x != y]
+        if len(nonzero) != 1:
+            return None
+        j = nonzero[0]
+        s = row[j] - col[j]
+        if a is None:
+            a = abs(s)
+        elif abs(s) != a:
+            return None
+        rows.append(dv[j] if s < 0 else [-x for x in dv[j]])
+    return a, rows
+
+
+def _modular(a, rows, p):
+    """c_0 .. c_n of P(t) = det(t dV - dV^T) modulo the prime p, each in
+    [0, p), from the (a, N) of _skew_permutation.
+
+    With dV^T = dV - a Pi, t dV - dV^T = a Pi + (t - 1) dV
+    = Pi (a I + (t - 1) N), and det Pi = 1, so P(t) = det(a I + (t - 1) N).
+    For det(x I - N) = sum b_k x^k (_charpoly) and n even,
+    det(a I + u N) = u^n det(-(a/u) I - N) = sum_k (-a)^k b_k u^(n - k),
+    and Horner's rule in u = t - 1, from b_0 up, gives the c_i.  They
+    stay below 2^n p^2 in size until the one reduction at the end.
+    """
+    b = _charpoly(rows, p)
+    c = [b[0]]
+    x = 1
+    for bk in b[1:]:
+        x = x * -a % p
+        c = [x * bk - c[0], *map(sub, c, c[1:]), c[-1]]  # c (t - 1) + (-a)^k b_k
+    return [y % p for y in c]
+
+
+def _charpoly(m, p):
+    """b_0 .. b_n, in [0, p), of det(x I - M) = sum b_k x^k modulo the
+    prime p for the int rows m of an n x n matrix M.
+
+    A Hessenberg reduction mod p, then the Hessenberg recurrence (Cohen,
+    A Course in Computational Algebraic Number Theory, Algorithm 2.2.9).
+    Step k moves a nonzero of column k - 1, at or below row k, to row k
+    by one row and one column swap, then clears the rest of that column
+    by the similarity H -> L H L^-1 with L = I - sum_i u_i e_i e_k^T:
+    one comprehension per row i > k, row_i - u_i row_k, then column k
+    plus sum_i u_i column_i, as one dot product per row.  For the
+    Hessenberg H the characteristic polynomials p_m of its leading m x m
+    blocks satisfy p_0 = 1 and
+    p_m = (x - h_mm) p_(m-1) - sum_(i < m) h_(m-i,m) prod_(j < i) h_(m-j,m-j-1) p_(m-i-1),
+    1-based; the product is a running one, and the sum stops at its
+    first zero factor.  p is prime, so every nonzero pivot is invertible.
+    """
+    h = [[x % p for x in row] for row in m]
+    n = len(h)
+    for k in range(1, n - 1):
+        pivot = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            h[k], h[pivot] = h[pivot], h[k]
+            for row in h:
+                row[k], row[pivot] = row[pivot], row[k]
+        hk = h[k]
+        inverse = pow(hk[k - 1], -1, p)
+        us = [h[i][k - 1] * inverse % p for i in range(k + 1, n)]
+        for i, u in enumerate(us, k + 1):
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], hk)]
+        for row in h:
+            row[k] = (row[k] + sum(map(mul, us, row[k + 1:]))) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        new = [0, *prev]  # x p_(m-1), then minus h_mm p_(m-1)
+        new[:m] = [x - h[m - 1][m - 1] * y for x, y in zip(new, prev)]
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            if not t:
+                break
+            f = t * h[m - i - 1][m - 1] % p
+            if f:
+                q = polys[m - i - 1]
+                new[: len(q)] = [x - f * y for x, y in zip(new, q)]
+        polys.append([x % p for x in new])
+    return polys[-1]
 
 
 def _node_list(count):
@@ -316,8 +477,8 @@ def alexander(p, comp):
 @_kept
 def _kept_coefficients(c):
     """_coefficients of the component c's kept integral form, computed on
-    first use and kept on c (ring._kept), with whether they were
-    interpolated: alexander and every check of floer.cross_checks share
+    first use and kept on c (ring._kept), with the name of the path that
+    found them: alexander and every check of floer.cross_checks share
     one computation."""
     return _coefficients(c.integral_form[1])
 
@@ -338,16 +499,18 @@ def _spare_node_agrees(c):
     """Whether the component c's kept coefficients agree with
     P(x) = det(x dV - dV^T) at a node that their interpolation did not use.
 
-    On the packed path nothing is imposed on the coefficients, and a
-    comparison of them with their mirror can fail, so this returns True
-    with no determinant.  On the node path (n K above _PACKED_BITS),
-    which imposes c_(n-i) = (-1)^n c_i, it takes one more determinant,
-    P(x) at the first node of _node_list that _nodes does not use, and
-    compares it with sum c_i x^i: a polynomial interpolated from wrong
-    values, or one whose true coefficients are not symmetric, misses it.
+    On the packed path (n K at most _PACKED_BITS) and on the modular one
+    (a symplectic-basis form with K at most _MODULAR_BITS_PER_ROW n)
+    nothing is imposed on the coefficients, and a comparison of them with
+    their mirror can fail, so this returns True with no determinant.  On
+    the node path, which imposes c_(n-i) = (-1)^n c_i, it takes one more
+    determinant, P(x) at the first node of _node_list that _nodes does
+    not use, and compares it with sum c_i x^i: a polynomial interpolated
+    from wrong values, or one whose true coefficients are not symmetric,
+    misses it.
     """
-    coeffs, interpolated = _kept_coefficients(c)
-    if not interpolated:
+    coeffs, path = _kept_coefficients(c)
+    if path != "nodes":
         return True
     dv = c.integral_form[1]
     x = _node_list(len(dv) // 2 + 2)[-1]

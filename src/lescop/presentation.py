@@ -316,9 +316,12 @@ def validate(p):
 
     An empty list means the presentation is valid.  Violations are data,
     not exceptions, so callers can report all of them at once.  Each
-    component name must pass _name_defect.  Linking names are compared
-    with the other names as sets, and lengths in one any(); the loops
-    that name each defect run only when one fails.
+    component name must pass _name_defect; an unhashable one, such as a
+    list, is reported by that alone and takes part in no set of names
+    after it.  Linking names are compared with the other names as sets,
+    and lengths in one any(); the loops that name each defect run only
+    when one fails, in the order of str(name), so names of mixed types
+    are reported too.
     """
     out = []
     if type(p.base_order) is not int or p.base_order < 1:
@@ -329,19 +332,25 @@ def validate(p):
         defect = _name_defect(n)
         if defect is not None:
             out.append(f"component name {n!r}: {defect}")
-        if n in seen:
-            out.append(f"duplicate component name {n!r}")
-        seen.add(n)
+        try:
+            if n in seen:
+                out.append(f"duplicate component name {n!r}")
+            seen.add(n)
+        except TypeError:  # an unhashable name, a list say: its defect is reported
+            pass
     for c in p.components:
         msg = c.skew_form[1]
         if msg is not None:
             out.append(f"component {c.name!r}: {msg}")
-        expected = seen - {c.name}
+        try:
+            expected = seen - {c.name}
+        except TypeError:  # an unhashable name is in no set
+            expected = seen
         keys, size = c.linking.keys(), len(c.seifert)
         if keys != expected:
-            for other in sorted(expected - keys):
+            for other in sorted(expected - keys, key=str):
                 out.append(f"component {c.name!r}: missing linking vector against {other!r}")
-            for other in sorted(keys - expected):
+            for other in sorted(keys - expected, key=str):
                 out.append(f"component {c.name!r}: linking vector against unknown component "
                            f"{other!r}")
         if any(map(size.__ne__, map(len, c.linking.values()))):

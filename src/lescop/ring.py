@@ -13,15 +13,19 @@ of the conversions all pass through it.  ``HalfLaurent.__init__`` is the
 one place that applies it to a coefficient and drops the zero terms, so
 no arithmetic of HalfLaurent drops a zero term itself.
 
-``_bareiss`` is the package's one exact elimination, a fraction-free
-Bareiss step over int rows, and its docstring states its contract.  Each
-elimination job has one function: ``determinant`` checks the rows a
-caller passes in, ``_scaled_inverse`` is the Gauss-Jordan of [M | I] on
-int rows the package builds, and ``invariants._coefficients`` runs
-``_bareiss`` on its own int rows: once, on the rows of
+``_bareiss`` is the package's exact elimination over the integers, a
+fraction-free Bareiss step over int rows, and its docstring states its
+contract.  Each elimination job has one function: ``determinant`` checks
+the rows a caller passes in, ``_scaled_inverse`` is the Gauss-Jordan of
+[M | I] on int rows the package builds, and ``invariants._coefficients``
+runs ``_bareiss`` on its own int rows: once, on the rows of
 det(t dV - dV^T) at t = 2^K, whose digits are the Alexander
-coefficients, or, for long entries, once per interpolation node and once
-for the solve.  No elimination runs over the ring itself.
+coefficients, or, off a symplectic basis or for long entries, once per
+interpolation node and once for the solve.  The package's second kernel,
+a Hessenberg reduction modulo a prime (``invariants._charpoly``), is
+not here: only ``invariants`` runs it, for the Alexander coefficients of
+a symplectic-basis form above the packed cutoff.  No elimination runs
+over the ring itself.
 
 The ring's only polynomial division is by z, in ``z_power_quotient``.  With
 u = t^(1/2), p = z * q means q_(e-1) = p_e + q_(e+1) on the coefficients

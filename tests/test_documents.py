@@ -168,12 +168,33 @@ matrices = st.integers(0, 1).flatmap(
     lambda g: st.lists(st.lists(exact_numbers, min_size=2 * g, max_size=2 * g),
                        min_size=2 * g, max_size=2 * g))
 components = st.builds(Component, texts, matrices, st.dictionaries(texts, vectors, max_size=2))
+
+
+def bundles(count):
+    """None, count 0/1 bits, or bits that parse rejects at times: a bool,
+    a 2 or the wrong number of them."""
+    bits = st.lists(st.sampled_from([0, 1]), min_size=count, max_size=count)
+    return st.none() | bits.map(tuple) | st.lists(
+        st.sampled_from([0, 1, 2]) | st.booleans(), max_size=3).map(tuple)
+
+
+def normalizations(names=texts):
+    return st.none() | st.sampled_from(NORMALIZATION_MODES) | names
+
+
 documents_ = st.builds(
-    PresentationDocument,
-    st.builds(SurgeryPresentation, st.integers(1, 10**20), st.lists(components, max_size=2)),
-    st.none() | st.lists(st.sampled_from([0, 1]) | st.booleans(), max_size=3).map(tuple),
-    st.none() | st.sampled_from(NORMALIZATION_MODES) | texts,
-)
+    SurgeryPresentation, st.integers(1, 10**20), st.lists(components, max_size=2)
+).flatmap(lambda p: st.builds(PresentationDocument, st.just(p), bundles(len(p.components)),
+                              normalizations()))
+
+
+def parse_accepts_options(doc):
+    """Whether parse reads back doc's bundle_w2 and normalization: None, or
+    one 0/1 int per component, and None or a normalization mode."""
+    bits, count = doc.bundle_w2, len(doc.presentation.components)
+    return (bits is None or len(bits) == count and all(type(b) is int and b in (0, 1)
+                                                       for b in bits)) \
+        and doc.normalization in (None, *NORMALIZATION_MODES)
 chains = st.builds(SurgeryChain, st.lists(st.tuples(matrices, st.sampled_from([-1, 1])), max_size=3))
 
 
@@ -185,7 +206,14 @@ class TestCanonicalText:
     @given(documents_)
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     def test_serialize_is_the_indented_dumps(self, doc):
-        assert serialize(doc) == dumped_document(doc)
+        """Or, for a bundle_w2 or normalization that parse rejects, it
+        raises DocumentSchemaError instead (TestRoundTrip checks the
+        message)."""
+        if parse_accepts_options(doc):
+            assert serialize(doc) == dumped_document(doc)
+        else:
+            with pytest.raises(DocumentSchemaError):
+                serialize(doc)
 
     @given(chains)
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -196,10 +224,12 @@ class TestCanonicalText:
         empty = Component("\ud800\U0001f600\"\\", (), {})
         unlinked = Component("l2", TREFOIL, {"l1": ()})
         for doc in (PresentationDocument(SurgeryPresentation(1, ())),
-                    PresentationDocument(SurgeryPresentation(2, (empty, unlinked)), (True, False),
+                    PresentationDocument(SurgeryPresentation(2, (empty, unlinked)), (1, 0),
                                          "paper-literal")):
             assert serialize(doc) == dumped_document(doc)
-        assert '"bundle_w2": [\n    true,\n    false\n  ]' in serialize(doc)
+        assert '"bundle_w2": [\n    1,\n    0\n  ]' in serialize(doc)
+        with pytest.raises(DocumentSchemaError, match="^bundle_w2: expected a list of 0/1 bits$"):
+            serialize(PresentationDocument(doc.presentation, (True, False)))
         for chain in (SurgeryChain(()), SurgeryChain((((), 1), (TREFOIL, -1)))):
             assert serialize_chain(chain) == dumped_chain(chain)
         assert serialize_chain(SurgeryChain(())) == "[]\n"
@@ -212,7 +242,8 @@ def mostly_valid_documents(draw):
     surrogate; each Seifert matrix V with V - V^T the standard symplectic
     form, as conftest.random_seifert builds it; a linking vector of length
     2g against every other name; Fractions only over a base order above
-    1; and a valid bundle_w2 and normalization."""
+    1; and a bundle_w2 and normalization by bundles and normalizations,
+    valid at most times."""
     names = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
     if names and draw(st.integers(0, 3)) == 0:  # about one list in four
         names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from([1, "", "\ud800"]))
@@ -228,9 +259,8 @@ def mostly_valid_documents(draw):
         linking = {other: draw(st.lists(numbers, min_size=n, max_size=n))
                    for other in names if other != name}
         comps.append(Component(name, v, linking))
-    bits = st.lists(st.sampled_from([0, 1]), min_size=len(names), max_size=len(names))
-    return PresentationDocument(SurgeryPresentation(h, comps), draw(st.none() | bits.map(tuple)),
-                                draw(st.none() | st.sampled_from(NORMALIZATION_MODES)))
+    return PresentationDocument(SurgeryPresentation(h, comps), draw(bundles(len(names))),
+                                draw(normalizations(st.sampled_from(["nonsense", "Derived", ""]))))
 
 
 class TestRoundTrip:
@@ -238,9 +268,31 @@ class TestRoundTrip:
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     def test_a_valid_presentation_reads_back_as_written(self, doc):
         """parse(serialize(doc)) == doc for every document whose
-        presentation validates."""
+        presentation validates; when parse rejects the text of its
+        bundle_w2 or normalization, serialize raises parse's error."""
         assume(validate(doc.presentation) == [])
-        assert parse(serialize(doc)) == doc
+        try:
+            read = parse(dumped_document(doc))
+        except DocumentSchemaError as e:
+            with pytest.raises(DocumentSchemaError) as refused:
+                serialize(doc)
+            assert str(refused.value) == str(e)
+        else:
+            assert parse(serialize(doc)) == doc == read
+
+    @pytest.mark.parametrize("bundle_w2, normalization, message", [
+        ((True,), None, "bundle_w2: expected a list of 0/1 bits"),
+        ((1, 1), None, "bundle_w2: has 2 bits for 1 components"),
+        (None, "nonsense", "normalization: expected one of ['derived', 'paper-literal'], "
+                           "got 'nonsense'"),
+    ], ids=["bool", "length", "normalization"])
+    def test_serialize_refuses_what_parse_rejects(self, bundle_w2, normalization, message):
+        doc = parse(TREFOIL_DOC)
+        written = PresentationDocument(doc.presentation, bundle_w2, normalization)
+        for attempt in (lambda: serialize(written), lambda: parse(dumped_document(written))):
+            with pytest.raises(DocumentSchemaError) as e:
+                attempt()
+            assert str(e.value) == message
 
 
 class TestParseErrors:

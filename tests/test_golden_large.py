@@ -9,7 +9,8 @@ regression pins, not oracles: they hold the output of the commit that
 recorded them.
 
 The tier-1 tests run each case's commands in process, except those in
-CI_ONLY, about 2 s of work in all, and, in tests/test_cli.py, case
+CI_ONLY, about 2.5 s of work in all (the genus-40 alexander and verify
+take about 0.45 s each), and, in tests/test_cli.py, case
 "24"'s commands cold, under the time bound.  Every command of every case, with that bound, is
 checked by
 
@@ -61,9 +62,6 @@ CASES = {
     "hostile 16": ["chi --route triangle"],
 }
 CI_ONLY = {
-    "24": ["verify"],
-    "linked 2 24": ["verify"],
-    "40": ["alexander", "verify"],
     "200": ["chi --route closed"],
     "400": ["chi --route both", "lescop"],
     "linked 24 1": ["chi --route triangle"],

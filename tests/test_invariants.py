@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -46,8 +47,36 @@ from conftest import (
     with_fractional_symmetric_part,
 )
 
-# thresholds of _alexander that force each of its paths
-PATHS = {"packed": 10**9, "nodes": -1}
+# (_PACKED_BITS, _MODULAR_BITS_PER_ROW) that force each path of
+# _coefficients; "modular" runs only on a form that _skew_permutation
+# accepts, and every other matrix takes the nodes then
+PATHS = {"packed": (10**9, 0), "modular": (-1, 10**9), "nodes": (-1, -1)}
+
+
+def force(monkeypatch, path):
+    packed, modular = PATHS[path]
+    monkeypatch.setattr(invariants, "_PACKED_BITS", packed)
+    monkeypatch.setattr(invariants, "_MODULAR_BITS_PER_ROW", modular)
+
+
+def path_of(v):
+    """The path _coefficients takes for the Seifert matrix v."""
+    return invariants._coefficients(integral_form(exact_matrix(v))[1])[1]
+
+
+def skew_permuted(rng, n, scale, bound=4):
+    """A random n x n integer matrix V, n even, with V - V^T = scale Pi for
+    a random skew signed permutation Pi: for scale 1, a Seifert matrix in
+    a symplectic basis up to the order and signs of that basis."""
+    v = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v[i][j] = v[j][i] = rng.randint(-bound, bound)
+    order = rng.sample(range(n), n)
+    for i, j in zip(order[::2], order[1::2]):
+        v[i][j] += rng.choice((-1, 1)) * scale
+    return v
+
 
 TREFOIL_POLY = HalfLaurent({2: 1, 0: -1, -2: 1})
 FIG8_POLY = HalfLaurent({2: -1, 0: 3, -2: -1})
@@ -111,37 +140,57 @@ class TestAlexander:
 
     def test_matches_sympy(self, monkeypatch):
         """Up to genus 8 against det(x V - V^T) in a symbol x, expanded by sympy:
-        its coefficient of x^i is that of t^((2i - n)/2).  On each path."""
+        its coefficient of x^i is that of t^((2i - n)/2).  On each path, for
+        a form in a random basis and one in a symplectic basis, each with a
+        fractional symmetric part (d > 1) when h > 1; the modular path runs
+        on the second."""
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         rng = seeded(33)
         for g in range(1, 9):
             h = (1, 3, 4)[g % 3]
-            v = jet_test_seifert(rng, g, fractional=h > 1)
-            n = 2 * g
-            m = sympy.Matrix(n, n, lambda i, j: x * v[i][j] - v[j][i])
-            coeffs = sympy.Poly(m.det(method="domain-ge"), x).all_coeffs()[::-1]
-            expected = {2 * i - n: h * Fraction(int(c.p), int(c.q)) for i, c in enumerate(coeffs)}
-            for path, bits in PATHS.items():
-                monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
-                assert knot_alexander(v, h) == HalfLaurent(expected), (path, g, h, v)
+            symplectic = random_seifert(rng, g)
+            if h > 1:
+                symplectic = with_fractional_symmetric_part(rng, symplectic)
+            for v in (jet_test_seifert(rng, g, fractional=h > 1), symplectic):
+                n = 2 * g
+                m = sympy.Matrix(n, n, lambda i, j: x * v[i][j] - v[j][i])
+                coeffs = sympy.Poly(m.det(method="domain-ge"), x).all_coeffs()[::-1]
+                expected = {2 * i - n: h * Fraction(int(c.p), int(c.q))
+                            for i, c in enumerate(coeffs)}
+                for path in PATHS:
+                    force(monkeypatch, path)
+                    assert knot_alexander(v, h) == HalfLaurent(expected), (path, g, h, v)
+            force(monkeypatch, "modular")
+            assert path_of(symplectic) == "modular"
 
     def test_matches_full_interpolation(self, monkeypatch):
         """Bare matrices of sizes 0 to 24, odd, singular and fractional ones
         included, against n + 1 nodes interpolated without the symmetry;
-        h = 1 and 4 as well up to size 12.  On each path."""
+        h = 1 and 4 as well up to size 12.  On each path.  Of even size,
+        also V with V - V^T = a Pi for a skew signed permutation Pi and
+        a = 1 to 3, with a fractional symmetric part at times, which the
+        modular path takes when forced."""
         rng = seeded(37)
         for n in range(25):
-            for kind in ("integral", "fractional", "singular"):
+            for kind in ("integral", "fractional", "singular", "skew-permuted"):
                 denominators = (1, 2, 3, 4) if kind == "fractional" else (1,)
                 v = [[Fraction(rng.randint(-4, 4), rng.choice(denominators)) for _ in range(n)]
                      for _ in range(n)]
                 if kind == "singular" and n:
                     v[-1] = [3 * x for x in v[0]]
+                if kind == "skew-permuted":
+                    if n % 2 or not n:
+                        continue
+                    v = skew_permuted(rng, n, rng.randint(1, 3))
+                    if rng.random() < 0.5:
+                        v = with_fractional_symmetric_part(rng, v)
+                    force(monkeypatch, "modular")
+                    assert path_of(v) == "modular"
                 for h in (1, 3, 4) if n <= 12 else (3,):
                     expected = full_interpolation(v, h)
-                    for path, bits in PATHS.items():
-                        monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+                    for path in PATHS:
+                        force(monkeypatch, path)
                         assert knot_alexander(v, h) == expected, (path, v, h)
 
     def test_digits_fit_the_bound(self):
@@ -168,48 +217,102 @@ class TestAlexander:
             assert max(map(abs, coeffs), default=0) < 2 ** (k - 1), v
 
     def test_half_the_determinants(self, monkeypatch):
-        """Below the threshold, one elimination of n x n int rows per
+        """On the packed path, one elimination of n x n int rows per
         polynomial and no solve, for bare matrices and for components
         alike; the node path takes floor(n/2) + 1 of them, then one
-        Gauss-Jordan solve of floor(n/2) + 1 rows."""
+        Gauss-Jordan solve of floor(n/2) + 1 rows; the modular path, on
+        a symplectic-basis form, none."""
         bareiss = Eliminations(monkeypatch)
 
         def nodes(n):
             m = n // 2 + 1
             return [(n, n, False)] * m + [(m, m, True)]
 
-        default = invariants._PACKED_BITS
         rng = seeded(38)
         for n in range(11):
             v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            for bits, expected in ((default, [(n, n, False)]), (-1, nodes(n))):
-                monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+            for path, expected in (("packed", [(n, n, False)]), ("nodes", nodes(n))):
+                force(monkeypatch, path)
                 bareiss.calls.clear()
                 knot_alexander(v)
-                assert bareiss.calls == expected, (n, bits)
+                assert bareiss.calls == expected, (n, path)
         for g in range(5):
             v = random_seifert(rng, g)
-            for bits, expected in ((default, [(2 * g, 2 * g, False)]), (-1, nodes(2 * g))):
-                monkeypatch.setattr(invariants, "_PACKED_BITS", bits)
+            n = 2 * g
+            for path, expected in (("packed", [(n, n, False)]), ("nodes", nodes(n)),
+                                   ("modular", [] if g else nodes(0))):
+                force(monkeypatch, path)
                 bareiss.calls.clear()
                 p = knot_surgery(v)  # a fresh component: each keeps its coefficients
                 alexander(p, "l1")
                 alexander(p, "l1")
-                assert bareiss.calls == expected, (g, bits)
+                assert bareiss.calls == expected, (g, path)
 
     def test_long_entries_take_the_nodes(self, monkeypatch):
         """A 16 x 16 matrix of 100-digit entries, where one packed
-        determinant is about 17x slower than the nodes, and the CI's
-        genus-24 and genus-40 knots take the node path."""
+        determinant is about 17x slower than the nodes, and a genus-6
+        symplectic-basis form of entries up to 10^12, whose K of about 42
+        bits per row is past _MODULAR_BITS_PER_ROW, take the nodes; the
+        CI's genus-24 and genus-40 knots, above the packed cutoff, take
+        the modular path."""
         bareiss = Eliminations(monkeypatch)
         rng = seeded(40)
         v = [[rng.randint(10**99, 10**100) * rng.choice((-1, 1)) for _ in range(16)]
              for _ in range(16)]
         assert knot_alexander(v) == full_interpolation(v, 1)
         assert bareiss.calls == [(16, 16, False)] * 9 + [(9, 9, True)]
+        bareiss.calls.clear()
+        v = random_seifert(rng, 6, bound=10**12)
+        assert knot_alexander(v) == full_interpolation(v, 1)
+        assert bareiss.calls == [(12, 12, False)] * 7 + [(7, 7, True)]
         for g in (24, 40):
             _, dv, _ = parse(dense_knot_document(g)).presentation.components[0].integral_form
-            assert 2 * g * invariants._digit_bits(dv, tuple(zip(*dv))) > invariants._PACKED_BITS
+            dvt = tuple(zip(*dv))
+            k = invariants._digit_bits(dv, dvt)
+            assert 2 * g * k > invariants._PACKED_BITS
+            assert k <= invariants._MODULAR_BITS_PER_ROW * 2 * g
+            assert invariants._skew_permutation(dv, dvt)[0] == 1
+
+    def test_the_moduli_are_prime(self):
+        """Each entry of _PRIMES, in increasing order, is prime: a Mersenne
+        number 2^q - 1 with q an odd prime by Lucas-Lehmer (prime exactly
+        when s_(q-2) = 0 for s_0 = 4, s_(i+1) = s_i^2 - 2 mod 2^q - 1),
+        and each of the FIPS 186-4 primes by sympy.isprime."""
+        primes = invariants._PRIMES
+        assert list(primes) == sorted(set(primes))
+        mersenne = [p for p in primes if not (p + 1) & p]
+        assert [p.bit_length() for p in mersenne] == [31, 61, 89, 107, 127, 521, 607, 1279, 2203]
+        for p in mersenne:
+            q = p.bit_length()
+            assert all(q % f for f in range(2, isqrt(q) + 1)), q
+            s = 4
+            for _ in range(q - 2):
+                s = (s * s - 2) % p
+            assert s == 0, q
+        sympy = pytest.importorskip("sympy")
+        fips = [p for p in primes if p not in mersenne]
+        assert [p.bit_length() for p in fips] == [192, 224, 256, 384]
+        assert all(sympy.isprime(p) for p in fips)
+
+    def test_a_smaller_modulus_is_caught(self, monkeypatch):
+        """The default path of a seeded genus-4 form, random_seifert plus
+        2^18 I, is the modular one, with K = 153 and so p = P-192; its
+        largest coefficient has 151 bits, so the next smaller entry of
+        _PRIMES, 2^127 - 1, is too small to lift it, and a mutant of
+        _modulus that takes that entry gives a wrong polynomial."""
+        rng = seeded(41)
+        v = [[x + 2**18 * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(random_seifert(rng, 4))]
+        expected = full_interpolation(v, 1)
+        assert path_of(v) == "modular" and knot_alexander(v) == expected
+        dv = integral_form(exact_matrix(v))[1]
+        assert invariants._digit_bits(dv, tuple(zip(*dv))) == 153
+        primes, modulus = invariants._PRIMES, invariants._modulus
+        smaller = primes[primes.index(modulus(153)) - 1]
+        assert 2 * max(map(abs, expected.terms.values())) > smaller == 2**127 - 1
+        monkeypatch.setattr(invariants, "_modulus",
+                            lambda k: primes[primes.index(modulus(k)) - 1])
+        assert knot_alexander(v) != expected
 
     def test_genus_24_knot(self):
         """The 48 x 48 form of the knot the CI smoke test runs: symmetric,

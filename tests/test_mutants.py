@@ -71,10 +71,11 @@ def test_packed_last_pivot(corpus_dir, capsys, monkeypatch):
 
 
 def test_node_last_pivot(corpus_dir, capsys, monkeypatch):
-    """Every polynomial forced onto the node path, and +1 on the last pivot
-    of each node determinant that the interpolation reads.  The node path
-    imposes the symmetry, so alexander-symmetry fails by the determinant
-    at the spare node, which the mutant leaves alone."""
+    """Every polynomial forced onto the node path, past both cutoffs, and +1
+    on the last pivot of each node determinant that the interpolation
+    reads.  The node path imposes the symmetry, so alexander-symmetry
+    fails by the determinant at the spare node, which the mutant leaves
+    alone."""
     bareiss = invariants._bareiss
     nodes = []
 
@@ -87,9 +88,35 @@ def test_node_last_pivot(corpus_dir, capsys, monkeypatch):
         return sign, last
 
     monkeypatch.setattr(invariants, "_PACKED_BITS", -1)
+    monkeypatch.setattr(invariants, "_MODULAR_BITS_PER_ROW", -1)
     monkeypatch.setattr(invariants, "_bareiss", mutant)
     code, failed = failed_checks(corpus_dir, capsys)
     assert nodes
+    assert (code, failed) == (
+        1, {"alexander-symmetry", "alexander-at-one", "delta2-agreement", "z3-structure"}
+    )
+
+
+def test_modular_coefficient(corpus_dir, capsys, monkeypatch):
+    """Every polynomial of genus >= 1 forced onto the modular path, which
+    each corpus form, in a symplectic basis, can take, and +1 on its t^0
+    coefficient mod p.  Nothing on that path imposes the symmetry, so
+    alexander-symmetry fails by the mirror, and the value and second
+    derivative at 1 move too."""
+    modular = invariants._modular
+    sizes = []
+
+    def mutant(a, rows, p):
+        residues = modular(a, rows, p)
+        sizes.append(len(rows))
+        residues[0] = (residues[0] + 1) % p
+        return residues
+
+    monkeypatch.setattr(invariants, "_PACKED_BITS", -1)
+    monkeypatch.setattr(invariants, "_MODULAR_BITS_PER_ROW", 10**9)
+    monkeypatch.setattr(invariants, "_modular", mutant)
+    code, failed = failed_checks(corpus_dir, capsys)
+    assert sizes and min(sizes) == 2
     assert (code, failed) == (
         1, {"alexander-symmetry", "alexander-at-one", "delta2-agreement", "z3-structure"}
     )

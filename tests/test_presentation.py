@@ -87,14 +87,38 @@ class TestValidate:
 
     @pytest.mark.parametrize("name, defect", [(1, "expected a non-empty string"),
                                               ("", "expected a non-empty string"),
-                                              ("\ud800", "not valid text")],
-                             ids=["int", "empty", "lone-surrogate"])
+                                              ("\ud800", "not valid text"),
+                                              (["a"], "expected a non-empty string"),
+                                              ({"a": 1}, "expected a non-empty string")],
+                             ids=["int", "empty", "lone-surrogate", "list", "dict"])
     def test_component_name_rule(self, name, defect):
         """A name is a non-empty str that encodes as UTF-8, the rule that
         documents.parse applies, so serialize can write it and parse can
-        read it back."""
+        read it back; an unhashable name is that violation too, not a
+        TypeError."""
         p = SurgeryPresentation(1, (Component(name, TREFOIL, {}),))
         assert validate(p) == [f"component name {name!r}: {defect}"]
+
+    def test_unhashable_name_beside_another(self):
+        """A list name among others: its own violation, and the other
+        component, which cannot link to it, misses nothing."""
+        p = SurgeryPresentation(1, (Component(["a"], TREFOIL, {"l2": (0, 0)}),
+                                    Component("l2", TREFOIL, {})))
+        assert validate(p) == ["component name ['a']: expected a non-empty string"]
+
+    def test_names_of_mixed_types(self):
+        """An int name beside str names, each missing two linking vectors:
+        they are reported in the order of their str, not a TypeError."""
+        p = SurgeryPresentation(1, tuple(Component(n, TREFOIL, {}) for n in (1, "b", "c")))
+        assert validate(p) == [
+            "component name 1: expected a non-empty string",
+            "component 1: missing linking vector against 'b'",
+            "component 1: missing linking vector against 'c'",
+            "component 'b': missing linking vector against 1",
+            "component 'b': missing linking vector against 'c'",
+            "component 'c': missing linking vector against 1",
+            "component 'c': missing linking vector against 'b'",
+        ]
 
     def test_skew_determinant(self):
         for v, det in (([[0, 0], [0, 0]], 0), ([[0, 2], [0, 0]], 4)):
