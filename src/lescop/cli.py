@@ -89,19 +89,22 @@ def _emit(args, payload, lines=None):
 
 
 def _read(path):
-    """The text of the file that Path(path).read_text reads, by open.
-    Path names the file by its normalised name ("x/" and "x/." name x,
-    "" names "."), so when the name as given fails to open, the
-    normalised one is opened, and its error is the one reported."""
+    r"""The text that Path(path).read_text(encoding="utf-8") reads: the
+    file's bytes, opened raw and decoded once, with text mode's newline
+    translation of "\r\n" and a lone "\r" to "\n".  Path names the file
+    by its normalised name ("x/" and "x/." name x, "" names "."), so when
+    the name as given fails to open, the normalised one is opened, and
+    its error is the one reported."""
     try:
         try:
-            f = open(path, encoding="utf-8")
+            f = open(path, "rb")
         except OSError:
-            f = open(Path(path), encoding="utf-8")
+            f = open(Path(path), "rb")
         with f:
-            return f.read()
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _resolve_mode(doc):

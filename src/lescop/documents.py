@@ -19,7 +19,12 @@ pattern match of its first occurrence, and one conversion; a repeat is
 one dict lookup.  parse builds each component, and parse_chain its
 chain, by ring._Record._trusted, which stores those values as they are;
 the public Component(...) and SurgeryChain(...) check every value they
-are given by ring.exact.
+are given by ring.exact.  When the memo holds no Fraction, so that every
+entry of the document is an int, parse keeps each component's integral
+form (1, V, E) by presentation._keep_int_form, and validate and the
+invariants read it with no scan of the entries' types.  The text is
+decoded by one json.JSONDecoder per process, and the strings that
+locate an error are built only when one is raised.
 serialize() writes the canonical text: the bytes of json.dumps(obj,
 indent=2) plus a newline, for obj with the fields in the order shown
 below, the optional ones only when set, each component's "linking"
@@ -57,7 +62,7 @@ from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from .invariants import NORMALIZATION_MODES, SurgeryChain
-from .presentation import Component, SurgeryPresentation, _name_defect
+from .presentation import Component, SurgeryPresentation, _keep_int_form, _name_defect
 from .ring import _Record
 
 FORMAT_VERSION = 1
@@ -154,10 +159,19 @@ def _fields(pairs):
     return fields
 
 
+# One decoder for the process: json.loads with hook arguments builds a new
+# one on every call.
+_DECODER = json.JSONDecoder(parse_int=_parse_int, parse_float=_no_float,
+                            parse_constant=_no_float, object_pairs_hook=_fields)
+
+
 def _loads(text):
+    """The JSON value of text, by _DECODER; a leading BOM fails as under
+    json.loads, which checks for it before decoding."""
     try:
-        return json.loads(text, parse_int=_parse_int, parse_float=_no_float,
-                          parse_constant=_no_float, object_pairs_hook=_fields)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
@@ -165,16 +179,19 @@ def _loads(text):
 
 
 def _require_keys(obj, required, optional, where):
-    if not isinstance(obj, dict):
-        raise DocumentSchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    if obj.keys() == set(required):  # every required field and no other
+    """Raise unless obj is an object with every field of the set required,
+    no other but those of optional; where() names obj in the error, so
+    the name is built only on failure."""
+    if isinstance(obj, dict) and obj.keys() == required:  # every required field and no other
         return
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    if not isinstance(obj, dict):
+        raise DocumentSchemaError(f"{where()}: expected an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - required - set(optional))
     if unknown:
-        raise DocumentSchemaError(f"{where}: unknown fields {unknown}")
-    missing = sorted(set(required) - set(obj))
+        raise DocumentSchemaError(f"{where()}: unknown fields {unknown}")
+    missing = sorted(required - set(obj))
     if missing:
-        raise DocumentSchemaError(f"{where}: missing fields {missing}")
+        raise DocumentSchemaError(f"{where()}: missing fields {missing}")
 
 
 def _strict_int(x, where):
@@ -194,46 +211,51 @@ class PresentationDocument(_Record):
         )
 
 
-def _parse_seifert(seifert, where, owner, memo):
-    """Rows of an even-sized square Seifert matrix; owner names it in
-    errors, and memo is the document's _Memo."""
+def _parse_seifert(seifert, memo, where):
+    """Rows of an even-sized square Seifert matrix, from memo, the
+    document's _Memo; where() gives the (location, owner) that name it in
+    an error, built only then."""
     if not isinstance(seifert, list):
-        raise DocumentSchemaError(f"{where}: expected a list of rows")
+        raise DocumentSchemaError(f"{where()[0]}: expected a list of rows")
     n = len(seifert)
     if n % 2 != 0:
-        raise DocumentSchemaError(
-            f"{where}: {owner} has odd size {n}; Seifert matrices have even size"
-        )
+        at, owner = where()
+        raise DocumentSchemaError(f"{at}: {owner} has odd size {n}; Seifert matrices have even size")
     rows = []
     for r, row in enumerate(seifert):
         if type(row) is not list or len(row) != n:
-            raise DocumentSchemaError(f"{where}: {owner} matrix is not square")
+            at, owner = where()
+            raise DocumentSchemaError(f"{at}: {owner} matrix is not square")
         try:
             rows.append(tuple(map(memo.__getitem__, row)))
         except (DocumentError, TypeError):
-            _locate(row, f"{where}[{r}]", memo)
+            _locate(row, f"{where()[0]}[{r}]", memo)
     return tuple(rows)
 
 
+_COMPONENT_FIELDS = {"name", "seifert", "linking"}
+
+
 def _parse_component(obj, i, memo):
-    where = f"components[{i}]"
-    _require_keys(obj, ("name", "seifert", "linking"), (), where)
+    """The i-th component; its location strings are built only for an error."""
+    _require_keys(obj, _COMPONENT_FIELDS, (), lambda: f"components[{i}]")
     name = obj["name"]
     defect = _name_defect(name)
     if defect is not None:
-        raise DocumentSchemaError(f"{where}.name: {defect}")
-    rows = _parse_seifert(obj["seifert"], f"{where}.seifert", f"component {name!r}", memo)
+        raise DocumentSchemaError(f"components[{i}].name: {defect}")
+    rows = _parse_seifert(obj["seifert"], memo,
+                          lambda: (f"components[{i}].seifert", f"component {name!r}"))
     linking_obj = obj["linking"]
     if not isinstance(linking_obj, dict):
-        raise DocumentSchemaError(f"{where}.linking: expected an object")
+        raise DocumentSchemaError(f"components[{i}].linking: expected an object")
     linking = {}
     for other, vec in linking_obj.items():
         if type(vec) is not list:
-            raise DocumentSchemaError(f"{where}.linking[{other!r}]: expected a list")
+            raise DocumentSchemaError(f"components[{i}].linking[{other!r}]: expected a list")
         try:
             linking[other] = tuple(map(memo.__getitem__, vec))
         except (DocumentError, TypeError):
-            _locate(vec, f"{where}.linking[{other!r}]", memo)
+            _locate(vec, f"components[{i}].linking[{other!r}]", memo)
     return Component._trusted(name, rows, MappingProxyType(linking))
 
 
@@ -264,15 +286,13 @@ def _options(fields, count):
     return bundle_w2, normalization
 
 
+_DOCUMENT_FIELDS = {"format_version", "base_order", "components"}
+
+
 def parse(text):
     """Parse a presentation document; errors carry line/field context."""
     data = _loads(text)
-    _require_keys(
-        data,
-        ("format_version", "base_order", "components"),
-        ("bundle_w2", "normalization"),
-        "document",
-    )
+    _require_keys(data, _DOCUMENT_FIELDS, ("bundle_w2", "normalization"), lambda: "document")
     version = _strict_int(data["format_version"], "format_version")
     if version != FORMAT_VERSION:
         raise DocumentSchemaError(
@@ -287,6 +307,9 @@ def parse(text):
     components = tuple(
         _parse_component(obj, i, memo) for i, obj in enumerate(data["components"])
     )
+    if Fraction not in map(type, memo.values()):  # every entry is an int
+        for c in components:
+            _keep_int_form(c)
     bundle_w2, normalization = _options(data, len(components))
     return PresentationDocument(
         presentation=SurgeryPresentation(base_order=base_order, components=components),
@@ -341,6 +364,9 @@ def serialize(doc):
     return _indented(fields, 0, "{}") + "\n"
 
 
+_STEP_FIELDS = {"seifert", "sign"}
+
+
 def parse_chain(text):
     """Parse a surgery-chain file: a JSON list of {seifert, sign} steps."""
     data = _loads(text)
@@ -349,12 +375,12 @@ def parse_chain(text):
     steps = []
     memo = _Memo()
     for i, obj in enumerate(data):
-        where = f"steps[{i}]"
-        _require_keys(obj, ("seifert", "sign"), (), where)
+        _require_keys(obj, _STEP_FIELDS, (), lambda: f"steps[{i}]")
         sign = obj["sign"]
         if type(sign) is not int or sign not in (-1, 1):
-            raise DocumentSchemaError(f"{where}.sign: expected -1 or 1, got {sign!r}")
-        steps.append((_parse_seifert(obj["seifert"], f"{where}.seifert", f"step {i}", memo), sign))
+            raise DocumentSchemaError(f"steps[{i}].sign: expected -1 or 1, got {sign!r}")
+        steps.append((_parse_seifert(obj["seifert"], memo,
+                                     lambda: (f"steps[{i}].seifert", f"step {i}")), sign))
     return SurgeryChain._trusted(tuple(steps))
 
 

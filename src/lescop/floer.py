@@ -48,21 +48,26 @@ invariants.delta2, the closed form and this route alike).  It takes k
 O(g^2) forms, carrying the factors once as 4 y^T dB y = 8 y^T dV y and
 8 (cE_i . y_j)^2, then yields the leaves in Gray-ordered blocks of 2^b,
 b = min(k, 10).  Each of the first b vectors has one list of its cross
-terms with the vectors before it, built by reflected doubling; each
-block is one reflected doubling from the current trace, subtracting a
-vector's form and adding its cross term; and between blocks the walk
-steps one of the other k - b vectors in k int additions.  A leaf thus
-costs about four int additions (its form and its cross term in the
-doubling, its numerator and the signed sum in the caller), a block k
-more, and no list the route holds has more than 2^10 ints, whatever k
-is (each of them has about twice the digits of d).  A walk of one block
+terms with the vectors j before it, built by reflected doubling, and
+only those cross terms are formed for it; each of the other k - b has
+its cross terms with all k.  Each block is one reflected doubling from
+the current trace, subtracting a vector's form and adding its cross
+term; and between blocks the walk steps one of the other k - b vectors
+in k int additions.  A leaf thus costs about three int additions (its
+form and its cross term in the doubling, and the signed sum in the
+caller), a block k more, and no list the route holds has more than 2^10
+ints, whatever k is (each of them has about twice the digits of d).
+The caller sums each block's traces themselves, not Delta''(1): the
+constant of each leaf's numerator cancels in a block of even length,
+and drops the block before the next is built.  A walk of one block
 builds each cross list for its doubling alone, so at its peak the route
-holds about two blocks' worth of ints: the block and its numerators.  A
-longer walk keeps the cross lists for every block, about three blocks'
-worth: the cross lists, the block being built and the numerators of the
-block before.  Each leaf's Delta''(1) is
-still formed on its own: the route deliberately does not sum the
-quadratic in closed form, which would make it the closed form again.
+holds about one and a half blocks' worth of ints: the block being
+doubled and the cross list of that doubling.  A longer walk keeps the
+cross lists for every block, about one block in all, so at its peak it
+holds about two: the cross lists and the block being built.  Each
+leaf's trace is still formed on its own: the route deliberately does
+not sum the quadratic in closed form, which would make it the closed
+form again.
 It does use the triangle's own cancellation: when some vector cE is
 zero, blowing its component down changes nothing, the two terms of its
 triangle are equal, and the route returns 0 without a walk, so a split
@@ -238,7 +243,9 @@ def _leaf_blocks(dv, s_inv, trace, vectors):
     steps[i][j] = 8 (cE_i . y_j)^2, the factors carried once.  The cross
     terms do not depend on H: cross[i] holds minus the sum of steps[i][j]
     over each subset of the vectors j < i, in Gray order, one list per
-    low vector.  Each block starts as [t_H] and doubles once per low
+    low vector, and a low vector's steps[i][j] are formed for j < i
+    alone, the k(k - 1)/2 of a one-block walk that its doublings read;
+    the list steps holds the full rows of the high vectors.  Each block starts as [t_H] and doubles once per low
     vector i, and odd blocks are then reversed, where the reflected Gray
     code runs its low bits backwards (see _block).  A walk of one
     block (k <= _LOW) builds each cross list when its doubling needs it
@@ -249,17 +256,18 @@ def _leaf_blocks(dv, s_inv, trace, vectors):
     """
     ys = [[sum(map(mul, row, e)) for row in s_inv] for e in vectors]
     forms = [8 * _form(y, dv, y) for y in ys]
-    steps = [[8 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors]
     b = min(len(vectors), _LOW)
-    cross = (_gray_sums(0, [-x for x in steps[i][:i]]) for i in range(b))
-    if b < len(vectors):
+    steps = [[8 * sum(map(mul, e, y)) ** 2 for y in ys] for e in vectors[b:]]
+    cross = (_gray_sums(0, [-8 * sum(map(mul, vectors[i], y)) ** 2 for y in ys[:i]])
+             for i in range(b))
+    if steps:
         cross = list(cross)
     for h in range(1 << (len(vectors) - b)):
         if h:
             j = (h & -h).bit_length() - 1
             op, sigma = (add, 1) if (h ^ (h >> 1)) >> j & 1 else (sub, -1)
             trace -= sigma * forms[b + j]
-            forms = list(map(op, forms, steps[b + j]))
+            forms = list(map(op, forms, steps[j]))
         yield _block(trace, forms, cross, h & 1)
 
 
@@ -278,6 +286,10 @@ def _block(trace, forms, cross, backwards):
     return block
 
 
+def _alternating_sum(block):
+    return sum(block[::2]) - sum(block[1::2])
+
+
 def chi_via_triangle(p, bundle=None):
     """Euler characteristic via the exact triangle, summed over its leaves.
 
@@ -286,10 +298,11 @@ def chi_via_triangle(p, bundle=None):
     Delta''_J(1) = h (2g d^2 - t_J) / (4 d^2) for t_J from _leaf_blocks.
     The signs alternate along the Gray-code walk and every block has
     even length (or is the one leaf of k = 0), so each block starts on
-    the sign (-1)^k: its int numerators are formed leaf by leaf into one
-    list that takes the block's place, so the caller keeps one list per
-    block; they are summed with alternating signs in two slices, and the
-    total is divided once.
+    the sign (-1)^k and the constant 2g d^2 cancels within it: the
+    traces t_J themselves are summed with alternating signs, in two
+    slices of the block, and only the one leaf of k = 0 adds 2g d^2.
+    map hands each block to that sum and drops it, so no block is held
+    while the next is built, and the total is divided once.
     When some other component's vector cE is zero, the route walks no
     leaf: blowing that component down adds (cE)(cE)^T = 0 to dV, so the
     leaves J and J + {c} have one trace and opposite signs, and the sum
@@ -302,13 +315,11 @@ def chi_via_triangle(p, bundle=None):
     first, *others = p.components
     d, dv, ce = first.integral_form
     vectors = [ce[c.name] for c in others]
-    scaled_2g = len(dv) * d * d
-    sign = (-1) ** len(vectors)
-    total = 0
+    total = 0 if vectors else len(dv) * d * d  # only k = 0 keeps the 2g d^2 of its leaf
     if all(map(any, vectors)):  # a zero cE cancels leaves J and J + {c}
-        for block in _leaf_blocks(dv, first.skew_form[0], first.jet_trace, vectors):
-            block = [scaled_2g - t for t in block]
-            total += sign * (sum(block[::2]) - sum(block[1::2]))
+        blocks = _leaf_blocks(dv, first.skew_form[0], first.jet_trace, vectors)
+        # map drops each block once its sum is taken, before the next is built
+        total -= (-1) ** len(vectors) * sum(map(_alternating_sum, blocks))
     return _report(p, Fraction(-p.base_order * total, 4 * d * d), TRIANGLE, bundle)
 
 

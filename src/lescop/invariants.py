@@ -94,16 +94,21 @@ from .ring import HalfLaurent, _Record, _bareiss, _kept, exact
 _PACKED_BITS = 1200
 _MODULAR_BITS_PER_ROW = 20
 
-# The moduli of the modular path, increasing: Mersenne primes 2^q - 1 and the
-# FIPS 186-4 primes P-192, P-224, P-256 and P-384 (tests/test_invariants.py
-# proves each prime).
+# The moduli of the modular path, increasing: Mersenne primes 2^q - 1, the
+# FIPS 186-4 primes P-192, P-224, P-256 and P-384, and between 2^607 - 1 and
+# 2^1279 - 1, where no Mersenne prime lies, Proth primes 2^q - 2^s + 1 with
+# s >= q/2, so that p keeps near the K + 1 bits it needs (tests/test_invariants.py
+# checks each prime).
 _PRIMES = (
     2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
     2**192 - 2**64 - 1,
     2**224 - 2**96 + 1,
     2**256 - 2**224 + 2**192 + 2**96 - 1,
     2**384 - 2**128 - 2**96 + 2**32 - 1,
-    2**521 - 1, 2**607 - 1, 2**1279 - 1, 2**2203 - 1,
+    2**521 - 1, 2**607 - 1,
+    2**672 - 2**560 + 1, 2**768 - 2**684 + 1, 2**896 - 2**842 + 1,
+    2**1024 - 2**880 + 1, 2**1152 - 2**830 + 1,
+    2**1279 - 1, 2**2203 - 1,
 )
 
 
@@ -195,8 +200,11 @@ def knot_alexander(seifert, base_order=1):
     10^8 and 10^12 with n K > 1200, each path the best of 2 alternating
     rounds of 3 to 5 runs.  Where K <= 20 n it was 0.99x to 3.05x as fast
     on the 12 forms up to genus 12, and 1.36x to 5.5x on 7 of the 8 at
-    genus 16 and 20; on the eighth, at genus 16 and K/n = 19.3, where p
-    jumps to 2^1279 - 1, 0.86x.  Where K > 20 n it was 0.57x to 1.40x up
+    genus 16 and 20; on the eighth, at genus 16 and K/n = 19.3, 0.86x
+    while p jumped from 2^607 - 1 to 2^1279 - 1.  With the Proth primes
+    between them, p has 672 bits there, and three such forms (entries up
+    to 10^5, K = 619 to 621) took 38.6 to 39.2 ms against 87 to 95 ms on
+    the nodes, best of 2 runs each.  Where K > 20 n it was 0.57x to 1.40x up
     to genus 12 and 0.84x to 2.17x above.  The genus-40 knot of
     `python tests/conftest.py 40` took 0.42 s against 3.7 s on the
     nodes.  Every path gives the same polynomial; the packed and modular

@@ -33,6 +33,10 @@ S^-1 dB by the nonzeros of each row of S^-1: O(g^2) on a symplectic
 basis, where every row has one, and O(g^3) for a dense S^-1.
 A Component computes its integral form, its skew form and, once it is
 valid, its jet trace on first use and keeps all three (ring._kept).
+documents.parse, which sees every entry as it converts it, keeps the
+integral form itself for each component of a document with no Fraction
+entry: by _keep_int_form, (1, V, E), the value integral_form returns for
+c = 1, so no scan of the entries' types runs.
 Likewise a SurgeryPresentation runs validate on first reading its
 violations and keeps the result, so every invariant downstream can check
 its input at no further cost and shares one scaling, one S^-1 and one
@@ -112,6 +116,14 @@ def integral_form(seifert, linking=MappingProxyType({})):
             {k: tuple(x.numerator * (c // x.denominator) for x in e) for k, e in linking.items()}
         ),
     )
+
+
+def _keep_int_form(c):
+    """Keep (1, V, E) as the integral form of a Component whose entries are
+    all ints, with E its read-only mapping: the value integral_form
+    returns for c = 1, kept without its scan of the entries' types.
+    documents.parse calls it when no entry of the document is a Fraction."""
+    vars(c)["integral_form"] = (1, c.seifert, c.linking)
 
 
 def skew_form(d, dv):
@@ -318,10 +330,12 @@ def validate(p):
     not exceptions, so callers can report all of them at once.  Each
     component name must pass _name_defect; an unhashable one, such as a
     list, is reported by that alone and takes part in no set of names
-    after it.  Linking names are compared with the other names as sets,
-    and lengths in one any(); the loops that name each defect run only
-    when one fails, in the order of str(name), so names of mixed types
-    are reported too.
+    after it.  A component's linking names equal the other names when
+    they are as many, all known and not its own name: a size test, a
+    subset test and one lookup, with no set built.  Lengths are compared
+    in one any().  Only when a test fails is the set of other names
+    built, and the loops that name each defect run, in the order of
+    str(name), so names of mixed types are reported too.
     """
     out = []
     if type(p.base_order) is not int or p.base_order < 1:
@@ -342,18 +356,19 @@ def validate(p):
         msg = c.skew_form[1]
         if msg is not None:
             out.append(f"component {c.name!r}: {msg}")
-        try:
-            expected = seen - {c.name}
-        except TypeError:  # an unhashable name is in no set
-            expected = seen
         keys, size = c.linking.keys(), len(c.seifert)
-        if keys != expected:
+        # keys == seen - {c.name}, with no set built: a str name is in seen
+        exact = (type(c.name) is str and len(keys) == len(seen) - 1
+                 and keys <= seen and c.name not in keys)
+        if not exact:
+            expected = _other_names(seen, c.name)
             for other in sorted(expected - keys, key=str):
                 out.append(f"component {c.name!r}: missing linking vector against {other!r}")
             for other in sorted(keys - expected, key=str):
                 out.append(f"component {c.name!r}: linking vector against unknown component "
                            f"{other!r}")
         if any(map(size.__ne__, map(len, c.linking.values()))):
+            expected = _other_names(seen, c.name)
             for other, vec in c.linking.items():
                 if other in expected and len(vec) != size:
                     out.append(f"component {c.name!r}: linking vector against {other!r} "
@@ -361,6 +376,14 @@ def validate(p):
         if p.base_order == 1 and c.integral_form[0] != 1:
             out.append(f"component {c.name!r}: non-integer entries require base_order > 1")
     return out
+
+
+def _other_names(seen, name):
+    """The set seen without name; an unhashable name is in no set."""
+    try:
+        return seen - {name}
+    except TypeError:
+        return seen
 
 
 def rank_one_update(seifert, e, sign=-1):

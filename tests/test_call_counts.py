@@ -10,11 +10,12 @@ import sys
 from lescop import cli, floer, invariants, presentation, ring
 from lescop.cli import run
 from lescop.corpus import corpus
-from lescop.documents import parse, parse_chain, serialize_chain
+from lescop.documents import PresentationDocument, parse, parse_chain, serialize, serialize_chain
 from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
 
-from conftest import random_presentation, random_seifert, seeded, sheared_knot_document
+from conftest import (random_presentation, random_seifert, rational_presentation, seeded,
+                      sheared_knot_document)
 
 
 class Counter:
@@ -187,26 +188,35 @@ def test_an_invalid_form_takes_one_elimination(monkeypatch):
 
 def test_each_component_or_step_is_scaled_once(corpus_dir, tmp_path, monkeypatch, capsys):
     """Rational Seifert and linking data become ints in
-    presentation.integral_form alone: once per component, which keeps the
-    result, and once per chain step.  A component's polynomial comes from
-    its kept form, and so does the blown-down polynomial of z3-structure,
-    which adds (cE)(cE)^T to it: verify scales no bare matrix."""
+    presentation.integral_form alone: once per component of a document
+    with a Fraction entry, which keeps the result, and once per chain
+    step.  documents.parse keeps the form (1, V, E) of every component of
+    a document whose entries are all ints, so no built-in document, none
+    of which has a Fraction entry, calls it.  A component's polynomial
+    comes from its kept form, and so does the blown-down polynomial of
+    z3-structure, which adds (cE)(cE)^T to it: verify scales no bare
+    matrix."""
     scale = Counter(monkeypatch, presentation.integral_form)
     coefficients = Counter(monkeypatch, invariants._coefficients)
     bare = Counter(monkeypatch, invariants.knot_alexander)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1),) * 3)))
-    for argv in (["chi", str(corpus_dir / "km-trefoil.json")], ["casson", str(chain)]):
+    rational = tmp_path / "rational.json"
+    p = rational_presentation(seeded(66), 3)
+    assert sorted(c.integral_form[0] for c in p.components) == [1, 441, 1764]
+    rational.write_text(serialize(PresentationDocument(p)))
+    for argv, calls in ((["chi", str(corpus_dir / "km-trefoil.json")], 0),
+                        (["casson", str(chain)], 3), (["chi", str(rational)], 3)):
         before = scale.calls
         assert run(argv) == 0, argv
-        assert scale.calls - before == 3, argv
+        assert scale.calls - before == calls, argv
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     before = scale.calls
-    assert run(["verify", *files]) == 0
+    assert run(["verify", *files, str(rational)]) == 0
     capsys.readouterr()
-    assert scale.calls - before == 40
+    assert scale.calls - before == 3
     assert bare.calls == 0
-    assert coefficients.calls == 49
+    assert coefficients.calls == 52
 
 
 def test_examples_list_builds_the_corpus_once(monkeypatch, capsys):

@@ -520,6 +520,32 @@ class TestErrors:
         for path, expected in cases.items():
             assert invoke(capsys, "chi", path) == expected, path
 
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, capsys):
+        """A document with CRLF, lone-CR or mixed line ends reads as the
+        text Path(path).read_text gives, by universal newlines: the same
+        document as with LF, or, with a comma dropped from one of its
+        lines, the same syntax-error line and column.  A leading BOM fails
+        as json.loads fails on it."""
+        lines = serialize(corpus()["km-trefoil"]).encode().split(b"\n")
+        rng = seeded(52)
+        variants = [lines] + [[line.removesuffix(b",") if k == i else line
+                               for k, line in enumerate(lines)]
+                              for i in rng.sample([k for k, x in enumerate(lines)
+                                                   if x.endswith(b",")], 4)]
+        f = tmp_path / "doc.json"
+        for variant in variants:
+            f.write_bytes(b"\n".join(variant))
+            expected = invoke(capsys, "chi", str(f))
+            assert expected[0] == (0 if variant is lines else 2), expected
+            for ends in ([b"\r\n"], [b"\r"], [b"\r\n", b"\r", b"\n"]):
+                f.write_bytes(b"".join(line + ends[k % len(ends)]
+                                       for k, line in enumerate(variant)))
+                assert cli._read(str(f)) == f.read_text(encoding="utf-8")
+                assert invoke(capsys, "chi", str(f)) == expected, ends
+        f.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join(lines))
+        assert invoke(capsys, "chi", str(f)) == (
+            2, "", "error: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n")
+
     def test_schema_error(self, tmp_path, capsys):
         f = tmp_path / "extra.json"
         f.write_text('{"format_version": 1, "base_order": 1, "components": [], "x": 1}')

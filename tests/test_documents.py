@@ -2,6 +2,8 @@ import contextlib
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,7 @@ from lescop.documents import (
     serialize_chain,
 )
 from lescop.invariants import NORMALIZATION_MODES, SurgeryChain
-from lescop.presentation import TREFOIL, Component, SurgeryPresentation, validate
+from lescop.presentation import TREFOIL, Component, SurgeryPresentation, integral_form, validate
 
 from conftest import (dense_knot_document, random_presentation, random_seifert,
                       rational_presentation, seeded)
@@ -748,6 +750,34 @@ class TestOneExactnessPass:
         assert [(type(x), x) for row in c.seifert for x in row] == [
             (int, 1), (Fraction, Fraction(2, 3)), (int, 0), (int, -3)]
         assert [(type(x), x) for x in c.linking["l2"]] == [(int, -3), (int, 1)]
+
+    @pytest.mark.parametrize("numbers", [st.integers(-10**40, 10**40), exact_numbers],
+                             ids=["ints", "with-fractions"])
+    def test_kept_integral_form_is_the_computed_one(self, numbers):
+        """parse keeps each component's integral form when no entry of the
+        document is a Fraction, and that form is the one integral_form
+        computes; with a Fraction entry no form is kept."""
+        vectors = st.lists(numbers, max_size=2)
+        matrices = st.integers(0, 1).flatmap(lambda g: st.lists(
+            st.lists(numbers, min_size=2 * g, max_size=2 * g), min_size=2 * g, max_size=2 * g))
+        names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+        presentations = st.builds(SurgeryPresentation, st.integers(1, 3), st.lists(
+            st.builds(Component, names, matrices, st.dictionaries(names, vectors, max_size=3)),
+            max_size=3))
+
+        @given(presentations)
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        def check(p):
+            parsed = parse(serialize(PresentationDocument(p))).presentation.components
+            fractional = any(type(x) is Fraction for c in parsed
+                             for x in chain(*c.seifert, *c.linking.values()))
+            for c in parsed:
+                assert ("integral_form" in vars(c)) is not fractional
+                kept = c.integral_form
+                assert kept == integral_form(c.seifert, c.linking)
+                assert type(kept[2]) is MappingProxyType
+
+        check()
 
     def test_public_component_still_checks(self):
         with pytest.raises(TypeError, match="got float"):

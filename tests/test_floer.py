@@ -178,6 +178,32 @@ class TestTriangle:
                 expected = polynomial_triangle(p)
                 assert chi_via_triangle(p).chi == chi_closed_form(p).chi == expected, p
 
+    @pytest.mark.parametrize("low", [1, 2, 3])
+    def test_sum_across_blocks(self, monkeypatch, low):
+        """With blocks of 2^low leaves, walks over k = 1 to 6 vectors cross
+        up to 32 blocks, and their sum must be the closed form, or both
+        routes must find the same non-integral value.  At the real _LOW,
+        every block of b >= 3 vectors sums to 0 by itself, so only small
+        blocks test how the blocks are summed."""
+        monkeypatch.setattr(floer, "_LOW", low)
+        rng = seeded(51)
+        walked = 0
+        for k in range(1, 7):
+            for _ in range(10):
+                p = rational_presentation(rng, k + 1)
+                assert p.violations == (), p
+                try:
+                    expected = chi_closed_form(p).chi
+                except NonIntegralChiError as e:
+                    value = str(e).rpartition(" = ")[2]
+                    with pytest.raises(NonIntegralChiError, match=f" = {re.escape(value)}$"):
+                        chi_via_triangle(p)
+                else:
+                    assert chi_via_triangle(p).chi == expected, p
+                first, *others = p.components
+                walked += k > low and all(any(first.linking[c.name]) for c in others)
+        assert walked >= 20
+
     def test_linked_link_walks_every_leaf(self):
         """The generator of the CI's walk bound gives l1 no zero vector."""
         p = parse(linked_link_document(8, 1)).presentation
@@ -348,21 +374,30 @@ class TestLeafWalk:
 
     def test_peak_memory_on_hostile_rationals(self):
         """On the 12-component hostile document, whose traces have about
-        146,000 bits, chi_via_triangle allocates at its peak less than 3.5
-        blocks of 2^_LOW ints the size of the walk's first trace: the cross
-        lists, the block being built and the caller's numerators of the
-        block before, which take that block's place."""
+        146,000 bits, a walk of 2 blocks, chi_via_triangle allocates at its
+        peak less than 2 blocks of 2^_LOW ints the size of the walk's
+        first trace: the cross lists, which a walk of several blocks
+        keeps, about one block in all, and the block being built.  The
+        caller sums each block and drops it before the next is built."""
         peak = peak_blocks(hostile_rational_document(12))
-        assert peak < 3.5, peak
+        assert peak < 2.0, peak
+
+    def test_peak_memory_on_a_long_walk(self):
+        """On the 16-component hostile document, a walk of 32 blocks, the
+        peak stays below 2.1 blocks: as on 12 components, no block is
+        held while the next is built."""
+        peak = peak_blocks(hostile_rational_document(16))
+        assert peak < 2.1, peak
 
     def test_peak_memory_on_a_one_block_walk(self):
         """On the 11-component hostile document, k = _LOW vectors make one
-        block, and chi_via_triangle allocates at its peak less than 2.5
-        blocks: the block and the caller's numerators, each cross list
-        being built for its doubling and dropped after it."""
+        block, and chi_via_triangle allocates at its peak less than 1.6
+        blocks: the block being doubled and the one cross list being built
+        for that doubling, half a block at the last, each dropped after it;
+        the caller sums the traces themselves and forms no other list."""
         assert floer._LOW == 10
         peak = peak_blocks(hostile_rational_document(11))
-        assert peak < 2.5, peak
+        assert peak < 1.6, peak
 
 
 def peak_blocks(document):

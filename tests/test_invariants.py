@@ -276,8 +276,10 @@ class TestAlexander:
     def test_the_moduli_are_prime(self):
         """Each entry of _PRIMES, in increasing order, is prime: a Mersenne
         number 2^q - 1 with q an odd prime by Lucas-Lehmer (prime exactly
-        when s_(q-2) = 0 for s_0 = 4, s_(i+1) = s_i^2 - 2 mod 2^q - 1),
-        and each of the FIPS 186-4 primes by sympy.isprime."""
+        when s_(q-2) = 0 for s_0 = 4, s_(i+1) = s_i^2 - 2 mod 2^q - 1); a
+        Proth number p = k 2^s + 1, k odd and k < 2^s, by Proth's theorem
+        (prime when a^((p-1)/2) = -1 mod p for some a); and each of the
+        FIPS 186-4 primes by sympy.isprime."""
         primes = invariants._PRIMES
         assert list(primes) == sorted(set(primes))
         mersenne = [p for p in primes if not (p + 1) & p]
@@ -289,8 +291,13 @@ class TestAlexander:
             for _ in range(q - 2):
                 s = (s * s - 2) % p
             assert s == 0, q
+        # p - 1 = k 2^s with k odd; Proth's form needs k < 2^s
+        proth = [p for p in primes if ((p - 1) & (1 - p)) ** 2 > p - 1]
+        assert [p.bit_length() for p in proth] == [672, 768, 896, 1024, 1152]
+        for p in proth:
+            assert any(pow(a, p >> 1, p) == p - 1 for a in range(2, 100)), p
         sympy = pytest.importorskip("sympy")
-        fips = [p for p in primes if p not in mersenne]
+        fips = [p for p in primes if p not in mersenne + proth]
         assert [p.bit_length() for p in fips] == [192, 224, 256, 384]
         assert all(sympy.isprime(p) for p in fips)
 
