@@ -57,9 +57,9 @@ in k int additions.  A leaf thus costs about three int additions (its
 form and its cross term in the doubling, and the signed sum in the
 caller), a block k more, and no list the route holds has more than 2^10
 ints, whatever k is (each of them has about twice the digits of d).
-The caller sums each block's traces themselves, not Delta''(1): the
-constant of each leaf's numerator cancels in a block of even length,
-and drops the block before the next is built.  A walk of one block
+The caller sums each block's traces themselves, not their numerators
+2g d^2 - t_J, whose constant cancels in a block of even length, and it
+drops each block before the next is built.  A walk of one block
 builds each cross list for its doubling alone, so at its peak the route
 holds about one and a half blocks' worth of ints: the block being
 doubled and the cross list of that doubling.  A longer walk keeps the
@@ -245,12 +245,12 @@ def _leaf_blocks(dv, s_inv, trace, vectors):
     over each subset of the vectors j < i, in Gray order, one list per
     low vector, and a low vector's steps[i][j] are formed for j < i
     alone, the k(k - 1)/2 of a one-block walk that its doublings read;
-    the list steps holds the full rows of the high vectors.  Each block starts as [t_H] and doubles once per low
-    vector i, and odd blocks are then reversed, where the reflected Gray
-    code runs its low bits backwards (see _block).  A walk of one
-    block (k <= _LOW) builds each cross list when its doubling needs it
-    and drops it after; a longer walk keeps all b of them for every
-    block.  Between blocks the walk steps one high vector i, blowing it
+    the list steps holds the full rows of the high vectors.  Each block
+    starts as [t_H] and doubles once per low vector i, and odd blocks
+    are then reversed, where the reflected Gray code runs its low bits
+    backwards (see _block).  A walk of one block (k <= _LOW) builds each
+    cross list when its doubling needs it and drops it after; a longer
+    walk keeps all b of them for every block.  Between blocks the walk steps one high vector i, blowing it
     down (sigma = +1) or restoring it (sigma = -1), which moves t_H by
     -sigma forms[i] and each forms[j] by sigma steps[i][j].
     """

@@ -358,9 +358,9 @@ def validate(p):
             out.append(f"component {c.name!r}: {msg}")
         keys, size = c.linking.keys(), len(c.seifert)
         # keys == seen - {c.name}, with no set built: a str name is in seen
-        exact = (type(c.name) is str and len(keys) == len(seen) - 1
-                 and keys <= seen and c.name not in keys)
-        if not exact:
+        linked_to_all = (type(c.name) is str and len(keys) == len(seen) - 1
+                         and keys <= seen and c.name not in keys)
+        if not linked_to_all:
             expected = _other_names(seen, c.name)
             for other in sorted(expected - keys, key=str):
                 out.append(f"component {c.name!r}: missing linking vector against {other!r}")
