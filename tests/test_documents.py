@@ -760,7 +760,7 @@ class TestOneExactnessPass:
         vectors = st.lists(numbers, max_size=2)
         matrices = st.integers(0, 1).flatmap(lambda g: st.lists(
             st.lists(numbers, min_size=2 * g, max_size=2 * g), min_size=2 * g, max_size=2 * g))
-        names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+        names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=3)
         presentations = st.builds(SurgeryPresentation, st.integers(1, 3), st.lists(
             st.builds(Component, names, matrices, st.dictionaries(names, vectors, max_size=3)),
             max_size=3))
