@@ -148,6 +148,24 @@ def with_fractional_symmetric_part(rng, v):
     return v
 
 
+def fractional_documents(seed=91, per_order=3):
+    """name -> document: the first per_order seeded fractional presentations
+    of each torsion order 2, 3 and 4 whose first component has genus > 0,
+    each named "fractional H I" for the I-th of torsion order H."""
+    rng = seeded(seed)
+    found = {2: [], 3: [], 4: []}
+    while any(len(ps) < per_order for ps in found.values()):
+        p = fractional_presentation(rng)
+        ps = found.get(p.base_order)
+        if ps is not None and len(ps) < per_order and p.components[0].size:
+            ps.append(p)
+    return {
+        f"fractional {h} {i}": PresentationDocument(p)
+        for h, ps in found.items()
+        for i, p in enumerate(ps)
+    }
+
+
 def rational_presentation(rng, n_components, gmax=3):
     """n_components of genus 0 to gmax over h = 2, each Seifert matrix
     with a fractional symmetric part and each linking vector with
@@ -313,8 +331,14 @@ def cold(argv, stdout="open", stderr="open", buffered=True, timeout=30, cwd=None
 
 def generated_document(args):
     """The document text that `python tests/conftest.py ARGS` prints, for
-    the words of ARGS: "hostile N", "sheared G", "linked N G", "N G" (a
-    split link) or "G" (a dense knot)."""
+    the words of ARGS: "corpus NAME" (the built-in document NAME),
+    "fractional H I" (the I-th of fractional_documents of torsion order
+    H), "hostile N", "sheared G", "linked N G", "N G" (a split link) or
+    "G" (a dense knot)."""
+    if args[0] == "corpus":
+        return serialize(corpus()[args[1]])
+    if args[0] == "fractional":
+        return serialize(fractional_documents()[" ".join(args)])
     if args[0] == "hostile":
         return hostile_rational_document(int(args[1]))
     if args[0] == "sheared":

@@ -26,9 +26,8 @@ from lescop.documents import (
 from lescop.invariants import NORMALIZATION_MODES, SurgeryChain
 from lescop.presentation import TREFOIL, Component, SurgeryPresentation, integral_form, validate
 
-from conftest import (dense_knot_document, random_presentation, random_seifert,
-                      rational_presentation, seeded)
-from test_golden_cli import fractional_documents
+from conftest import (dense_knot_document, fractional_documents, random_presentation,
+                      random_seifert, rational_presentation, seeded)
 
 MINIMAL = """
 {

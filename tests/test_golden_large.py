@@ -1,25 +1,33 @@
-"""Golden output and bounded work on the large documents.
+"""Golden output, bounded time and bounded memory of every pinned CLI command.
 
 Each case is one call of the tests/conftest.py generator
 (`python tests/conftest.py ARGS`) and the commands run on the document it
-writes.  golden_large.json holds, per case, the sha256 of the document
-text and, per command, its exit code, stderr and stdout; a stdout longer
-than STDOUT_LIMIT characters is kept as its sha256.  These are
-regression pins, not oracles: they hold the output of the commit that
-recorded them.
+writes.  The cases are the 19 built-in documents ("corpus NAME"), nine
+seeded documents with torsion order 2, 3 or 4 and rational Seifert and
+linking entries ("fractional H I"), each run through `verify`, `chi`,
+`lescop` and `alexander`, plus `sato-levine` on two components and `mu2`
+on three, with and without --json; and the large documents, each with
+the commands that bound its work.  golden_large.json holds, per case,
+the sha256 of the document text and, per command, its exit code, stderr
+and stdout; a stdout longer than STDOUT_LIMIT characters is kept as its
+sha256.  The file path that `verify` prints is replaced by "<file>".
+These are regression pins, not oracles: they hold the output of the
+commit that recorded them.
 
 The tier-1 tests run each case's commands in process, except those in
-CI_ONLY, about 2.5 s of work in all (the genus-40 alexander and verify
-take about 0.45 s each), and, in tests/test_cli.py, case
-"24"'s commands cold, under the time bound.  Every command of every case, with that bound, is
+CI_ONLY, and, in tests/test_cli.py, case "24"'s commands cold, under
+the time bound.  Every command of every case, under both bounds, is
 checked by
 
     PYTHONPATH=src python tests/test_golden_large.py DIR
 
-CI's one step for the large documents.  It writes each document into
+CI's one step for the pinned outputs.  It writes each document into
 DIR, named by its arguments joined by "-", checks its sha256, and runs
 each command as a new `python -m lescop` process, killed after TIMEOUT
-seconds.  It prints each command's time, then each timeout and each
+seconds.  After each one it reads the largest max RSS of the processes
+it has run, and the first command after which that exceeds MEMORY_KIB
+is a difference (see check for what the reading covers).  It prints
+each command's time and that reading, then each timeout and each
 difference, and exits 1 if there was any.  After an intended change of
 output, record all cases again, in process, with
 
@@ -30,21 +38,35 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 from lescop.cli import run
+from lescop.corpus import corpus
 
-from conftest import cold, generated_document
+from conftest import cold, fractional_documents, generated_document
 
 GOLDEN = Path(__file__).with_name("golden_large.json")
 STDOUT_LIMIT = 4096
 TIMEOUT = 10  # seconds for each cold command
+MEMORY_KIB = 128 * 1024  # max RSS of the runner's cold commands
+
+
+def _commands(doc):
+    """The commands run on a corpus or fractional document, each with and
+    without --json."""
+    names = ["verify", "chi", "lescop", "alexander"]
+    names += {2: ["sato-levine"], 3: ["mu2"]}.get(len(doc.presentation.components), [])
+    return [name + option for name in names for option in ("", " --json")]
+
 
 # generator arguments -> the commands run on the document
 CASES = {
+    **{f"corpus {name}": _commands(doc) for name, doc in corpus().items()},
+    **{args: _commands(doc) for args, doc in fractional_documents().items()},
     "24": ["alexander", "verify"],
     "linked 2 24": ["verify"],
     "40": ["alexander", "verify"],
@@ -110,34 +132,68 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def check(directory, cases=CASES, execute=bounded):
+def unpinned(pinned):
+    """One line for each case whose CASES commands are not the commands of
+    its golden runs, a case missing from either side included."""
+    lines = []
+    for args in sorted(CASES.keys() | pinned.keys()):
+        listed = sorted(CASES.get(args, ()))
+        recorded = sorted(pinned.get(args, {}).get("runs", ()))
+        if listed != recorded:
+            lines.append(f"{args}: CASES runs {listed}, golden_large.json pins {recorded}")
+    return lines
+
+
+def check(directory, cases=CASES, execute=bounded, memory_kib=None):
     """Write each case's document into directory and run its commands by
     execute; print each command's time, each timeout and each difference
-    from golden_large.json, and return how many timeouts and differences
-    there were."""
-    found = []
+    from golden_large.json, the table's own included, and return how many
+    timeouts and differences there were.
+
+    With memory_kib, after each command it also reads and prints the
+    largest max RSS of the processes this one has waited for, and the
+    first command after which that exceeds memory_kib KiB is a
+    difference.  A program that subprocess starts (by vfork on Linux)
+    begins with the max RSS of the process that started it, so the
+    reading covers this process's own peak as well as every command's:
+    in the runner, the peak of writing the genus-400 document; under
+    pytest, the test session's, which is why no tier-1 test bounds
+    memory by it."""
     pinned = golden()
+    found = unpinned(pinned)
+    over_memory = False
     for args, commands in cases.items():
+        if args not in pinned:  # unpinned reported it
+            continue
         path, document = written(args, directory)
         if document != pinned[args]["document"]:
             found.append(f"{args}: the document's sha256 differs")
         for command in commands:
+            expected = pinned[args]["runs"].get(command)
+            if expected is None:  # unpinned reported it
+                continue
             start = time.perf_counter()
             try:
                 got = outcome(path, command, execute)
             except subprocess.TimeoutExpired:
                 found.append(f"{args}: {command}: no exit within {TIMEOUT} s")
                 continue
-            print(f"{time.perf_counter() - start:6.2f} s  {args}: {command}")
-            if got != pinned[args]["runs"][command]:
-                found.append(f"{args}: {command}: expected {pinned[args]['runs'][command]}, got {got}")
+            shown = f"{time.perf_counter() - start:6.2f} s"
+            if got != expected:
+                found.append(f"{args}: {command}: expected {expected}, got {got}")
+            if memory_kib is not None:
+                peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
+                shown += f" {peak / 1024:6.1f} MiB"
+                if peak > memory_kib and not over_memory:
+                    over_memory = True
+                    found.append(f"{args}: {command}: max RSS {peak} KiB over {memory_kib} KiB")
+            print(f"{shown}  {args}: {command}")
     for line in found:
         print(line, file=sys.stderr)
     return len(found)
 
 
 def test_fast_commands_are_unchanged(tmp_path):
-    assert sorted(golden()) == sorted(CASES)
     fast = {args: [c for c in commands if c not in CI_ONLY.get(args, ())]
             for args, commands in CASES.items()}
     assert check(tmp_path, {args: c for args, c in fast.items() if c}, in_process) == 0
@@ -158,15 +214,30 @@ def test_check_reports_changed_golden_entries(tmp_path, monkeypatch, capsys):
     assert second.startswith("20 1: chi --route triangle: expected ")
 
 
+def test_check_reports_a_stale_golden_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(CASES, "corpus trefoil-0", CASES["corpus trefoil-0"][1:])
+    assert check(tmp_path, {}) == 1
+    assert capsys.readouterr().err == (
+        "corpus trefoil-0: CASES runs ['alexander', 'alexander --json', 'chi', 'chi --json', "
+        "'lescop', 'lescop --json', 'verify --json'], golden_large.json pins ['alexander', "
+        "'alexander --json', 'chi', 'chi --json', 'lescop', 'lescop --json', 'verify', "
+        "'verify --json']\n")
+
+
 def test_check_reports_a_command_over_the_time_bound(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(globals(), "TIMEOUT", 0.001)
     assert check(tmp_path, {"20 1": CASES["20 1"]}) == 1
     assert capsys.readouterr().err == "20 1: chi --route triangle: no exit within 0.001 s\n"
 
 
+def test_check_reports_the_first_command_over_the_memory_bound(tmp_path, capsys):
+    assert check(tmp_path, {"corpus unknot-0": ["chi", "lescop"]}, memory_kib=1) == 1
+    assert capsys.readouterr().err.startswith("corpus unknot-0: chi: max RSS ")
+
+
 if __name__ == "__main__":
     if len(sys.argv) > 1:
-        sys.exit(check(sys.argv[1]) > 0)
+        sys.exit(check(sys.argv[1], memory_kib=MEMORY_KIB) > 0)
     import tempfile
 
     data = {}
