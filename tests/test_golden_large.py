@@ -15,8 +15,9 @@ These are regression pins, not oracles: they hold the output of the
 commit that recorded them.
 
 The tier-1 tests run each case's commands in process, except those in
-CI_ONLY, and, in tests/test_cli.py, case "24"'s commands cold, under
-the time bound.  Every command of every case, under both bounds, is
+CI_ONLY: the corpus and fractional cases (SMALL) in
+tests/test_golden_cli.py, the others here; and, in tests/test_cli.py,
+case "24"'s commands cold, under the time bound.  Every command of every case, under both bounds, is
 checked by
 
     PYTHONPATH=src python tests/test_golden_large.py DIR
@@ -83,6 +84,8 @@ CASES = {
     "hostile 12": ["chi --route both", "verify"],
     "hostile 16": ["chi --route triangle"],
 }
+# the corpus and fractional cases, run in process by tests/test_golden_cli.py
+SMALL = [args for args in CASES if args.startswith(("corpus ", "fractional "))]
 CI_ONLY = {
     "200": ["chi --route closed"],
     "400": ["chi --route both", "lescop"],
@@ -195,7 +198,7 @@ def check(directory, cases=CASES, execute=bounded, memory_kib=None):
 
 def test_fast_commands_are_unchanged(tmp_path):
     fast = {args: [c for c in commands if c not in CI_ONLY.get(args, ())]
-            for args, commands in CASES.items()}
+            for args, commands in CASES.items() if args not in SMALL}
     assert check(tmp_path, {args: c for args, c in fast.items() if c}, in_process) == 0
 
 
