@@ -17,14 +17,14 @@ in document order is the one reported, a list's shape before its
 entries.  Between text and validate an entry thus passes one check, the
 pattern match of its first occurrence, and one conversion; a repeat is
 one dict lookup.  parse builds each component, and parse_chain its
-chain, by ring._Record._trusted, which stores those values as they are;
-the public Component(...) and SurgeryChain(...) check every value they
-are given by ring.exact.  When the memo holds no Fraction, so that every
-entry of the document is an int, parse keeps each component's integral
-form (1, V, E) by presentation._keep_int_form, and validate and the
-invariants read it with no scan of the entries' types.  The text is
-decoded by one json.JSONDecoder per process, and the strings that
-locate an error are built only when one is raised.
+chain, by ring._Record._trusted, which stores the values it is given by
+field name as they are; the public Component(...) and SurgeryChain(...)
+check every value they are given by ring.exact.  When the memo holds no
+Fraction, so that every entry of the document is an int, parse keeps
+each component's integral form (1, V, E) by presentation._keep_int_form,
+and validate and the invariants read it with no scan of the entries'
+types.  The text is decoded by one json.JSONDecoder per process, and the
+strings that locate an error are built only when one is raised.
 serialize() writes the canonical text: the bytes of json.dumps(obj,
 indent=2) plus a newline, for obj with the fields in the order shown
 below, the optional ones only when set, each component's "linking"
@@ -256,7 +256,7 @@ def _parse_component(obj, i, memo):
             linking[other] = tuple(map(memo.__getitem__, vec))
         except (DocumentError, TypeError):
             _locate(vec, f"components[{i}].linking[{other!r}]", memo)
-    return Component._trusted(name, rows, MappingProxyType(linking))
+    return Component._trusted(name=name, seifert=rows, linking=MappingProxyType(linking))
 
 
 def _options(fields, count):
@@ -381,7 +381,7 @@ def parse_chain(text):
             raise DocumentSchemaError(f"steps[{i}].sign: expected -1 or 1, got {sign!r}")
         steps.append((_parse_seifert(obj["seifert"], memo,
                                      lambda: (f"steps[{i}].seifert", f"step {i}")), sign))
-    return SurgeryChain._trusted(tuple(steps))
+    return SurgeryChain._trusted(steps=tuple(steps))
 
 
 def serialize_chain(chain):

@@ -16,9 +16,9 @@ exact rationals, checked once when a value is built by ring.exact
 (through exact_vector and exact_matrix): an integral entry is stored as
 an int, any other as a Fraction, and a float, string or Decimal raises
 TypeError.  The one exception is the private constructor
-ring._Record._trusted, by which documents.parse builds a Component: the
-parser has applied that rule to every entry already, so the values are
-stored unchecked.
+ring._Record._trusted, by which documents.parse builds a Component from
+named field values: the parser has applied that rule to every entry
+already, so the values are stored unchecked.
 integral_form is the one function that turns the entries into ints: it
 scales V and the linking vectors E by their common denominator c to
 dV = c^2 V and cE, and every formula of the package runs on those; for

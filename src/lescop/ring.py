@@ -73,7 +73,7 @@ class _Record:
     A subclass names its fields, in order, in __match_args__ (as a
     dataclass does, so pattern matching works too) and its own __init__
     writes them into the instance dict, vars(self), where a _kept method
-    also keeps its value.  _trusted(*values) writes them there as given,
+    also keeps its value.  _trusted(**fields) writes them there as given,
     bypassing __init__ and any check it makes: documents builds a parsed
     Component and SurgeryChain so, from values it has checked already.
     Equality, hashing and repr read those fields only, in that order;
@@ -84,12 +84,12 @@ class _Record:
     """
 
     @classmethod
-    def _trusted(cls, *values):
-        """A record of these field values, in __match_args__ order, stored
-        as given with no check: the caller has made them what __init__
-        would store."""
+    def _trusted(cls, **fields):
+        """A record of these field values, each named by its field and
+        stored as given with no check: the caller has made them what
+        __init__ would store."""
         self = cls.__new__(cls)
-        vars(self).update(zip(cls.__match_args__, values))
+        vars(self).update(fields)
         return self
 
     def _values(self):

@@ -1,6 +1,6 @@
 """Shared generators for randomized tests, the presentation builders
 that several test modules use, and cold, the one way a test starts a new
-lescop process.
+lescop process, which bounds its time and its address space.
 
 All randomness is seeded (`random.Random(seed)`), so failures reproduce.
 Random Seifert matrices are built with V - V^T equal to the standard
@@ -13,12 +13,14 @@ from operator import mul
 from pathlib import Path
 import os
 import random
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import lescop
+from lescop import invariants
 from lescop.corpus import corpus
 from lescop.documents import PresentationDocument, serialize
 from lescop.presentation import Component, RibbonPairSpec, SurgeryPresentation
@@ -290,6 +292,21 @@ def seeded(seed=20240815):
     return random.Random(seed)
 
 
+def bareiss_calls(monkeypatch):
+    """A list that records (rows, n, jordan) for each call of
+    ring._bareiss that invariants makes, rows copied as they were
+    passed, before the elimination changes them in place."""
+    calls = []
+    bareiss = invariants._bareiss
+
+    def recorded(rows, n, jordan):
+        calls.append(([list(row) for row in rows], n, jordan))
+        return bareiss(rows, n, jordan)
+
+    monkeypatch.setattr(invariants, "_bareiss", recorded)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):
     """All built-in examples written out as files."""
@@ -299,31 +316,41 @@ def corpus_dir(tmp_path_factory):
     return d
 
 
-def cold(argv, stdout="open", stderr="open", buffered=True, timeout=30, cwd=None):
+TIMEOUT = 10  # seconds for each process that cold starts
+ADDRESS_SPACE = 128 * 2**20  # bytes of address space for each process that cold starts
+
+
+def cold(argv, stdout="open", stderr="open", buffered=True, cwd=None):
     """(exit code, stdout, stderr) of a new `python -m lescop` process on
     argv, which imports this lescop, run in cwd.  Each standard stream is
     "open", a pipe whose text is returned; "reader closed", a pipe whose
     reader closed before the start, so there is no race; or "closed" at
     start, as `>&-` leaves it.  A stream that is not open returns None.
-    buffered=False sets PYTHONUNBUFFERED.  Raises
-    subprocess.TimeoutExpired after timeout seconds."""
+    buffered=False sets PYTHONUNBUFFERED.
+
+    Every process runs under two bounds.  Its address space is limited
+    to ADDRESS_SPACE bytes, set in the child just before exec, so the
+    limit holds for that process alone, whatever the test process holds;
+    a command over it ends in MemoryError, exit 1.  After TIMEOUT
+    seconds it is killed, and subprocess.TimeoutExpired is raised."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(lescop.__file__).resolve().parents[1])
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     closed = [fd for fd, condition in ((1, stdout), (2, stderr)) if condition == "closed"]
 
-    def close_at_start():  # in the child, after its streams are set up
+    def bound():  # in the child, after its streams are set up
         for fd in closed:
             os.close(fd)
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
     read, write = os.pipe()
     os.close(read)
     streams = {"open": subprocess.PIPE, "reader closed": write, "closed": subprocess.DEVNULL}
     try:
         done = subprocess.run([sys.executable, "-m", "lescop", *argv], stdout=streams[stdout],
-                              stderr=streams[stderr], text=True, timeout=timeout, env=env,
-                              cwd=cwd, preexec_fn=close_at_start if closed else None)
+                              stderr=streams[stderr], text=True, timeout=TIMEOUT, env=env,
+                              cwd=cwd, preexec_fn=bound)
     finally:
         os.close(write)
     return done.returncode, done.stdout, done.stderr

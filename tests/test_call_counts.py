@@ -14,8 +14,8 @@ from lescop.documents import PresentationDocument, parse, parse_chain, serialize
 from lescop.invariants import SurgeryChain
 from lescop.presentation import FIGURE_EIGHT, TREFOIL
 
-from conftest import (random_presentation, random_seifert, rational_presentation, seeded,
-                      sheared_knot_document)
+from conftest import (bareiss_calls, random_presentation, random_seifert, rational_presentation,
+                      seeded, sheared_knot_document)
 
 
 class Counter:
@@ -64,22 +64,13 @@ def sheared(tmp_path, g=3):
     return path, v
 
 
-class Interpolation:
-    """Counts the eliminations of the Alexander polynomial: the calls of
-    ring._bareiss as invariants binds it, split into the determinants
-    (rows, n), packed or at the nodes, and the Gauss-Jordan solves of the
-    node path (rows, n)."""
-
-    def __init__(self, monkeypatch):
-        self.nodes = []
-        self.solves = []
-        bareiss = ring._bareiss
-
-        def counted(rows, n, jordan):
-            (self.solves if jordan else self.nodes).append(([list(r) for r in rows], n))
-            return bareiss(rows, n, jordan)
-
-        monkeypatch.setattr(invariants, "_bareiss", counted)
+def interpolation(calls):
+    """The eliminations of the Alexander polynomial that bareiss_calls
+    recorded, split into the determinants (rows, n), packed or at the
+    nodes, and the Gauss-Jordan solves of the node path (rows, n)."""
+    nodes = [(rows, n) for rows, n, jordan in calls if not jordan]
+    solves = [(rows, n) for rows, n, jordan in calls if jordan]
+    return nodes, solves
 
 
 def test_verify_validates_each_document_once(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -88,7 +79,7 @@ def test_verify_validates_each_document_once(corpus_dir, tmp_path, monkeypatch, 
     assert all(symplectic(c.seifert) for c in components)
     validate = Counter(monkeypatch, presentation.validate)
     coefficients = Counter(monkeypatch, invariants._coefficients)
-    interpolation = Interpolation(monkeypatch)
+    bareiss = bareiss_calls(monkeypatch)
     inverse = skew_eliminations(monkeypatch)
     files = sorted(str(f) for f in corpus_dir.glob("*.json"))
     assert len(files) == 19
@@ -103,10 +94,11 @@ def test_verify_validates_each_document_once(corpus_dir, tmp_path, monkeypatch, 
     # size-n matrix, never of HalfLaurent entries, and no solve; every
     # corpus S is symplectic, so S^-1 is read off it with no elimination
     sizes = [len(dv) for (dv,) in coefficients.args]
-    assert [n for _, n in interpolation.nodes] == sizes
+    nodes, solves = interpolation(bareiss)
+    assert [n for _, n in nodes] == sizes
     assert all(len(rows) == n and len(row) == n and type(x) is int
-               for rows, n in interpolation.nodes for row in rows for x in row)
-    assert interpolation.solves == []
+               for rows, n in nodes for row in rows for x in row)
+    assert solves == []
     assert inverse.calls == 0
     # a sheared knot's S is eliminated once, and the routes reuse S^-1
     assert run(["verify", str(sheared(tmp_path)[0])]) == 0
@@ -308,7 +300,7 @@ def test_only_alexander_and_verify_compute_the_polynomial(
 ):
     """chi, casson, lescop, sato-levine and mu2 read Delta''(1) off the jet."""
     coefficients = Counter(monkeypatch, invariants._coefficients)
-    interpolation = Interpolation(monkeypatch)
+    bareiss = bareiss_calls(monkeypatch)
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_chain(SurgeryChain(((TREFOIL, -1), (FIGURE_EIGHT, 1)))))
     assert run(["casson", str(chain)]) == 0
@@ -321,11 +313,13 @@ def test_only_alexander_and_verify_compute_the_polynomial(
             ran.add(command)
     capsys.readouterr()
     assert ran == {"chi", "lescop", "sato-levine", "mu2"}
-    assert coefficients.calls == len(interpolation.nodes) == len(interpolation.solves) == 0
+    nodes, solves = interpolation(bareiss)
+    assert coefficients.calls == len(nodes) == len(solves) == 0
     assert run(["verify", str(corpus_dir / "trefoil-0.json")]) == 0
     assert run(["alexander", str(corpus_dir / "trefoil-0.json")]) == 0
     # the trefoil's 2 x 2 form takes one packed determinant per polynomial
-    assert (coefficients.calls, len(interpolation.nodes), len(interpolation.solves)) == (2, 2, 0)
+    nodes, solves = interpolation(bareiss)
+    assert (coefficients.calls, len(nodes), len(solves)) == (2, 2, 0)
 
 
 def test_each_component_takes_one_jet_trace(corpus_dir, monkeypatch, capsys):

@@ -196,9 +196,10 @@ class TestInvariantCommands:
                       "and a chain starts from S^3\n"
 
     def test_genus_24_returns_at_once(self, tmp_path):
-        """Genus 24's alexander and verify in new processes, so that work
-        growing too fast with the genus fails by the golden runner's time
-        bound; their output is checked against golden_large.json."""
+        """Genus 24's alexander and verify in new processes under
+        conftest.cold's bounds, so that work growing too fast with the
+        genus fails by its timeout or its address-space limit; their
+        output is checked against golden_large.json."""
         assert check_golden(tmp_path, {"24": GOLDEN_CASES["24"]}) == 0
 
 

@@ -18,9 +18,10 @@ The rows pin the rule that README's "Command line" section states:
 every run ends in exit 0, 1 or 2, and one that ends in 2 writes one
 line.  A result or help that cannot be written exits 2 with one line.  A
 diagnostic that cannot be written is dropped, and the exit code stays
-what it would have been.  Every command runs under a bound of TIMEOUT
-seconds, so a row whose work grew too fast with its input, such as a
-huge lens order, fails by the timeout.
+what it would have been.  Every command runs under cold's bounds of
+time and address space, so a row whose work grew too fast with its
+input, such as a huge lens order, fails by the timeout or by exit 1 on
+MemoryError.
 """
 
 import pytest
@@ -29,8 +30,6 @@ from lescop.corpus import corpus
 from lescop.documents import serialize
 
 from conftest import cold
-
-TIMEOUT = 10  # seconds for each command
 
 # the (stdout, stderr) of each stream condition
 CONDITIONS = {
@@ -121,7 +120,7 @@ def test_row(row, buffered, workdir):
     argv = [a for arg in argv
             for a in (sorted(p.name for p in workdir.glob(arg)) if "*" in arg else [arg])]
     stdout, stderr = CONDITIONS[condition]
-    code, out, err = cold(argv, stdout, stderr, buffered, TIMEOUT, workdir)
+    code, out, err = cold(argv, stdout, stderr, buffered, workdir)
     if isinstance(expected[2], LastLine):
         err = err.splitlines()[-1]
     assert [code, out, err] == expected

@@ -1,4 +1,4 @@
-"""Golden output, bounded time and bounded memory of every pinned CLI command.
+"""Golden output of every pinned CLI command, each also run under conftest.cold's bounds.
 
 Each case is one call of the tests/conftest.py generator
 (`python tests/conftest.py ARGS`) and the commands run on the document it
@@ -17,20 +17,19 @@ commit that recorded them.
 The tier-1 tests run each case's commands in process, except those in
 CI_ONLY: the corpus and fractional cases (SMALL) in
 tests/test_golden_cli.py, the others here; and, in tests/test_cli.py,
-case "24"'s commands cold, under the time bound.  Every command of every case, under both bounds, is
-checked by
+case "24"'s commands cold.  Every command of every case is checked by
 
     PYTHONPATH=src python tests/test_golden_large.py DIR
 
 CI's one step for the pinned outputs.  It writes each document into
 DIR, named by its arguments joined by "-", checks its sha256, and runs
-each command as a new `python -m lescop` process, killed after TIMEOUT
-seconds.  After each one it reads the largest max RSS of the processes
-it has run, and the first command after which that exceeds MEMORY_KIB
-is a difference (see check for what the reading covers).  It prints
-each command's time and that reading, then each timeout and each
-difference, and exits 1 if there was any.  After an intended change of
-output, record all cases again, in process, with
+each command by conftest.cold: a new `python -m lescop` process, killed
+after conftest.TIMEOUT seconds, whose address space is limited to
+conftest.ADDRESS_SPACE bytes, so a command over that ends in
+MemoryError and differs from its golden output.  It prints each
+command's time, then each timeout and each difference, and exits 1 if
+there was any.  After an intended change of output, record all cases
+again, in process, with
 
     PYTHONPATH=src python tests/test_golden_large.py
 """
@@ -39,7 +38,6 @@ import contextlib
 import hashlib
 import io
 import json
-import resource
 import subprocess
 import sys
 import time
@@ -48,12 +46,11 @@ from pathlib import Path
 from lescop.cli import run
 from lescop.corpus import corpus
 
+import conftest
 from conftest import cold, fractional_documents, generated_document
 
 GOLDEN = Path(__file__).with_name("golden_large.json")
 STDOUT_LIMIT = 4096
-TIMEOUT = 10  # seconds for each cold command
-MEMORY_KIB = 128 * 1024  # max RSS of the runner's cold commands
 
 
 def _commands(doc):
@@ -107,11 +104,6 @@ def in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def bounded(argv):
-    """conftest.cold on argv, killed after TIMEOUT seconds."""
-    return cold(argv, timeout=TIMEOUT)
-
-
 def outcome(path, command, execute):
     """The exit code, stderr and stdout (or its sha256) of command on the
     file at path, run by execute."""
@@ -147,24 +139,13 @@ def unpinned(pinned):
     return lines
 
 
-def check(directory, cases=CASES, execute=bounded, memory_kib=None):
+def check(directory, cases=CASES, execute=cold):
     """Write each case's document into directory and run its commands by
     execute; print each command's time, each timeout and each difference
     from golden_large.json, the table's own included, and return how many
-    timeouts and differences there were.
-
-    With memory_kib, after each command it also reads and prints the
-    largest max RSS of the processes this one has waited for, and the
-    first command after which that exceeds memory_kib KiB is a
-    difference.  A program that subprocess starts (by vfork on Linux)
-    begins with the max RSS of the process that started it, so the
-    reading covers this process's own peak as well as every command's:
-    in the runner, the peak of writing the genus-400 document; under
-    pytest, the test session's, which is why no tier-1 test bounds
-    memory by it."""
+    timeouts and differences there were."""
     pinned = golden()
     found = unpinned(pinned)
-    over_memory = False
     for args, commands in cases.items():
         if args not in pinned:  # unpinned reported it
             continue
@@ -178,19 +159,12 @@ def check(directory, cases=CASES, execute=bounded, memory_kib=None):
             start = time.perf_counter()
             try:
                 got = outcome(path, command, execute)
-            except subprocess.TimeoutExpired:
-                found.append(f"{args}: {command}: no exit within {TIMEOUT} s")
+            except subprocess.TimeoutExpired as expired:
+                found.append(f"{args}: {command}: no exit within {expired.timeout} s")
                 continue
-            shown = f"{time.perf_counter() - start:6.2f} s"
             if got != expected:
                 found.append(f"{args}: {command}: expected {expected}, got {got}")
-            if memory_kib is not None:
-                peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
-                shown += f" {peak / 1024:6.1f} MiB"
-                if peak > memory_kib and not over_memory:
-                    over_memory = True
-                    found.append(f"{args}: {command}: max RSS {peak} KiB over {memory_kib} KiB")
-            print(f"{shown}  {args}: {command}")
+            print(f"{time.perf_counter() - start:6.2f} s  {args}: {command}")
     for line in found:
         print(line, file=sys.stderr)
     return len(found)
@@ -228,19 +202,26 @@ def test_check_reports_a_stale_golden_command(tmp_path, monkeypatch, capsys):
 
 
 def test_check_reports_a_command_over_the_time_bound(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(globals(), "TIMEOUT", 0.001)
+    monkeypatch.setattr(conftest, "TIMEOUT", 0.001)
     assert check(tmp_path, {"20 1": CASES["20 1"]}) == 1
     assert capsys.readouterr().err == "20 1: chi --route triangle: no exit within 0.001 s\n"
 
 
-def test_check_reports_the_first_command_over_the_memory_bound(tmp_path, capsys):
-    assert check(tmp_path, {"corpus unknot-0": ["chi", "lescop"]}, memory_kib=1) == 1
-    assert capsys.readouterr().err.startswith("corpus unknot-0: chi: max RSS ")
+def test_cold_bounds_the_command_not_the_test_process():
+    held = bytearray(200 * 2**20)
+    assert len(held) > conftest.ADDRESS_SPACE
+    assert cold(["lens", "--p", "5"]) == (0, "p = 5\ncentral = 1\nspheres = 2\nfactor = 5\n", "")
+
+
+def test_check_reports_a_command_over_the_memory_bound(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(conftest, "ADDRESS_SPACE", 8 * 2**20)
+    assert check(tmp_path, {"corpus unknot-0": ["chi"]}) == 1
+    assert capsys.readouterr().err.startswith("corpus unknot-0: chi: expected ")
 
 
 if __name__ == "__main__":
     if len(sys.argv) > 1:
-        sys.exit(check(sys.argv[1], memory_kib=MEMORY_KIB) > 0)
+        sys.exit(check(sys.argv[1]) > 0)
     import tempfile
 
     data = {}

@@ -37,6 +37,7 @@ from lescop.presentation import exact_matrix, integral_form
 from lescop.ring import ONE, Z, HalfLaurent, determinant, divides_z_power
 
 from conftest import (
+    bareiss_calls,
     dense_knot_document,
     knot_surgery,
     random_presentation,
@@ -104,18 +105,9 @@ def full_interpolation(v, h):
     return HalfLaurent({2 * i - n: Fraction(c * h, d**n) for i, c in enumerate(poly)})
 
 
-class Eliminations:
-    """Records (rows, n, jordan) for each ring._bareiss call of invariants."""
-
-    def __init__(self, monkeypatch):
-        self.calls = []
-        bareiss = invariants._bareiss
-
-        def counted(rows, n, jordan):
-            self.calls.append((len(rows), n, jordan))
-            return bareiss(rows, n, jordan)
-
-        monkeypatch.setattr(invariants, "_bareiss", counted)
+def eliminations(calls):
+    """(number of rows, n, jordan) of each call that bareiss_calls recorded."""
+    return [(len(rows), n, jordan) for rows, n, jordan in calls]
 
 
 class TestAlexander:
@@ -222,7 +214,7 @@ class TestAlexander:
         alike; the node path takes floor(n/2) + 1 of them, then one
         Gauss-Jordan solve of floor(n/2) + 1 rows; the modular path, on
         a symplectic-basis form, none."""
-        bareiss = Eliminations(monkeypatch)
+        calls = bareiss_calls(monkeypatch)
 
         def nodes(n):
             m = n // 2 + 1
@@ -233,20 +225,20 @@ class TestAlexander:
             v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             for path, expected in (("packed", [(n, n, False)]), ("nodes", nodes(n))):
                 force(monkeypatch, path)
-                bareiss.calls.clear()
+                calls.clear()
                 knot_alexander(v)
-                assert bareiss.calls == expected, (n, path)
+                assert eliminations(calls) == expected, (n, path)
         for g in range(5):
             v = random_seifert(rng, g)
             n = 2 * g
             for path, expected in (("packed", [(n, n, False)]), ("nodes", nodes(n)),
                                    ("modular", [] if g else nodes(0))):
                 force(monkeypatch, path)
-                bareiss.calls.clear()
+                calls.clear()
                 p = knot_surgery(v)  # a fresh component: each keeps its coefficients
                 alexander(p, "l1")
                 alexander(p, "l1")
-                assert bareiss.calls == expected, (g, path)
+                assert eliminations(calls) == expected, (g, path)
 
     def test_long_entries_take_the_nodes(self, monkeypatch):
         """A 16 x 16 matrix of 100-digit entries, where one packed
@@ -255,16 +247,16 @@ class TestAlexander:
         bits per row is past _MODULAR_BITS_PER_ROW, take the nodes; the
         CI's genus-24 and genus-40 knots, above the packed cutoff, take
         the modular path."""
-        bareiss = Eliminations(monkeypatch)
+        calls = bareiss_calls(monkeypatch)
         rng = seeded(40)
         v = [[rng.randint(10**99, 10**100) * rng.choice((-1, 1)) for _ in range(16)]
              for _ in range(16)]
         assert knot_alexander(v) == full_interpolation(v, 1)
-        assert bareiss.calls == [(16, 16, False)] * 9 + [(9, 9, True)]
-        bareiss.calls.clear()
+        assert eliminations(calls) == [(16, 16, False)] * 9 + [(9, 9, True)]
+        calls.clear()
         v = random_seifert(rng, 6, bound=10**12)
         assert knot_alexander(v) == full_interpolation(v, 1)
-        assert bareiss.calls == [(12, 12, False)] * 7 + [(7, 7, True)]
+        assert eliminations(calls) == [(12, 12, False)] * 7 + [(7, 7, True)]
         for g in (24, 40):
             _, dv, _ = parse(dense_knot_document(g)).presentation.components[0].integral_form
             dvt = tuple(zip(*dv))
