@@ -19,18 +19,20 @@ something else: a document, which is not a payload.  verify keeps only
 the loop over its files and the formatting: each file's checks are the
 records of floer.cross_checks.
 
-The parser is built once per process, and with it a table of the
-Actions that each subcommand's add_argument calls returned.  run builds
-the Namespace of a plain argv itself, from that table: every option an
-exact option string of the subcommand, given once; a value-taking one
-followed by one value that does not start with "-" and passes the
-option's own type and choices; every required option present; and the
-positionals one contiguous run, taken by a positional of one string or
-of one or more.  Any other argv (help, --opt=value, abbreviations, "--",
-"-", negative numbers, repeats, the optional NAME of examples, a value
-that fails) goes to the top-level parser's parse_args.  So argparse
-alone writes help, usage and errors, and both ways give the Namespace
-of the two-level parse.  Each subcommand is dispatched by name to the
+COMMANDS declares each subcommand's help and arguments once.  run
+matches a plain argv against that table itself, with no argparse import:
+every option an exact option string of the subcommand, given once; a
+value-taking one followed by one value that does not start with "-" and
+passes the option's own type and choices; every required option present;
+and the positionals one contiguous run, taken by a positional of one
+string or of one or more.  The command gets a SimpleNamespace with the
+attributes of the two-level parse.  Any other argv (help, --opt=value,
+abbreviations, "--", "-", negative numbers, repeats, the optional NAME of
+examples, a value that fails) goes to the parse_args of the argparse
+parser that _build_parser builds from the same table, once per process,
+the first time it is needed.  So argparse alone writes help, usage and
+errors, and a cold plain command never imports it, nor the gettext and
+locale that it brings.  Each subcommand is dispatched by name to the
 module's cmd_* function at call time, so rebinding one (as a tracer or a
 test does) takes effect on the next run.
 
@@ -41,15 +43,13 @@ LESCOP_NORMALIZATION may change the default, and a document's
 "normalization" field overrides both.
 """
 
-from __future__ import annotations
-
-import argparse
 import functools
 import json
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import documents, floer, invariants, lens, presentation, ring
 from .corpus import corpus as builtin_corpus
@@ -310,91 +310,105 @@ def _integer(text):
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    from argparse import ArgumentTypeError  # whose text argparse reports as it is
+
+    raise ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that help is written by print with a
-    flush, so that help into a closed reader raises BrokenPipeError for
-    main to report.  argparse's own print_help drops the OSError: the
-    process would exit 0 with the help lost, or 120 at the interpreter's
-    last flush.  add_subparsers builds each subcommand's parser by this
-    class too."""
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
 
-    def print_help(self, file=None):
-        print(self.format_help(), end="", file=file, flush=True)
+# name -> (help, argument, ...): each subcommand's arguments after _JSON,
+# each the name and keywords of one add_argument call
+COMMANDS = {
+    "alexander": ("Alexander polynomial of a component",
+                  ("file", {}), ("--component", {"help": "component name (default: first)"})),
+    "lescop": ("Lescop invariant of the presented manifold", ("file", {})),
+    "chi": ("Euler characteristic of instanton Floer homology", ("file", {}),
+            ("--route", {"choices": ("closed", "triangle", "both"), "default": "both",
+                         "help": "computation route (default: both, which cross-checks)"})),
+    "sato-levine": ("Sato-Levine invariant (2 components)", ("file", {})),
+    "mu2": ("squared triple linking number (3 components)", ("file", {})),
+    "casson": ("Casson invariant of a +-1-surgery chain", ("chainfile", {})),
+    "lens": ("SU(2)-representation counting for Z/p",
+             ("--p", {"type": _integer, "required": True})),
+    "verify": ("run every applicable cross-check on files", ("files", {"nargs": "+"})),
+    "examples": ("list or export built-in presentations",
+                 ("name", {"nargs": "?", "help": "print this example document"}),
+                 ("--write", {"metavar": "DIR", "help": "write all examples into DIR"})),
+}
 
 
 @functools.cache
 def _build_parser():
+    """argparse's parser of COMMANDS, built by the first run whose argv is
+    not plain, to parse it and write its help, usage or error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, except that help is written by print with a
+        flush, so that help into a closed reader raises BrokenPipeError for
+        main to report.  argparse's own print_help drops the OSError: the
+        process would exit 0 with the help lost, or 120 at the interpreter's
+        last flush.  add_subparsers builds each subcommand's parser by this
+        class too."""
+
+        def print_help(self, file=None):
+            print(self.format_help(), end="", file=file, flush=True)
+
     parser = _Parser(
         prog="lescop",
         description="Exact invariants of 3-manifolds from surgery presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    declared = {}  # name -> the Actions that add_argument returned
-
-    def add(name, help_text):
+    for name, (help_text, *arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        actions = declared[name] = [
-            sp.add_argument("--json", action="store_true", help="machine-readable output")]
-        return lambda *names, **kwargs: actions.append(sp.add_argument(*names, **kwargs))
+        for option, kwargs in (_JSON, *arguments):
+            sp.add_argument(option, **kwargs)
+    return parser
 
-    arg = add("alexander", "Alexander polynomial of a component")
-    arg("file")
-    arg("--component", help="component name (default: first)")
 
-    arg = add("lescop", "Lescop invariant of the presented manifold")
-    arg("file")
-
-    arg = add("chi", "Euler characteristic of instanton Floer homology")
-    arg("file")
-    arg(
-        "--route",
-        choices=("closed", "triangle", "both"),
-        default="both",
-        help="computation route (default: both, which cross-checks)",
+def _argument(name, kwargs):
+    """What _matched reads of the Action that add_argument(name, **kwargs)
+    returns, by argparse's rules for the keywords that COMMANDS uses: an
+    option's dest is its name without the dashes, a store_true option
+    takes no value and stores True, and a positional is required unless
+    it may be absent."""
+    flag = kwargs.get("action") == "store_true"
+    return SimpleNamespace(
+        dest=name.lstrip("-").replace("-", "_"),
+        nargs=0 if flag else kwargs.get("nargs"),
+        const=True if flag else None,
+        default=kwargs.get("default", False if flag else None),
+        type=kwargs.get("type"),
+        choices=kwargs.get("choices"),
+        required=kwargs.get("required", name[:1] != "-" and kwargs.get("nargs") != "?"),
     )
 
-    arg = add("sato-levine", "Sato-Levine invariant (2 components)")
-    arg("file")
 
-    arg = add("mu2", "squared triple linking number (3 components)")
-    arg("file")
+def _plain(arguments):
+    """(option string -> argument, positional, required dests, defaults)
+    of a command whose arguments _matched can match: options that take one
+    value or none, and a positional that takes one or more; else None."""
+    declared = {name: _argument(name, kwargs) for name, kwargs in arguments}
+    if any(a.nargs not in ((None, 0) if name[:1] == "-" else (None, "+"))
+           for name, a in declared.items()):
+        return None
+    return (
+        {name: a for name, a in declared.items() if name[:1] == "-"},
+        next((a for name, a in declared.items() if name[:1] != "-"), None),
+        {a.dest for a in declared.values() if a.required},
+        {a.dest: a.default for a in declared.values()},  # no str default has a type to apply
+    )
 
-    arg = add("casson", "Casson invariant of a +-1-surgery chain")
-    arg("chainfile")
 
-    arg = add("lens", "SU(2)-representation counting for Z/p")
-    arg("--p", type=_integer, required=True)
-
-    arg = add("verify", "run every applicable cross-check on files")
-    arg("files", nargs="+")
-
-    arg = add("examples", "list or export built-in presentations")
-    arg("name", nargs="?", help="print this example document")
-    arg("--write", metavar="DIR", help="write all examples into DIR")
-
-    # name -> (option string -> Action, positional, required, defaults) for
-    # each command whose Actions _matched can match: options that take one
-    # value or none, and a positional that takes one or more
-    parser.plain = {
-        name: (
-            {s: a for a in actions for s in a.option_strings},
-            next((a for a in actions if not a.option_strings), None),
-            {a for a in actions if a.required},
-            {a.dest: a.default for a in actions},  # no str default has a type to apply
-        )
-        for name, actions in declared.items()
-        if all(a.nargs in ((None, 0) if a.option_strings else (None, "+")) for a in actions)
-    }
-    return parser
+_PLAIN = {name: plain for name, (_, *arguments) in COMMANDS.items()
+          if (plain := _plain((_JSON, *arguments)))}
 
 
 def _value(action, text):
     """text by the action's own type and choices, as argparse converts it;
-    where argparse reports an error, this raises one of the errors that
-    _matched catches."""
+    where argparse reports an error, this raises: ArgumentTypeError, which
+    _integer imports only to raise it, TypeError or ValueError."""
     value = text if action.type is None else action.type(text)
     if action.choices is not None and value not in action.choices:
         raise ValueError(value)
@@ -402,13 +416,13 @@ def _value(action, text):
 
 
 def _matched(argv, options, positional, required, defaults):
-    """The Namespace of the two-level parse of argv when argv has a plain
-    shape (see run), else None.
+    """The attributes of the two-level parse of argv, as a SimpleNamespace,
+    when argv has a plain shape (see run), else None.
 
     An option stores its const when it takes no value (store_true), else
     its value.  A second positional would be required and never seen, so
     it matches no argv."""
-    args = argparse.Namespace(command=argv[0], **defaults)
+    args = SimpleNamespace(command=argv[0], **defaults)
     seen, strings, closed = set(), [], False
     tokens = iter(argv[1:])
     try:
@@ -417,9 +431,9 @@ def _matched(argv, options, positional, required, defaults):
             if action is None and token[:1] != "-" and not closed:
                 strings.append(token)  # a positional, in the one run of them
                 continue
-            if action is None or action in seen:
+            if action is None or action.dest in seen:
                 return None
-            seen.add(action)
+            seen.add(action.dest)
             closed = bool(strings)
             if action.nargs == 0:
                 value = action.const
@@ -433,8 +447,8 @@ def _matched(argv, options, positional, required, defaults):
                 return None
             values = [_value(positional, s) for s in strings]
             setattr(args, positional.dest, values if positional.nargs else values[0])
-            seen.add(positional)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+            seen.add(positional.dest)
+    except Exception:  # the errors that argparse reports, ArgumentTypeError among them
         return None
     return args if required <= seen else None
 
@@ -443,12 +457,11 @@ def run(argv):
     """Run the command that argv names and return its exit code.
 
     A plain argv (see the module docstring) is matched against the
-    subcommand's declared Actions by _matched, with no argparse parse;
-    any other is parsed by argparse, which prints help, usage and errors
-    and exits with code 0 or 2."""
-    parser = _build_parser()
-    plain = parser.plain.get(argv[0]) if argv else None
-    args = plain and _matched(argv, *plain) or parser.parse_args(argv)
+    subcommand's entry in COMMANDS by _matched, with no argparse import;
+    any other is parsed by the parser of _build_parser, which prints help,
+    usage and errors and exits with code 0 or 2."""
+    plain = _PLAIN.get(argv[0]) if argv else None
+    args = plain and _matched(argv, *plain) or _build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
         return command(args)
@@ -482,7 +495,7 @@ def run(argv):
 def main():
     """Exit with the code of run on the command line's arguments.  When the
     reader of standard output has closed, before a result or argparse's
-    help (see _Parser) is written, exit with code 2 and one error line
+    help (see _build_parser) is written, exit with code 2 and one error line
     instead.  A stream whose reader has closed is pointed at os.devnull,
     so that the interpreter's last flush of it writes nothing and leaves
     the exit code (see the note on SIGPIPE in the documentation of the

@@ -11,8 +11,6 @@ the Borromean rings; their total chi is -2 and the reduced knot homology
 gets half of it.
 """
 
-from __future__ import annotations
-
 from .documents import PresentationDocument
 from .presentation import (
     FIGURE_EIGHT,

@@ -53,8 +53,6 @@ Document shape::
 Chain files are a JSON list of {"seifert": [[...]], "sign": -1 | 1}.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from fractions import Fraction

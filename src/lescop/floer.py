@@ -90,8 +90,6 @@ is the one conjectured to be shared by all admissible bundles, and the
 report says so via ambiguity = "ext_ambiguous".
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import add, mul, sub
 

@@ -76,8 +76,6 @@ validated once.  Surgery keeps the data valid, since adding the symmetric
 E E^T to a Seifert matrix V leaves V - V^T unchanged.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import isqrt
 from operator import mul, sub

@@ -10,8 +10,6 @@ connected-sum formulas below.  The signs of the individual sphere
 contributions are not computed here.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .ring import _Record, exact

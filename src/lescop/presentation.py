@@ -46,8 +46,6 @@ records the same way: a component's Alexander coefficients
 (invariants._case).
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain, compress
 from operator import add, mul, neg, sub

@@ -39,8 +39,6 @@ t - 2 + t^-1
 Fraction(1, 1)
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

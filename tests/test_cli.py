@@ -29,6 +29,12 @@ from test_readme import COMMANDS as README_COMMANDS
 FLOAT_LITERAL = re.compile(r"\d\.\d|[eE][+-]\d")
 
 
+def imported(importtime):
+    """The modules that PYTHONPROFILEIMPORTTIME's lines on stderr name."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime.splitlines()
+            if line.startswith("import time:")}
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -274,17 +280,23 @@ class TestLensCommand:
 class TestVerify:
     def test_cold_process_imports_neither_dataclasses_nor_inspect(self, tmp_path, capsys,
                                                                     monkeypatch):
-        """A cold verify loads no module that it does not compute with:
-        dataclasses alone would bring inspect, dis, ast and tokenize."""
+        """A cold plain verify, chi or lens loads no module that it does not
+        compute with: dataclasses alone would bring inspect, dis, ast and
+        tokenize, argparse would bring gettext and locale, and no module
+        has an annotation for __future__ to defer."""
         assert run(["examples", "--write", str(tmp_path)]) == 0
         capsys.readouterr()
         monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # as -X importtime
-        code, out, err = cold(["verify", "--json", *sorted(str(f) for f in tmp_path.glob("*.json"))])
-        assert code == 0 and json.loads(out)["ok"], err
-        imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
-                    if line.startswith("import time:")}
-        assert "lescop.cli" in imported
-        assert not imported & {"dataclasses", "inspect"}
+        files = sorted(str(f) for f in tmp_path.glob("*.json"))
+        for argv in (["verify", "--json", *files], ["chi", files[0], "--route", "both", "--json"],
+                     ["lens", "--p", "5", "--json"]):
+            code, out, err = cold(argv)
+            assert code == 0 and json.loads(out), err
+            modules = imported(err)
+            assert "lescop.cli" in modules
+            assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale",
+                                  "__future__"}, argv
+        assert json.loads(out) == {"central": 1, "spheres": 2, "factor": 5}
 
     def test_whole_corpus_passes(self, corpus_dir, capsys):
         files = sorted(str(f) for f in corpus_dir.glob("*.json"))
@@ -586,14 +598,16 @@ def argvs(draw):
 
 def dispatch_and_two_level_parse(argv):
     """The outcomes of run(argv), with every command replaced by one that
-    returns the Namespace it is handed, and of the top-level parser's
-    parse_args(argv): each a Namespace or ("exit", code), with the text
-    written to stdout and stderr."""
+    returns the namespace it is handed, and of the top-level parser's
+    parse_args(argv): each the namespace's attributes or ("exit", code),
+    with the text written to stdout and stderr.  The attributes, not the
+    namespaces, are compared: run hands a plain argv's command a
+    SimpleNamespace, and argparse makes a Namespace."""
     def outcome(parse):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                result = parse(list(argv))
+                result = vars(parse(list(argv)))
             except SystemExit as e:
                 result = ("exit", e.code)
         return result, out.getvalue(), err.getvalue()
@@ -606,10 +620,13 @@ def dispatch_and_two_level_parse(argv):
 
 
 class TestParser:
-    """The parser is built once per process; a plain argv is matched
-    without argparse, any other parsed by it; commands dispatch by name."""
+    """A plain argv is matched without argparse; any other is parsed by the
+    parser, built once per process when first needed; commands dispatch
+    by name."""
 
-    def test_second_run_builds_no_parser(self, monkeypatch, capsys):
+    def test_only_an_argv_that_is_not_plain_builds_the_parser(self, monkeypatch, capsys):
+        """A plain argv builds no parser; the first help or usage argv
+        builds it, with a parser for each subcommand, once per process."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -617,11 +634,36 @@ class TestParser:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        assert run(["lens", "--p", "3"]) == 0
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
         assert run(["lens", "--p", "3"]) == 0
-        capsys.readouterr()
         assert built == []
+        for argv in (["--help"], ["lens", "--p", "x"], ["chi"], ["lens", "--p", "3"]):
+            with contextlib.suppress(SystemExit):
+                run(argv)
+        capsys.readouterr()
+        assert built == ["lescop", *(f"lescop {name}" for name in cli.COMMANDS)]
+
+    def test_cold_help_builds_the_parser(self, monkeypatch):
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # as -X importtime
+        code, out, err = cold(["--help"])
+        assert code == 0 and out.startswith("usage: lescop")
+        assert "argparse" in imported(err)
+
+    def test_declared_arguments_are_argparse_actions(self):
+        """What _matched reads of each declared argument is what argparse's
+        Action for it holds."""
+        parser = cli._build_parser()
+        (subcommands,) = [a.choices for a in parser._actions if a.dest == "command"]
+        assert list(subcommands) == list(cli.COMMANDS)
+        assert sorted(cli.COMMANDS) == sorted(COMMAND_NAMES)
+        for name, (_, *arguments) in cli.COMMANDS.items():
+            actions = [a for a in subcommands[name]._actions if a.dest != "help"]
+            assert len(actions) == 1 + len(arguments)
+            for (option, kwargs), action in zip((cli._JSON, *arguments), actions):
+                declared = vars(cli._argument(option, kwargs))
+                assert declared == {key: getattr(action, key) for key in declared}, option
+        assert sorted(cli._PLAIN) == sorted(set(COMMAND_NAMES) - {"examples"})
 
     def test_rebound_command_is_called(self, monkeypatch, capsys):
         assert run(["lens", "--p", "3"]) == 0
